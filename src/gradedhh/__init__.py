@@ -24,7 +24,7 @@ from .galg import (
     symmetrizing_form,
     unit_decomposition,
 )
-from .hh import BarComplex, CochainComplex, HHClasses, TransferData, bar_complex, cohomology, transfer, transfer_data
+from .hh import CochainComplex, HHClasses, TransferData, cohomology, transfer, transfer_data
 from .mackey import AxiomReport, MackeySystem
 
 __all__ = [
@@ -47,11 +47,9 @@ __all__ = [
     "symmetrizing_form",
     "unit_decomposition",
     "algebra_from_spec",
-    "BarComplex",
     "CochainComplex",
     "HHClasses",
     "TransferData",
-    "bar_complex",
     "cohomology",
     "transfer",
     "transfer_data",

@@ -35,7 +35,6 @@ class Bimodule:
     left_action: np.ndarray      # (dim left, dim, dim)
     right_action: np.ndarray     # (dim right, dim, dim)
     label: str = ""
-    parent: object = None
     parent_indices: np.ndarray | None = None
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -66,12 +65,6 @@ class Bimodule:
         if not np.array_equal(lhs, rhs):
             raise ValidationError("left and right actions do not commute")
 
-    def left_op(self, avec: np.ndarray) -> np.ndarray:
-        return self.field.contract("i,ipq->pq", avec, self.left_action)
-
-    def right_op(self, bvec: np.ndarray) -> np.ndarray:
-        return self.field.contract("j,jpq->pq", bvec, self.right_action)
-
     def __repr__(self) -> str:
         return f"Bimodule({self.label or 'dim %d' % self.dim})"
 
@@ -98,24 +91,11 @@ class BimoduleMap:
             if not np.array_equal(lhs, rhs):
                 raise ValidationError(f"map does not commute with the {name} action")
 
-    def compose(self, other: "BimoduleMap") -> "BimoduleMap":
-        """self after other."""
-        if other.target is not self.source:
-            raise ValidationError("composition mismatch")
-        f = self.source.field
-        return BimoduleMap(other.source, self.target, f.matmul(self.matrix, other.matrix))
-
     def is_isomorphism(self) -> bool:
         return (
             self.source.dim == self.target.dim
             and self.source.field.inverse(self.matrix) is not None
         )
-
-    def inverse(self) -> "BimoduleMap":
-        inv = self.source.field.inverse(self.matrix)
-        if inv is None:
-            raise ValidationError("map is not invertible")
-        return BimoduleMap(self.target, self.source, inv)
 
 
 def regular(a: galg.Algebra) -> Bimodule:
@@ -162,7 +142,7 @@ def graded_carrier(
     m = Bimodule(
         left=left_alg.algebra, right=right_alg.algebra, dim=len(idx),
         left_action=left_action, right_action=right_action,
-        label=label, parent=rg, parent_indices=idx,
+        label=label, parent_indices=idx,
     )
     m.validate()
     return m
@@ -257,9 +237,6 @@ class TensorPresentation:
     def to_quotient(self, vec: np.ndarray) -> np.ndarray:
         return self.pres.to_quotient(vec)
 
-    def lift(self, qvec: np.ndarray) -> np.ndarray:
-        return self.pres.lift(qvec)
-
 
 def tensor_over(m: Bimodule, n: Bimodule) -> tuple[Bimodule, TensorPresentation]:
     """Tensor product over the middle algebra, with its presentation."""
@@ -300,48 +277,46 @@ def tensor_over(m: Bimodule, n: Bimodule) -> tuple[Bimodule, TensorPresentation]
     return module, TensorPresentation(m=m, n=n, relations=relations, pres=pres)
 
 
+def _intertwiners(f: PrimeField, pairs, dm: int, dn: int) -> np.ndarray:
+    """RREF basis, stacked as (k, dn, dm) matrices, of the linear maps
+    X: F^dm -> F^dn with X src = tgt X for every pair of actions in
+    ``pairs``; X is vectorized row-major."""
+    system = np.concatenate([
+        (f.kronecker(f.eye(dn), src.T) - f.kronecker(tgt, f.eye(dm))) % f.p
+        for src_act, tgt_act in pairs
+        for src, tgt in zip(src_act, tgt_act)
+    ])
+    ker = f.kernel(system)
+    return ker.basis.reshape(ker.dim, dn, dm)
+
+
 def hom_space(m: Bimodule, n: Bimodule) -> list[BimoduleMap]:
     """RREF-canonical basis of the space of bimodule maps M -> N."""
     if not (m.left.structurally_equal(n.left) and m.right.structurally_equal(n.right)):
         raise ValidationError("hom space needs the same algebra pair")
-    f = m.field
-    dm, dn = m.dim, n.dim
-    rows = []
-    for src_act, tgt_act in (
-        (m.left_action, n.left_action),
-        (m.right_action, n.right_action),
-    ):
-        for a in range(src_act.shape[0]):
-            block = (
-                f.kronecker(f.eye(dn), src_act[a].T)
-                - f.kronecker(tgt_act[a], f.eye(dm))
-            ) % f.p
-            rows.append(block)
-    if rows:
-        system = np.concatenate(rows, axis=0)
-    else:
-        system = f.zeros((0, dn * dm))
-    ker = f.kernel(system)
+    pairs = ((m.left_action, n.left_action), (m.right_action, n.right_action))
     out = []
-    for row in ker.basis:
-        bm = BimoduleMap(m, n, row.reshape(dn, dm).copy())
+    for x in _intertwiners(m.field, pairs, m.dim, n.dim):
+        bm = BimoduleMap(m, n, x)
         bm.validate()
         out.append(bm)
     return out
 
 
-def left_module_hom_space(m: Bimodule, a: galg.Algebra) -> np.ndarray:
-    """Basis (stacked 3-d array) of left-module maps M -> A (A regular)."""
-    f = m.field
-    rows = []
-    for i in range(a.dim):
-        block = (
-            f.kronecker(f.eye(a.dim), m.left_action[i].T)
-            - f.kronecker(a.basis_left_mults[i], f.eye(m.dim))
-        ) % f.p
-        rows.append(block)
-    ker = f.kernel(np.concatenate(rows, axis=0))
-    return ker.basis.reshape(ker.dim, a.dim, m.dim).copy()
+def module_hom_basis(m: Bimodule, side: str) -> np.ndarray:
+    """RREF basis, stacked as (k, dim alg, dim M), of the one-sided module
+    maps M -> alg into the regular module, where alg is the algebra acting on
+    ``side``; cached on M."""
+    key = ("module_homs", side)
+    if key not in m._cache:
+        if side == "left":
+            alg, act, reg = m.left, m.left_action, m.left.basis_left_mults
+        elif side == "right":
+            alg, act, reg = m.right, m.right_action, m.right.basis_right_mults
+        else:
+            raise ValidationError("side must be 'left' or 'right'")
+        m._cache[key] = _intertwiners(m.field, ((act, reg),), m.dim, alg.dim)
+    return m._cache[key]
 
 
 @dataclass(eq=False)
@@ -355,28 +330,6 @@ class SplittingResult:
     splitting: np.ndarray | None    # sigma: M -> F with pi sigma = id, or None
 
 
-def _one_sided_hom_basis(m: Bimodule, side: str) -> np.ndarray:
-    """Basis of one-sided module maps M -> algebra (regular), cached."""
-    key = ("module_homs", side)
-    if key in m._cache:
-        return m._cache[key]
-    f = m.field
-    alg = m.left if side == "left" else m.right
-    act = m.left_action if side == "left" else m.right_action
-    reg = alg.basis_left_mults if side == "left" else alg.basis_right_mults
-    da, dm = alg.dim, m.dim
-    rows = []
-    for a in range(da):
-        block = (
-            f.kronecker(f.eye(da), act[a].T) - f.kronecker(reg[a], f.eye(dm))
-        ) % f.p
-        rows.append(block)
-    ker = f.kernel(np.concatenate(rows, axis=0))
-    basis = ker.basis.reshape(ker.dim, da, dm).copy()
-    m._cache[key] = basis
-    return basis
-
-
 def is_projective(m: Bimodule, side: str, generator_order=None) -> SplittingResult:
     """Decide one-sided projectivity by splitting the free cover built on the
     module's own basis vectors (in index order unless overridden).
@@ -385,8 +338,7 @@ def is_projective(m: Bimodule, side: str, generator_order=None) -> SplittingResu
     module map M -> algebra, so sigma is a combination of the hom basis and
     pi sigma = id becomes a small inhomogeneous system with the canonical
     (free variables 0) solution."""
-    if side not in ("left", "right"):
-        raise ValidationError("side must be 'left' or 'right'")
+    homs = module_hom_basis(m, side)
     f = m.field
     alg = m.left if side == "left" else m.right
     act = m.left_action if side == "left" else m.right_action
@@ -398,7 +350,6 @@ def is_projective(m: Bimodule, side: str, generator_order=None) -> SplittingResu
     pi = f.zeros((dm, dm * da))
     for j, gen in enumerate(gens):
         pi[:, j * da:(j + 1) * da] = act[:, :, gen].T
-    homs = _one_sided_hom_basis(m, side)
     nh = homs.shape[0]
     if nh == 0 and dm > 0:
         return SplittingResult(False, side, gens, pi, None)

@@ -56,15 +56,20 @@ def load_spec(path: str) -> dict:
     return spec
 
 
-def parse_subgroups(text: str):
-    """'all', or semicolon-separated comma lists of generator indices
-    (an empty list selects the trivial subgroup)."""
+def parse_subgroups(text: str, order: int):
+    """'all', or semicolon-separated comma lists of generator indices below
+    the group order (an empty list selects the trivial subgroup)."""
     if text == "all":
         return "all"
     out = []
     for part in text.split(";"):
-        part = part.strip()
-        gens = [int(x) for x in part.split(",") if x.strip() != ""]
+        try:
+            gens = [int(x) for x in part.split(",") if x.strip() != ""]
+        except ValueError as exc:
+            raise SpecError(f"--subgroups: {exc}") from exc
+        bad = [x for x in gens if not 0 <= x < order]
+        if bad:
+            raise SpecError(f"--subgroups: elements {bad} are not in 0..{order - 1}")
         out.append(gens)
     return out
 
@@ -140,7 +145,7 @@ def cmd_hh(cfg: RunConfig) -> int:
     rg = galg.algebra_from_spec(spec)
     system = mackey.MackeySystem(rg, degree_bound=cfg.degree, seed=cfg.seed,
                                  memory_mb=cfg.memory_mb)
-    subs = system.select_subgroups(parse_subgroups(cfg.subgroups))
+    subs = system.select_subgroups(parse_subgroups(cfg.subgroups, rg.group.order))
     table = []
     for sub in subs:
         data = system.sub_data(sub)
@@ -165,7 +170,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     system = mackey.MackeySystem(rg, degree_bound=cfg.degree, seed=cfg.seed,
                                  memory_mb=cfg.memory_mb)
     reports = system.verify_all(
-        selection=parse_subgroups(cfg.subgroups),
+        selection=parse_subgroups(cfg.subgroups, rg.group.order),
         degrees=range(cfg.degree + 1),
         axioms=cfg.axioms,
     )
@@ -195,7 +200,7 @@ def cmd_lemma2(cfg: RunConfig) -> int:
     rg = galg.algebra_from_spec(spec)
     system = mackey.MackeySystem(rg, degree_bound=cfg.degree, seed=cfg.seed,
                                  memory_mb=cfg.memory_mb)
-    subs = system.select_subgroups(parse_subgroups(cfg.subgroups))
+    subs = system.select_subgroups(parse_subgroups(cfg.subgroups, rg.group.order))
     grp = rg.group
     full = groups.full_subgroup(grp)
     results = []

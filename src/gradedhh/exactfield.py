@@ -14,6 +14,8 @@ Conventions used by the whole package:
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +38,21 @@ def _is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+@functools.lru_cache(maxsize=None)
+def _summed_axes(subscripts: str) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For each index letter that einsum ``subscripts`` sums over (present in
+    an input, absent from the output), its (operand, axis) positions."""
+    inputs, arrow, output = subscripts.replace(" ", "").partition("->")
+    if not arrow or "." in subscripts:
+        raise ValidationError(f"contract needs explicit subscripts, got {subscripts!r}")
+    positions: dict[str, list[tuple[int, int]]] = {}
+    for k, term in enumerate(inputs.split(",")):
+        for axis, letter in enumerate(term):
+            if letter not in output:
+                positions.setdefault(letter, []).append((k, axis))
+    return tuple(tuple(where) for where in positions.values())
 
 
 class PrimeField:
@@ -100,17 +117,34 @@ class PrimeField:
         return out
 
     def contract(self, subscripts: str, *ops: np.ndarray) -> np.ndarray:
-        """np.einsum reduced mod p, guarding against int64 overflow."""
+        """np.einsum reduced mod p, exact for every operand size.
+
+        ``subscripts`` must name the output (``->``) and use no ellipsis.
+        Each summed term is a product of len(ops) entries below p, so the
+        int64 einsum is exact while (p-1)**len(ops) times the number of
+        terms per output entry stays below 2**62.  Past that bound the
+        longest summed index is split in halves that are reduced mod p
+        separately, and a single product that overflows int64 is computed
+        with Python integers."""
         ops = tuple(np.asarray(o, dtype=np.int64) for o in ops)
-        terms = 1
-        for o in ops:
-            terms *= max(1, o.size)
-        # crude but safe: every summand is < p**len(ops), counts < total size
-        if terms and (self.p - 1) ** len(ops) * min(terms, 2**20) >= _INT_SAFE:
-            raise ValidationError(
-                f"modulus {self.p} too large for tensor contraction of this size"
-            )
-        return np.einsum(subscripts, *ops) % self.p
+        summed = _summed_axes(subscripts)
+        sizes = [max(ops[k].shape[axis] for k, axis in where) for where in summed]
+        top = (self.p - 1) ** len(ops)
+        if top * math.prod(sizes) < _INT_SAFE:
+            return np.einsum(subscripts, *ops) % self.p
+        if top >= _INT_SAFE:
+            out = np.einsum(subscripts, *(o.astype(object) for o in ops)) % self.p
+            return np.asarray(out, dtype=object).astype(np.int64)[()]
+        longest = max(range(len(sizes)), key=sizes.__getitem__)
+        half = sizes[longest] // 2
+        parts = []
+        for part in (slice(None, half), slice(half, None)):
+            cut = list(ops)
+            for k, axis in summed[longest]:
+                if cut[k].shape[axis] > 1:      # a length-1 axis broadcasts
+                    cut[k] = cut[k][(slice(None),) * axis + (part,)]
+            parts.append(self.contract(subscripts, *cut))
+        return (parts[0] + parts[1]) % self.p
 
     def kronecker(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Kronecker product in row-major lexicographic basis order."""
@@ -268,34 +302,32 @@ class PrimeField:
         m = self.arr(mat)
         R, piv = self.rref(m)
         cols = m.shape[1]
-        free = [c for c in range(cols) if c not in set(piv)]
+        free = self._free_columns(cols, piv)
         basis = self.zeros((len(free), cols))
-        for row, f in enumerate(free):
-            basis[row, f] = 1
-            for j, pc in enumerate(piv):
-                basis[row, pc] = (-R[j, f]) % self.p
+        basis[np.arange(len(free)), free] = 1
+        basis[:, piv] = (-R[:len(piv)][:, free]).T % self.p
         return subspace_from_rows(self, basis, cols)
 
     def quotient(self, sub: "Subspace") -> "QuotientPresentation":
         """Quotient of the ambient space by ``sub``, with the transversal given
         by the non-pivot standard coordinates (deterministic)."""
         n = sub.ambient_dim
-        piv = sub.pivots
-        free = [c for c in range(n) if c not in set(piv)]
-        q = len(free)
-        transversal = self.zeros((q, n))
-        projection = self.zeros((q, n))
-        for a, f in enumerate(free):
-            transversal[a, f] = 1
-            projection[a, f] = 1
-            for j, pc in enumerate(piv):
-                projection[a, pc] = (-sub.basis[j, f]) % self.p
-        section = transversal.T.copy()
-        pres = QuotientPresentation(
-            field=self, ambient_dim=n, sub=sub,
-            transversal=transversal, projection=projection, section=section,
+        piv = list(sub.pivots)
+        free = self._free_columns(n, piv)
+        transversal = self.zeros((len(free), n))
+        transversal[np.arange(len(free)), free] = 1
+        projection = transversal.copy()
+        projection[:, piv] = (-sub.basis[:, free]).T % self.p
+        return QuotientPresentation(
+            field=self, ambient_dim=n, sub=sub, transversal=transversal,
+            projection=projection, section=transversal.T.copy(),
         )
-        return pres
+
+    @staticmethod
+    def _free_columns(cols: int, pivots) -> np.ndarray:
+        free = np.ones(cols, dtype=bool)
+        free[list(pivots)] = False
+        return np.flatnonzero(free)
 
 
 @dataclass(frozen=True, eq=False)
@@ -392,6 +424,3 @@ class QuotientPresentation:
 
     def to_quotient(self, vec: np.ndarray) -> np.ndarray:
         return self.field.matmul(self.projection, self.field.arr(vec))
-
-    def lift(self, qvec: np.ndarray) -> np.ndarray:
-        return self.field.matmul(self.section, self.field.arr(qvec))

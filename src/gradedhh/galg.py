@@ -47,10 +47,6 @@ class Algebra:
         """Matrix of y -> x*y."""
         return self.field.contract("i,ijk->kj", x, self.sc)
 
-    def right_mult(self, x: np.ndarray) -> np.ndarray:
-        """Matrix of y -> y*x."""
-        return self.field.contract("j,ijk->ki", x, self.sc)
-
     @property
     def basis_left_mults(self) -> np.ndarray:
         """L[i] = matrix of left multiplication by b_i; L[i][k, j] = sc[i, j, k]."""
@@ -486,10 +482,7 @@ def algebra_from_spec(spec: dict) -> GradedAlgebra:
         raise SpecError(f"specification missing required field: {exc}") from exc
     if "kind" not in gspec and "table" in gspec:
         gspec["kind"] = "table"
-    gkind = gspec.pop("kind", None)
-    if gkind not in ("cyclic", "dihedral", "symmetric", "product", "table"):
-        raise SpecError(f"unknown group kind {gkind!r}")
-    group = _groups.build(gkind, **gspec)
+    group = _groups.build(gspec.pop("kind", None), **gspec)
     if akind == "group_algebra":
         return group_algebra(group, p)
     if akind == "crossed_product":

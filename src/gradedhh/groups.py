@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import SpecError, ValidationError
 
 MAX_ORDER = 48
 
@@ -39,13 +39,6 @@ class FiniteGroup:
     def conj(self, g: int, x: int) -> int:
         """g x g^-1."""
         return self.mul(self.mul(g, x), self.inv(g))
-
-    def element_order(self, a: int) -> int:
-        x, n = a, 1
-        while x != 0:
-            x = self.mul(x, a)
-            n += 1
-        return n
 
     def conjugacy_classes(self) -> list[tuple[int, ...]]:
         seen = set()
@@ -171,24 +164,35 @@ def from_table(table) -> FiniteGroup:
 
 
 def build(kind: str, **params) -> FiniteGroup:
-    """Build a group by kind: cyclic, dihedral, symmetric, product, table."""
-    if kind == "cyclic":
-        return cyclic(int(params["n"]))
-    if kind == "dihedral":
-        return dihedral(int(params["n"]))
-    if kind == "symmetric":
-        return symmetric(int(params["n"]))
+    """Build a group by kind: cyclic, dihedral, symmetric, product, table.
+
+    A missing, mistyped or misshapen parameter raises SpecError; a table
+    that is not a group raises ValidationError."""
+    try:
+        if kind in ("cyclic", "dihedral", "symmetric"):
+            n = int(params["n"])
+        elif kind == "product":
+            specs = [dict(f) for f in params["factors"]]
+            kinds = [f.pop("kind") for f in specs]
+        elif kind == "table":
+            table = np.array(params["table"], dtype=np.int64)
+        else:
+            raise SpecError(f"unknown group kind {kind!r}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SpecError(f"malformed {kind} group spec: {type(exc).__name__}: {exc}") from exc
+    if kind in ("cyclic", "dihedral", "symmetric"):
+        return {"cyclic": cyclic, "dihedral": dihedral, "symmetric": symmetric}[kind](n)
     if kind == "product":
-        factors = [build(f.pop("kind"), **f) for f in [dict(d) for d in params["factors"]]]
+        factors = [build(k, **f) for k, f in zip(kinds, specs)]
         if not factors:
-            raise ValidationError("product needs at least one factor")
+            raise SpecError("product needs at least one factor")
         g = factors[0]
         for h in factors[1:]:
             g = direct_product(g, h)
         return g
-    if kind == "table":
-        return from_table(params["table"])
-    raise ValidationError(f"unknown group kind {kind!r}")
+    if table.ndim != 2:
+        raise SpecError("group table must be a 2-d array")
+    return from_table(table)
 
 
 @dataclass(eq=False)

@@ -1,6 +1,5 @@
-"""Truncated bar resolutions, Hochschild cochain complexes, cohomology with
-chosen representatives, and transfer maps between the Hochschild cohomology
-of symmetric algebras.
+"""Hochschild cochain complexes, cohomology with chosen representatives, and
+transfer maps between the Hochschild cohomology of symmetric algebras.
 
 The transfer attached to an A-B bimodule M (projective on both sides, with
 symmetrizing forms s_A, s_B) is realized by
@@ -44,66 +43,6 @@ def _check_budget(byte_count: int, memory_mb: int, what: str) -> None:
             f"{what} needs about {byte_count // (1024 * 1024)} MiB, "
             f"budget is {memory_mb} MiB"
         )
-
-
-# -- bar resolution ----------------------------------------------------------
-
-
-@dataclass(eq=False)
-class BarComplex:
-    """Truncated bar resolution Bar_n = A^(ox n+2) with face differentials."""
-
-    algebra: galg.Algebra
-    degree: int
-    dims: list[int]
-    diffs: list[np.ndarray]      # diffs[n-1]: Bar_n -> Bar_{n-1}, n = 1..degree
-    augmentation: np.ndarray     # multiplication Bar_0 -> A
-
-    def diff(self, n: int) -> np.ndarray:
-        if not 1 <= n <= self.degree:
-            raise ValidationError(f"differential {n} not computed")
-        return self.diffs[n - 1]
-
-
-def bar_complex(a: galg.Algebra, degree: int,
-                memory_mb: int = DEFAULT_MEMORY_MB) -> BarComplex:
-    d = a.dim
-    total = sum(8 * d ** (n + 1) * d ** (n + 2) for n in range(1, degree + 1))
-    _check_budget(total, memory_mb, f"bar resolution to degree {degree}")
-    f = a.field
-    mu = a.mult_matrix
-    dims = [d ** (n + 2) for n in range(degree + 1)]
-    diffs = []
-    for n in range(1, degree + 1):
-        mat = f.zeros((d ** (n + 1), d ** (n + 2)))
-        for i in range(n + 1):
-            face = f.kronecker(f.eye(d ** i), f.kronecker(mu, f.eye(d ** (n - i))))
-            mat = (mat + (-1) ** i * face) % f.p
-        diffs.append(mat)
-    bar = BarComplex(algebra=a, degree=degree, dims=dims, diffs=diffs,
-                     augmentation=mu.copy())
-    for n in range(2, degree + 1):
-        if f.matmul(bar.diff(n - 1), bar.diff(n)).any():
-            raise ValidationError(f"bar differential square is nonzero at {n}")
-    if degree >= 1 and f.matmul(bar.augmentation, bar.diff(1)).any():
-        raise ValidationError("augmentation does not kill the first differential")
-    return bar
-
-
-def bar_bimodule(a: galg.Algebra, n: int) -> bimod.Bimodule:
-    """Bar_n with its outer actions, as a Bimodule (small algebras only)."""
-    f = a.field
-    d = a.dim
-    inner = d ** (n + 1)
-    left = np.stack([f.kronecker(a.basis_left_mults[i], f.eye(inner))
-                     for i in range(d)])
-    right = np.stack([f.kronecker(f.eye(inner), a.basis_right_mults[i])
-                      for i in range(d)])
-    m = bimod.Bimodule(left=a, right=a, dim=d ** (n + 2),
-                       left_action=left, right_action=right,
-                       label=f"bar_{n}")
-    m.validate()
-    return m
 
 
 # -- cochain complex ---------------------------------------------------------
@@ -166,10 +105,6 @@ class HHClasses:
     _bquot: object
     _w: Subspace
 
-    def rep_matrix(self, i: int) -> np.ndarray:
-        d = self.algebra.dim
-        return self.reps[i].reshape(d, d ** self.degree)
-
     def coords(self, cochain_vec: np.ndarray) -> np.ndarray:
         """Class coordinates of a cocycle in the representative basis."""
         w = self._bquot.to_quotient(cochain_vec)
@@ -178,9 +113,6 @@ class HHClasses:
         if self.dim == 0:
             return self.algebra.field.zeros(0)
         return w[list(self._w.pivots)]
-
-    def class_of(self, i: int) -> np.ndarray:
-        return self.coords(self.reps[i])
 
 
 def cohomology(a: galg.Algebra, n: int,
@@ -363,7 +295,7 @@ def transfer_data(
     eta_raw = eta_mat.reshape(-1)
     dual_quotient, dualpres = bimod.tensor_over(m, bimod.dual(m))
     # counit: invert psi -> s_a . psi between Hom_A(M, A) and M*
-    homs = bimod.left_module_hom_space(m, a)
+    homs = bimod.module_hom_basis(m, "left")
     if homs.shape[0] != r:
         raise ValidationError(
             f"left-module hom space has dim {homs.shape[0]}, expected {r}; "

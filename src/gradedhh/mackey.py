@@ -17,8 +17,7 @@ TransferData per carrier.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +45,6 @@ class AxiomReport:
     ok: bool
     lhs: np.ndarray | None = None
     rhs: np.ndarray | None = None
-    seconds: float = 0.0
 
     def to_json(self, include_matrices_on_failure: bool = True) -> dict:
         out = {
@@ -70,19 +68,17 @@ class MackeySystem:
         degree_bound: int = 3,
         seed: int = 0,
         memory_mb: int = hh.DEFAULT_MEMORY_MB,
-        require_fully_graded: bool = True,
     ):
         self.rg = rg
         self.group = rg.group
         self.degree_bound = degree_bound
         self.seed = seed
         self.memory_mb = memory_mb
-        if require_fully_graded:
-            report = galg.check_fully_graded(rg)
-            if not report.ok:
-                raise ValidationError(
-                    f"algebra is not fully graded: first failure {report.failures[0]}"
-                )
+        report = galg.check_fully_graded(rg)
+        if not report.ok:
+            raise ValidationError(
+                f"algebra is not fully graded: first failure {report.failures[0]}"
+            )
         self._subs: dict[tuple, SubalgebraData] = {}
         self._transfers: dict[tuple, hh.TransferData] = {}
         self._maps: dict[tuple, np.ndarray] = {}
@@ -153,10 +149,10 @@ class MackeySystem:
             out = self.rg.field.matmul(out, m)
         return out
 
-    def _report(self, axiom, instance, n, lhs, rhs, started) -> AxiomReport:
+    def _report(self, axiom, instance, n, lhs, rhs) -> AxiomReport:
         ok = bool(np.array_equal(lhs, rhs))
         return AxiomReport(axiom=axiom, instance=instance, degree=n, ok=ok,
-                           lhs=lhs, rhs=rhs, seconds=time.monotonic() - started)
+                           lhs=lhs, rhs=rhs)
 
     def verify_axiom(self, axiom: str, instance: dict, n: int) -> AxiomReport:
         """Build both sides of one axiom instance as matrices and compare.
@@ -164,25 +160,23 @@ class MackeySystem:
         Instance keys: K, H as element tuples, g, h as element indices,
         depending on the axiom.
         """
-        t0 = time.monotonic()
         full = self.full()
         if axiom == "i":
             k = self.subgroup(instance["K"])
             h = self.subgroup(instance["H"])
             lhs = self._mm(self.map_along(k, 0, h, n), self.restriction(h, n))
             rhs = self.restriction(k, n)
-            rep = self._report("i", instance, n, lhs, rhs, t0)
+            rep = self._report("i", instance, n, lhs, rhs)
             if not rep.ok:
                 return rep
             lhs = self._mm(self.transfer_up(h, n), self.map_along(h, 0, k, n))
             rhs = self.transfer_up(k, n)
-            rep2 = self._report("i", instance, n, lhs, rhs, t0)
-            return rep2
+            return self._report("i", instance, n, lhs, rhs)
         if axiom == "ii":
             h = self.subgroup(instance["H"])
             mat = self.map_along(h, 0, h, n)
             ident = np.eye(mat.shape[0], dtype=np.int64)
-            return self._report("ii", instance, n, mat, ident, t0)
+            return self._report("ii", instance, n, mat, ident)
         if axiom == "iii":
             h = self.subgroup(instance["H"])
             g, he = int(instance["g"]), int(instance["h"])
@@ -190,7 +184,7 @@ class MackeySystem:
             conj_h = _groups.conjugate_subgroup(he, h)
             lhs = self._mm(self.conjugation(g, conj_h, n), self.conjugation(he, h, n))
             rhs = self.conjugation(gh, h, n)
-            return self._report("iii", instance, n, lhs, rhs, t0)
+            return self._report("iii", instance, n, lhs, rhs)
         if axiom == "iv":
             h = self.subgroup(instance["H"])
             he = int(instance["h"])
@@ -198,7 +192,7 @@ class MackeySystem:
                 raise ValidationError("axiom iv needs the element inside the subgroup")
             mat = self.conjugation(he, h, n)
             ident = np.eye(mat.shape[0], dtype=np.int64)
-            return self._report("iv", instance, n, mat, ident, t0)
+            return self._report("iv", instance, n, mat, ident)
         if axiom == "v":
             k = self.subgroup(instance["K"])
             h = self.subgroup(instance["H"])
@@ -207,12 +201,12 @@ class MackeySystem:
             gh = _groups.conjugate_subgroup(g, h)
             lhs = self._mm(self.conjugation(g, k, n), self.map_along(k, 0, h, n))
             rhs = self._mm(self.map_along(gk, 0, gh, n), self.conjugation(g, h, n))
-            rep = self._report("v", instance, n, lhs, rhs, t0)
+            rep = self._report("v", instance, n, lhs, rhs)
             if not rep.ok:
                 return rep
             lhs = self._mm(self.conjugation(g, h, n), self.map_along(h, 0, k, n))
             rhs = self._mm(self.map_along(gh, 0, gk, n), self.conjugation(g, k, n))
-            return self._report("v", instance, n, lhs, rhs, t0)
+            return self._report("v", instance, n, lhs, rhs)
         if axiom == "vi":
             k = self.subgroup(instance["K"])
             h = self.subgroup(instance["H"])
@@ -232,7 +226,7 @@ class MackeySystem:
                     self.conjugation(g, h, n),
                 )
                 rhs = (rhs + term) % self.rg.field.p
-            return self._report("vi", instance, n, lhs, rhs, t0)
+            return self._report("vi", instance, n, lhs, rhs)
         raise ValidationError(f"unknown axiom {axiom!r}")
 
     # -- enumeration ---------------------------------------------------------

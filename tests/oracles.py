@@ -1,16 +1,17 @@
 """Independent oracles used to pin expected values before freezing them.
 
-These deliberately avoid the bar-resolution/transfer pipeline: the truncated
+These deliberately avoid the cochain/transfer pipeline: the truncated
 polynomial algebra dimensions come from its 2-periodic bimodule resolution,
-and the degree-0 transfer on group algebras comes from direct summation of
-conjugates over coset representatives.
+the degree-0 transfer on group algebras comes from direct summation of
+conjugates over coset representatives, and the bar resolution, from which
+the cochain differential is derived, is built from its face maps.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from gradedhh import galg, groups
+from gradedhh import bimod, galg, groups
 from gradedhh.exactfield import PrimeField
 
 
@@ -70,3 +71,28 @@ def relative_trace_matrix(
     if not cols:
         return f.zeros((center_full.dim, 0))
     return np.stack(cols, axis=1)
+
+
+def bar_differential(a: galg.Algebra, n: int) -> np.ndarray:
+    """Bar_n -> Bar_{n-1} of the bar resolution Bar_n = A^(ox n+2): the
+    alternating sum of the faces that multiply tensor factors i and i+1."""
+    f = a.field
+    d = a.dim
+    mat = f.zeros((d ** (n + 1), d ** (n + 2)))
+    for i in range(n + 1):
+        face = f.kronecker(f.eye(d ** i), f.kronecker(a.mult_matrix, f.eye(d ** (n - i))))
+        mat = (mat + (-1) ** i * face) % f.p
+    return mat
+
+
+def bar_bimodule(a: galg.Algebra, n: int) -> bimod.Bimodule:
+    """Bar_n with A acting on the outer tensor factors, as a Bimodule."""
+    f = a.field
+    d = a.dim
+    inner = d ** (n + 1)
+    left = np.stack([f.kronecker(a.basis_left_mults[i], f.eye(inner)) for i in range(d)])
+    right = np.stack([f.kronecker(f.eye(inner), a.basis_right_mults[i]) for i in range(d)])
+    m = bimod.Bimodule(left=a, right=a, dim=d ** (n + 2),
+                       left_action=left, right_action=right, label=f"bar_{n}")
+    m.validate()
+    return m

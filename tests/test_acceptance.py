@@ -3,8 +3,6 @@ over a prime field, or a frozen regression value pinned by an independent
 oracle.  One pass/fail line is printed per criterion."""
 
 import json
-import subprocess
-import sys
 
 import numpy as np
 
@@ -302,7 +300,7 @@ def test_criterion_7_choice_independence():
     assert ok, problems
 
 
-def test_criterion_8_byte_identical_reports(tmp_path):
+def test_criterion_8_byte_identical_reports(tmp_path, cli_process):
     """Two runs of verify --format json --seed 0 produce identical bytes."""
     spec = tmp_path / "v4.json"
     spec.write_text(json.dumps({
@@ -311,10 +309,9 @@ def test_criterion_8_byte_identical_reports(tmp_path):
                   "factors": [{"kind": "cyclic", "n": 2}, {"kind": "cyclic", "n": 2}]},
         "algebra": {"kind": "group_algebra"},
     }))
-    argv = [sys.executable, "-m", "gradedhh.cli", "verify", "--spec", str(spec),
-            "--degree", "2", "--format", "json", "--seed", "0"]
-    first = subprocess.run(argv, capture_output=True)
-    second = subprocess.run(argv, capture_output=True)
+    argv = ("verify", "--spec", str(spec), "--degree", "2", "--format", "json", "--seed", "0")
+    first = cli_process(*argv)
+    second = cli_process(*argv)
     ok = (first.returncode == 0 and second.returncode == 0
           and first.stdout == second.stdout and len(first.stdout) > 0)
     _line("criterion 8", ok, f"{len(first.stdout)} report bytes, identical across runs")

@@ -1,6 +1,8 @@
 import json
 import pathlib
 
+import pytest
+
 from gradedhh import cli
 
 SPECS = pathlib.Path(__file__).resolve().parent.parent / "specs"
@@ -158,3 +160,25 @@ def test_explicit_cayley_table_spec(tmp_path, capsys):
     code, out, _ = run(capsys, "info", "--spec", str(spec))
     assert code == 0
     assert "dim 2" in out
+
+
+@pytest.mark.parametrize("group,extra", [
+    ({"kind": "cyclic"}, ()),
+    ({"kind": "product", "factors": 3}, ()),
+    ({"kind": "product", "factors": [{"kind": "cyclic"}]}, ()),
+    ({"kind": "table", "table": [[0, 1], [1]]}, ()),
+    ({"kind": "cyclic", "n": 2}, ("--subgroups", "x")),
+    ({"kind": "cyclic", "n": 2}, ("--subgroups", "99")),
+], ids=["missing-n", "factors-not-a-list", "factor-missing-n", "ragged-table",
+        "subgroups-not-a-number", "subgroups-out-of-range"])
+def test_malformed_input_exit_2(tmp_path, cli_process, group, extra):
+    # a real process, so that an uncaught exception shows as its traceback
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "field": {"p": 2}, "group": group, "algebra": {"kind": "group_algebra"},
+    }))
+    proc = cli_process("verify", "--spec", str(spec), "--degree", "0", *extra)
+    err = proc.stderr.decode()
+    assert proc.returncode == 2, err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

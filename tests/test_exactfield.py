@@ -248,6 +248,28 @@ def test_large_modulus_matmul_paths():
     assert piv == [0, 1]
 
 
+def test_contract_exact_past_int64():
+    # split path: (p-1)**2 * 2**24 overflows int64; the operands are
+    # broadcast views, so nothing of that length is allocated
+    p = 1000003
+    f = PrimeField(p)
+    a = np.broadcast_to(np.int64(p - 1), (2**24,))
+    assert f.contract("i,i->", a, a) == (p - 1) ** 2 * 2**24 % p
+    # Python-integer path: a single product of three entries overflows int64
+    p = 2**31 - 1
+    f = PrimeField(p)
+    rng = np.random.default_rng(0)
+    x, y, z = rng.integers(0, p, (3, 4)), rng.integers(0, p, (4, 5)), rng.integers(0, p, 5)
+    expect = [
+        sum(int(x[i, j]) * int(y[j, k]) * int(z[k]) for j in range(4) for k in range(5)) % p
+        for i in range(3)
+    ]
+    got = f.contract("ij,jk,k->i", x, y, z)
+    assert got.dtype == np.int64 and got.tolist() == expect
+    with pytest.raises(ValidationError, match="explicit"):
+        f.contract("i,i", z, z)
+
+
 def test_subspace_equality_and_reduce():
     f = PrimeField(3)
     s1 = subspace_from_rows(f, [[1, 2, 0], [0, 0, 1]])
