@@ -17,7 +17,7 @@ import numpy as np
 
 from . import galg, groups as _groups
 from .errors import ValidationError
-from .exactfield import PrimeField, QuotientPresentation, Subspace, subspace_from_rows
+from .exactfield import PrimeField, QuotientPresentation, subspace_from_rows
 
 
 @dataclass(eq=False)
@@ -216,30 +216,11 @@ def direct_sum(*parts: Bimodule) -> Bimodule:
     return out
 
 
-@dataclass(eq=False)
-class TensorPresentation:
-    """M (x)_B N presented as a quotient of M (x)_k N by the balancing
-    relations span{m b (x) n - m (x) b n}; ambient index of (i, j) is
+def tensor_over(m: Bimodule, n: Bimodule) -> tuple[Bimodule, QuotientPresentation]:
+    """Tensor product over the middle algebra, with its presentation as the
+    quotient of M (x)_k N by the balancing relations
+    span{m b (x) n - m (x) b n}; the ambient index of (i, j) is
     i * dim(N) + j."""
-
-    m: Bimodule
-    n: Bimodule
-    relations: Subspace
-    pres: QuotientPresentation
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.m.dim * self.n.dim
-
-    def ambient_index(self, i: int, j: int) -> int:
-        return i * self.n.dim + j
-
-    def to_quotient(self, vec: np.ndarray) -> np.ndarray:
-        return self.pres.to_quotient(vec)
-
-
-def tensor_over(m: Bimodule, n: Bimodule) -> tuple[Bimodule, TensorPresentation]:
-    """Tensor product over the middle algebra, with its presentation."""
     if not (m.right is n.left or m.right.structurally_equal(n.left)):
         raise ValidationError("inner algebras do not match")
     f = m.field
@@ -274,7 +255,7 @@ def tensor_over(m: Bimodule, n: Bimodule) -> tuple[Bimodule, TensorPresentation]
         label=f"({m.label})ox({n.label})",
     )
     module.validate()
-    return module, TensorPresentation(m=m, n=n, relations=relations, pres=pres)
+    return module, pres
 
 
 def _intertwiners(f: PrimeField, pairs, dm: int, dn: int) -> np.ndarray:
@@ -324,10 +305,8 @@ class SplittingResult:
     """Outcome of the free-cover splitting search."""
 
     projective: bool
-    side: str
     generated_by: np.ndarray        # generator order used (module basis indices)
-    cover_map: np.ndarray | None    # pi: F -> M
-    splitting: np.ndarray | None    # sigma: M -> F with pi sigma = id, or None
+    splitting: np.ndarray | None    # sigma: M -> F splitting the cover F -> M, or None
 
 
 def is_projective(m: Bimodule, side: str, generator_order=None) -> SplittingResult:
@@ -352,7 +331,7 @@ def is_projective(m: Bimodule, side: str, generator_order=None) -> SplittingResu
         pi[:, j * da:(j + 1) * da] = act[:, :, gen].T
     nh = homs.shape[0]
     if nh == 0 and dm > 0:
-        return SplittingResult(False, side, gens, pi, None)
+        return SplittingResult(False, gens, None)
     # columns of the small system: vec(pi_j @ hom_t) over (j, t)
     cols = f.zeros((dm * dm, dm * nh))
     for j in range(dm):
@@ -361,12 +340,12 @@ def is_projective(m: Bimodule, side: str, generator_order=None) -> SplittingResu
             cols[:, j * nh + t] = f.matmul(pj, homs[t]).reshape(-1)
     x = f.solve(cols, f.eye(dm).reshape(-1))
     if x is None:
-        return SplittingResult(False, side, gens, pi, None)
+        return SplittingResult(False, gens, None)
     coeff = x.reshape(dm, nh)
     sigma = f.contract("jt,tak->jak", coeff, homs).reshape(dm * da, dm)
     if not np.array_equal(f.matmul(pi, sigma), f.eye(dm)):
         raise ValidationError("splitting verification failed (bug)")
-    return SplittingResult(True, side, gens, pi, sigma)
+    return SplittingResult(True, gens, sigma)
 
 
 def decompose_by_double_cosets(
@@ -397,45 +376,45 @@ def decompose_by_double_cosets(
 # -- multiplication isomorphisms for the double-coset carriers --------------
 
 
-def _mult_forward(rg, tensor_module: Bimodule, tensor: TensorPresentation,
-                  target: Bimodule) -> BimoduleMap:
-    """Multiplication map (tensor quotient) -> target carrier."""
+def _mult_forward(rg, tensor_module: Bimodule, pres: QuotientPresentation,
+                  m: Bimodule, n: Bimodule, target: Bimodule) -> BimoduleMap:
+    """Multiplication map (M ox N presented by pres) -> target carrier."""
     f = rg.field
-    m, n = tensor.m, tensor.n
     sc = rg.algebra.sc
     tgt_idx = {int(pidx): pos for pos, pidx in enumerate(target.parent_indices)}
-    amb = f.zeros((target.dim, tensor.ambient_dim))
+    amb = f.zeros((target.dim, pres.ambient_dim))
     for i, pi in enumerate(m.parent_indices):
         for j, pj in enumerate(n.parent_indices):
             prod = sc[pi, pj]
             for kk in np.nonzero(prod)[0]:
                 if int(kk) not in tgt_idx:
                     raise ValidationError("product leaves the target carrier")
-                amb[tgt_idx[int(kk)], tensor.ambient_index(i, j)] = prod[kk]
-    if tensor.relations.dim and f.matmul(amb, tensor.relations.basis.T).any():
+                amb[tgt_idx[int(kk)], i * n.dim + j] = prod[kk]
+    if pres.sub.dim and f.matmul(amb, pres.sub.basis.T).any():
         raise ValidationError("multiplication does not kill the balancing relations")
     fwd = BimoduleMap(
         source=tensor_module, target=target,
-        matrix=f.matmul(amb, tensor.pres.section),
+        matrix=f.matmul(amb, pres.section),
     )
     fwd.validate()
     return fwd
 
 
-def _psi_matrix(rg, tensor: TensorPresentation, source: Bimodule, degree_for) -> np.ndarray:
-    """Matrix of r -> sum_i a_i ox (b_i r), with the unit decomposition taken
-    at degree_for(x) where x is the grading of the source basis vector."""
+def _psi_matrix(rg, pres: QuotientPresentation, m: Bimodule, n: Bimodule,
+                source: Bimodule, degree_for) -> np.ndarray:
+    """Matrix of r -> sum_i a_i ox (b_i r) into M ox N presented by pres,
+    with the unit decomposition taken at degree_for(x) where x is the
+    grading of the source basis vector."""
     f = rg.field
-    m, n = tensor.m, tensor.n
     mpos = {int(pi): i for i, pi in enumerate(m.parent_indices)}
     npos = {int(pj): j for j, pj in enumerate(n.parent_indices)}
-    amb_cols = f.zeros((tensor.ambient_dim, source.dim))
+    amb_cols = f.zeros((pres.ambient_dim, source.dim))
     for y, py in enumerate(source.parent_indices):
         x = int(rg.grading[py])
         dec = galg.unit_decomposition(rg, degree_for(x))
         basis_vec = f.zeros(rg.dim)
         basis_vec[py] = 1
-        col = f.zeros(tensor.ambient_dim)
+        col = f.zeros(pres.ambient_dim)
         for av, bv in dec.pairs:
             br = rg.algebra.multiply(bv, basis_vec)
             left = f.zeros(m.dim)
@@ -450,7 +429,7 @@ def _psi_matrix(rg, tensor: TensorPresentation, source: Bimodule, degree_for) ->
                 rightv[npos[int(pidx)]] = br[pidx]
             col = (col + np.outer(left, rightv).reshape(-1)) % f.p
         amb_cols[:, y] = col
-    return f.matmul(tensor.pres.projection, amb_cols)
+    return f.matmul(pres.projection, amb_cols)
 
 
 @dataclass(eq=False)
@@ -459,7 +438,7 @@ class MultIso:
     inverse, between a tensor product and a double-coset carrier."""
 
     tensor_module: Bimodule
-    tensor: TensorPresentation
+    tensor: QuotientPresentation  # tensor_module as a quotient of M ox_k N
     carrier: Bimodule
     forward: BimoduleMap          # tensor -> carrier, r1 ox r2 -> r1 r2
     inverse: BimoduleMap          # carrier -> tensor
@@ -468,8 +447,8 @@ class MultIso:
 def _build_mult_iso(rg, left_mod, right_mod, carrier, degree_for) -> MultIso:
     f = rg.field
     tensor_module, tensor = tensor_over(left_mod, right_mod)
-    forward = _mult_forward(rg, tensor_module, tensor, carrier)
-    inv_matrix = _psi_matrix(rg, tensor, carrier, degree_for)
+    forward = _mult_forward(rg, tensor_module, tensor, left_mod, right_mod, carrier)
+    inv_matrix = _psi_matrix(rg, tensor, left_mod, right_mod, carrier, degree_for)
     inverse = BimoduleMap(source=carrier, target=tensor_module, matrix=inv_matrix)
     inverse.validate()
     if not np.array_equal(

@@ -186,8 +186,8 @@ def cmd_verify(cfg: RunConfig) -> int:
         mark = "pass" if r.ok else "FAIL"
         lines.append(f"axiom {r.axiom:>3}  degree {r.degree}  {mark}  {r.instance}")
         if not r.ok:
-            lines.append(f"  lhs = {np.atleast_2d(r.lhs).tolist()}")
-            lines.append(f"  rhs = {np.atleast_2d(r.rhs).tolist()}")
+            lines.append(f"  lhs = {mackey.side_text(r.lhs_words)} = {np.atleast_2d(r.lhs).tolist()}")
+            lines.append(f"  rhs = {mackey.side_text(r.rhs_words)} = {np.atleast_2d(r.rhs).tolist()}")
     lines.append(
         f"{passed}/{len(reports)} instances passed in {elapsed:.2f}s"
     )

@@ -11,3 +11,8 @@ class BudgetError(Exception):
 
 class SpecError(Exception):
     """A specification file could not be parsed or has the wrong shape."""
+
+
+class OrderBoundError(SpecError, ValidationError):
+    """A group order above the supported bound: an input error to the command
+    line, and a ValidationError like any other refused group to the library."""

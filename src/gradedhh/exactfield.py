@@ -242,60 +242,35 @@ class PrimeField:
     def rank(self, mat: np.ndarray) -> int:
         return len(self.rref(mat)[1])
 
-    def rref_transform(self, mat: np.ndarray):
-        """RREF together with the row transform: returns (R, pivots, T) with
-        T @ mat = R.  Used to solve many right-hand sides with one factorization."""
-        m = self.arr(mat)
-        rows, cols = m.shape
-        aug, piv_all = self.rref(np.concatenate([m, self.eye(rows)], axis=1))
-        pivots = [c for c in piv_all if c < cols]
-        return aug[:, :cols], pivots, aug[:, cols:]
-
-    def solve_factored(self, factorization, rhs: np.ndarray):
-        """Solve mat @ x = rhs (rhs a vector or a matrix of columns) using the
-        output of :meth:`rref_transform`.  Free variables are set to 0; returns
-        None when any column is inconsistent."""
-        R, pivots, T = factorization
-        cols = R.shape[1]
-        rank = len(pivots)
-        vec = rhs.ndim == 1
-        b = rhs[:, None] if vec else rhs
-        tb = self.matmul(T, b)
-        if (tb[rank:] != 0).any():
-            return None
-        x = self.zeros((cols, b.shape[1]))
-        x[pivots] = tb[:rank]
-        return x[:, 0] if vec else x
-
     def solve(self, mat: np.ndarray, rhs: np.ndarray):
-        """Canonical solution of mat @ x = rhs (free variables 0), or None."""
+        """Canonical solution of mat @ x = rhs (free variables 0), or None if
+        any column is inconsistent.  ``rhs`` is a vector or a matrix of
+        right-hand-side columns, and x has the same form."""
         m = self.arr(mat)
         b = self.arr(rhs)
-        if b.ndim != 1 or m.shape[0] != b.shape[0]:
+        vec = b.ndim == 1
+        if vec:
+            b = b[:, None]
+        if m.ndim != 2 or b.ndim != 2 or m.shape[0] != b.shape[0]:
             raise ValidationError(
-                f"solve: incompatible shapes {m.shape} and {b.shape}"
+                f"solve: incompatible shapes {m.shape} and {np.shape(rhs)}"
             )
-        R, piv = self.rref(np.concatenate([m, b[:, None]], axis=1))
         cols = m.shape[1]
-        if cols in piv:
+        R, piv = self.rref(np.concatenate([m, b], axis=1))
+        if piv and piv[-1] >= cols:
             return None
-        x = self.zeros(cols)
-        for j, pc in enumerate(piv):
-            x[pc] = R[j, cols]
-        return x
+        x = self.zeros((cols, b.shape[1]))
+        x[piv] = R[:len(piv), cols:]
+        return x[:, 0] if vec else x
 
     def inverse(self, mat: np.ndarray):
-        """Inverse of a square matrix, or None if singular."""
+        """Inverse of a square matrix, or None if singular (a singular matrix
+        leaves a pivot in the identity block of [mat | I])."""
         m = self.arr(mat)
         n = m.shape[0]
         if m.shape[1] != n:
             raise ValidationError("inverse expects a square matrix")
-        if n == 0:
-            return m.copy()
-        R, piv = self.rref(np.concatenate([m, self.eye(n)], axis=1))
-        if piv[:n] != list(range(n)) or len(piv) < n:
-            return None
-        return R[:, n:]
+        return self.solve(m, self.eye(n))
 
     def kernel(self, mat: np.ndarray) -> "Subspace":
         """RREF basis of the right kernel {v : mat @ v = 0}."""
@@ -309,18 +284,18 @@ class PrimeField:
         return subspace_from_rows(self, basis, cols)
 
     def quotient(self, sub: "Subspace") -> "QuotientPresentation":
-        """Quotient of the ambient space by ``sub``, with the transversal given
+        """Quotient of the ambient space by ``sub``, with the complement given
         by the non-pivot standard coordinates (deterministic)."""
         n = sub.ambient_dim
         piv = list(sub.pivots)
         free = self._free_columns(n, piv)
-        transversal = self.zeros((len(free), n))
-        transversal[np.arange(len(free)), free] = 1
-        projection = transversal.copy()
+        section = self.zeros((n, len(free)))
+        section[free, np.arange(len(free))] = 1
+        projection = section.T.copy()
         projection[:, piv] = (-sub.basis[:, free]).T % self.p
         return QuotientPresentation(
-            field=self, ambient_dim=n, sub=sub, transversal=transversal,
-            projection=projection, section=transversal.T.copy(),
+            field=self, ambient_dim=n, sub=sub,
+            projection=projection, section=section,
         )
 
     @staticmethod
@@ -345,13 +320,10 @@ class Subspace:
 
     def reduce(self, vec: np.ndarray) -> np.ndarray:
         """Remainder of vec after subtracting its component in the subspace."""
-        v = self.field.arr(vec)
-        if self.dim == 0:
-            return v
-        coeff = v[list(self.pivots)]
-        return (v - self.field.matmul(coeff[None, :], self.basis)[0]) % self.field.p
+        return self.reduce_rows(self.field.arr(vec)[None, :])[0]
 
     def reduce_rows(self, mat: np.ndarray) -> np.ndarray:
+        """reduce() applied to every row."""
         m = self.field.arr(mat)
         if self.dim == 0 or m.shape[0] == 0:
             return m
@@ -396,7 +368,7 @@ def subspace_from_rows(field: PrimeField, rows, ambient_dim: int | None = None) 
 
 @dataclass(frozen=True, eq=False)
 class QuotientPresentation:
-    """Presentation of ambient/sub with a chosen transversal.
+    """Presentation of ambient/sub with a chosen complement.
 
     projection @ section = identity on the quotient and projection
     annihilates sub; section lifts quotient coordinates into the ambient
@@ -406,7 +378,6 @@ class QuotientPresentation:
     field: PrimeField
     ambient_dim: int
     sub: Subspace
-    transversal: np.ndarray
     projection: np.ndarray
     section: np.ndarray
 

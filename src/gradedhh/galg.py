@@ -470,29 +470,39 @@ def algebra_from_spec(spec: dict) -> GradedAlgebra:
                 {"kind": "crossed_product", "base": {"kind": "matrix", "n": 2},
                  "action": [...], "cocycle": [[...]]}}
 
-    Structural problems (missing keys, unknown kinds) raise SpecError;
-    mathematical ones (bad table, bad cocycle) raise ValidationError.
+    Structural problems (missing keys, unknown kinds, a modulus that is not
+    prime, misshapen crossed-product fields, a group above the order bound)
+    raise SpecError; mathematical ones (a table that is not a group, a bad
+    action or cocycle) raise ValidationError.
     """
     try:
-        p = int(spec["field"]["p"])
+        f = PrimeField(int(spec["field"]["p"]))
         gspec = dict(spec["group"])
         aspec = dict(spec["algebra"])
         akind = aspec.pop("kind")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecError(f"specification missing required field: {exc}") from exc
+    except (KeyError, TypeError, ValueError, ValidationError) as exc:
+        raise SpecError(f"malformed specification: {type(exc).__name__}: {exc}") from exc
     if "kind" not in gspec and "table" in gspec:
         gspec["kind"] = "table"
     group = _groups.build(gspec.pop("kind", None), **gspec)
     if akind == "group_algebra":
-        return group_algebra(group, p)
-    if akind == "crossed_product":
-        f = PrimeField(p)
+        return group_algebra(group, f.p)
+    if akind != "crossed_product":
+        raise SpecError(f"unknown algebra kind {akind!r}")
+    try:
         bspec = dict(aspec.get("base") or {})
-        bkind = bspec.get("kind")
-        if bkind != "matrix":
-            raise SpecError(f"unsupported crossed-product base kind {bkind!r}")
-        base = matrix_algebra(f, int(bspec["n"]))
-        action = aspec.get("action")
-        cocycle = aspec.get("cocycle")
-        return crossed_product(group, base, action, cocycle)
-    raise SpecError(f"unknown algebra kind {akind!r}")
+        if bspec.get("kind") != "matrix":
+            raise SpecError(f"unsupported crossed-product base kind {bspec.get('kind')!r}")
+        bn = int(bspec["n"])
+        if bn < 1:
+            raise ValueError(f"base n = {bn} is below 1")
+        n, db = group.order, bn * bn
+        fields = {}
+        for key, shape in (("action", (n, db, db)), ("cocycle", (n, n, db))):
+            if aspec.get(key) is not None:
+                fields[key] = np.array(aspec[key], dtype=np.int64)
+                if fields[key].shape != shape:
+                    raise ValueError(f"{key} must have shape {shape}, got {fields[key].shape}")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise SpecError(f"malformed crossed-product spec: {type(exc).__name__}: {exc}") from exc
+    return crossed_product(group, matrix_algebra(f, bn), **fields)

@@ -10,11 +10,12 @@ one-line permutation tuples in lexicographic order, composed as
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SpecError, ValidationError
+from .errors import OrderBoundError, SpecError, ValidationError
 
 MAX_ORDER = 48
 
@@ -76,10 +77,15 @@ def _validate_table(table: np.ndarray) -> None:
         )
 
 
+def _check_order(order: int, text: str | None = None) -> None:
+    """Refuse a group above MAX_ORDER before any table is built."""
+    if order > MAX_ORDER:
+        raise OrderBoundError(
+            f"group order {text or order} exceeds the supported bound {MAX_ORDER}")
+
+
 def _finish(table: np.ndarray, name: str) -> FiniteGroup:
     n = table.shape[0]
-    if n > MAX_ORDER:
-        raise ValidationError(f"group order {n} exceeds the supported bound {MAX_ORDER}")
     _validate_table(table)
     ident = None
     for e in range(n):
@@ -89,25 +95,19 @@ def _finish(table: np.ndarray, name: str) -> FiniteGroup:
     if ident is None:
         raise ValidationError("table has no identity element")
     if ident != 0:
+        # swap the labels 0 and ident (an involution, so it is its own inverse)
         relabel = np.arange(n)
         relabel[0], relabel[ident] = ident, 0
-        new = np.empty_like(table)
-        for a in range(n):
-            for b in range(n):
-                new[relabel[a], relabel[b]] = relabel[table[a, b]]
-        table = new
-    inverse = np.empty(n, dtype=np.int64)
-    for a in range(n):
-        hits = np.nonzero(table[a] == 0)[0]
-        if len(hits) != 1 or table[hits[0], a] != 0:
-            raise ValidationError(f"element {a} has no two-sided inverse")
-        inverse[a] = hits[0]
+        table = relabel[table[np.ix_(relabel, relabel)]]
+    # a Latin square has one 0 per row; associativity makes it two-sided
+    inverse = np.argmax(table == 0, axis=1)
     return FiniteGroup(order=n, table=table, inverse=inverse, name=name)
 
 
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise ValidationError("cyclic group needs n >= 1")
+    _check_order(n)
     idx = np.arange(n)
     table = (idx[:, None] + idx[None, :]) % n
     return _finish(table.astype(np.int64), f"C{n}")
@@ -117,27 +117,22 @@ def dihedral(n: int) -> FiniteGroup:
     """Dihedral group of order 2n: rotations first, then reflections."""
     if n < 1:
         raise ValidationError("dihedral group needs n >= 1")
-    # element k < n is x -> x+k, element n+k is x -> k-x (all mod n)
-    def apply(e: int, x: int) -> int:
-        return (x + e) % n if e < n else (e - n - x) % n
-
-    def index_of(fn) -> int:
-        img = tuple(fn(x) for x in range(n))
-        for e in range(2 * n):
-            if tuple(apply(e, x) for x in range(n)) == img:
-                return e
-        raise AssertionError
-
-    table = np.empty((2 * n, 2 * n), dtype=np.int64)
-    for a in range(2 * n):
-        for b in range(2 * n):
-            table[a, b] = index_of(lambda x, a=a, b=b: apply(a, apply(b, x)))
-    return _finish(table, f"D{n}")
+    _check_order(2 * n)
+    # element k < n is the rotation r^k, element n+k the reflection r^k s,
+    # with s r s = r^-1: r^a (s) r^b (s) = r^(a -+ b) and the product is a
+    # reflection iff exactly one factor is
+    idx = np.arange(2 * n)
+    refl, rot = idx >= n, idx % n
+    sign = np.where(refl, -1, 1)[:, None]
+    table = (rot[:, None] + sign * rot) % n + n * (refl[:, None] ^ refl)
+    return _finish(table.astype(np.int64), f"D{n}")
 
 
 def symmetric(n: int) -> FiniteGroup:
-    if not 1 <= n <= 5:
-        raise ValidationError("symmetric group supported for 1 <= n <= 5")
+    if n < 1:
+        raise ValidationError("symmetric group needs n >= 1")
+    # min() keeps a huge n from computing a huge factorial; 48! is over the bound
+    _check_order(math.factorial(min(n, MAX_ORDER)), f"{n}!")
     perms = sorted(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
     m = len(perms)
@@ -150,27 +145,29 @@ def symmetric(n: int) -> FiniteGroup:
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     n, m = g.order, h.order
-    table = np.empty((n * m, n * m), dtype=np.int64)
-    for a in range(n):
-        for b in range(m):
-            for c in range(n):
-                for d in range(m):
-                    table[a * m + b, c * m + d] = g.table[a, c] * m + h.table[b, d]
-    return _finish(table, f"{g.name}x{h.name}")
+    _check_order(n * m)
+    # (a, b) * (c, d) = (ac, bd), with (a, b) at index a * m + b
+    table = g.table[:, None, :, None] * m + h.table[None, :, None, :]
+    return _finish(table.reshape(n * m, n * m), f"{g.name}x{h.name}")
 
 
 def from_table(table) -> FiniteGroup:
-    return _finish(np.array(table, dtype=np.int64), "explicit")
+    table = np.array(table, dtype=np.int64)
+    _check_order(len(table))
+    return _finish(table, "explicit")
 
 
 def build(kind: str, **params) -> FiniteGroup:
     """Build a group by kind: cyclic, dihedral, symmetric, product, table.
 
-    A missing, mistyped or misshapen parameter raises SpecError; a table
-    that is not a group raises ValidationError."""
+    A missing, mistyped, misshapen or nonpositive parameter raises
+    SpecError, and so does an order above MAX_ORDER (OrderBoundError); a
+    table that is not a group raises ValidationError."""
     try:
         if kind in ("cyclic", "dihedral", "symmetric"):
             n = int(params["n"])
+            if n < 1:
+                raise ValueError(f"n = {n} is below 1")
         elif kind == "product":
             specs = [dict(f) for f in params["factors"]]
             kinds = [f.pop("kind") for f in specs]

@@ -14,9 +14,9 @@ symmetrizing forms s_A, s_B) is realized by
 The lift is produced degree by degree.  The default path applies the
 explicit contracting homotopy s(m ox w) = sum_j m_j ox phi_j(m) ox w that
 the dual basis provides, so no linear solve is needed; the alternative
-"solve" path finds each generator image with one RREF factorization of the
-X-differential per degree.  Both satisfy the same chain contract and must
-agree on cohomology classes.
+"solve" path finds every generator image with one canonical solve per
+degree.  Both satisfy the same chain contract and must agree on cohomology
+classes.
 
 A cochain f: A^(ox n) -> A is stored as a (d, d^n) matrix and vectorized
 row-major.  The differential is
@@ -32,7 +32,7 @@ import numpy as np
 
 from . import bimod, galg
 from .errors import BudgetError, ValidationError
-from .exactfield import Subspace, subspace_from_rows
+from .exactfield import QuotientPresentation, Subspace, subspace_from_rows
 
 DEFAULT_MEMORY_MB = 1024
 
@@ -95,7 +95,7 @@ def _cochain_complex(a: galg.Algebra, memory_mb: int) -> CochainComplex:
 
 @dataclass(eq=False)
 class HHClasses:
-    """Chosen representatives for HH^n: a transversal of the coboundaries
+    """Chosen representatives for HH^n: a complement of the coboundaries
     inside the cocycles, in RREF-canonical form."""
 
     algebra: galg.Algebra
@@ -117,7 +117,7 @@ class HHClasses:
 
 def cohomology(a: galg.Algebra, n: int,
                memory_mb: int = DEFAULT_MEMORY_MB) -> HHClasses:
-    """HH^n with RREF-canonical transversal representatives.
+    """HH^n with RREF-canonical complement representatives.
 
     Degree 0 is the kernel of delta^0, i.e. the center of the algebra; this
     agrees with the independent center solve (tested)."""
@@ -158,12 +158,11 @@ class TransferData:
     phi: np.ndarray              # (r, dimB, r): phi[k, :, i] = phi_k(e_i)
     eps_amb: np.ndarray          # (dimA, r*r)
     eta_raw: np.ndarray          # (r*r,) representative of eta(1) in M ox M*
-    dualpres: bimod.TensorPresentation
+    dualpres: QuotientPresentation     # M ox_B M* as a quotient of M ox_k M*
     dual_quotient: bimod.Bimodule
     lift_method: str = "homotopy"
     memory_mb: int = DEFAULT_MEMORY_MB
     _lifts: list = field(default_factory=list, repr=False)
-    _dx_facts: dict = field(default_factory=dict, repr=False)
 
     # ---- X_n = M ox B^(ox n) ox M* ---------------------------------------
 
@@ -243,7 +242,7 @@ class TransferData:
         rhs = (rhs + sign * term) % f.p
         # solvability: rhs must die one step further down
         if n == 1:
-            img = f.matmul(rhs, self.dualpres.pres.projection.T)
+            img = f.matmul(rhs, self.dualpres.projection.T)
             if img.any():
                 raise ValidationError("Casimir unit is not central (bug)")
         else:
@@ -252,9 +251,7 @@ class TransferData:
         if self.lift_method == "homotopy":
             x = self._s_apply(n - 1, rhs)
         elif self.lift_method == "solve":
-            if n not in self._dx_facts:
-                self._dx_facts[n] = f.rref_transform(self._dx_matrix(n))
-            sol = f.solve_factored(self._dx_facts[n], rhs.T)
+            sol = f.solve(self._dx_matrix(n), rhs.T)
             if sol is None:
                 raise ValidationError("chain lift system inconsistent (bug)")
             x = sol.T.copy()
@@ -307,7 +304,7 @@ def transfer_data(
         raise ValidationError("the symmetrizing pairing on Hom(M, A) is degenerate")
     psis = f.contract("tl,txk->lxk", c, homs)
     eps_amb = np.ascontiguousarray(psis.transpose(1, 2, 0)).reshape(a.dim, r * r)
-    if dualpres.relations.dim and f.matmul(eps_amb, dualpres.relations.basis.T).any():
+    if dualpres.sub.dim and f.matmul(eps_amb, dualpres.sub.basis.T).any():
         raise ValidationError("counit does not factor through the tensor quotient")
     data = TransferData(
         m=m, s_a=f.arr(s_a), s_b=f.arr(s_b), phi=phi,
@@ -324,7 +321,7 @@ def _validate_transfer_data(data: TransferData) -> None:
     f = data.field
     a = data.m.left
     reg = bimod.regular(a)
-    pres = data.dualpres.pres
+    pres = data.dualpres
     eps_q = f.matmul(data.eps_amb, pres.section)
     bimod.BimoduleMap(data.dual_quotient, reg, eps_q).validate()
     eta_q = pres.to_quotient(data.eta_raw)

@@ -10,13 +10,16 @@ R_K - R_H bimodule),
 * transfer   from K <= H to H    is map_along(H, 1, K),
 * conjugation by g at H          is map_along(gHg^-1, g, H).
 
-All comparisons happen on cohomology-class coordinates at a fixed degree;
-caches keep one symmetrizing form and one HH basis per subalgebra and one
-TransferData per carrier.
+Each axiom instance is therefore data: identities between sums of words of
+carrier keys (K, g, H), all evaluated by one routine.  All comparisons
+happen on cohomology-class coordinates at a fixed degree; caches keep one
+symmetrizing form and one HH basis per subalgebra and one TransferData per
+carrier.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,24 +42,40 @@ class SubalgebraData:
 
 @dataclass(eq=False)
 class AxiomReport:
+    """Verdict on one axiom instance, with both sides of the identity that
+    failed (or of the last one checked) as matrices and as words of carrier
+    keys (K elements, g, H elements)."""
+
     axiom: str
     instance: dict
     degree: int
     ok: bool
     lhs: np.ndarray | None = None
     rhs: np.ndarray | None = None
+    lhs_words: list | None = None
+    rhs_words: list | None = None
 
-    def to_json(self, include_matrices_on_failure: bool = True) -> dict:
+    def to_json(self) -> dict:
         out = {
             "axiom": self.axiom,
             "instance": self.instance,
             "degree": self.degree,
             "verdict": "pass" if self.ok else "fail",
         }
-        if not self.ok and include_matrices_on_failure:
+        if not self.ok:
             out["lhs"] = [[int(x) for x in row] for row in np.atleast_2d(self.lhs)]
             out["rhs"] = [[int(x) for x in row] for row in np.atleast_2d(self.rhs)]
         return out
+
+
+def _plain(side) -> list:
+    return [[(k.elements, g, h.elements) for k, g, h in word] for word in side]
+
+
+def side_text(words) -> str:
+    """A side as text: words joined by ' + ', the carrier keys of a word by
+    ' @ ', and the empty word as 'id'."""
+    return " + ".join(" @ ".join(str(key) for key in word) or "id" for word in words) or "0"
 
 
 class MackeySystem:
@@ -143,91 +162,70 @@ class MackeySystem:
 
     # -- axiom verification -----------------------------------------------------
 
-    def _mm(self, *mats: np.ndarray) -> np.ndarray:
-        out = mats[0]
-        for m in mats[1:]:
-            out = self.rg.field.matmul(out, m)
-        return out
-
-    def _report(self, axiom, instance, n, lhs, rhs) -> AxiomReport:
-        ok = bool(np.array_equal(lhs, rhs))
-        return AxiomReport(axiom=axiom, instance=instance, degree=n, ok=ok,
-                           lhs=lhs, rhs=rhs)
-
-    def verify_axiom(self, axiom: str, instance: dict, n: int) -> AxiomReport:
-        """Build both sides of one axiom instance as matrices and compare.
-
-        Instance keys: K, H as element tuples, g, h as element indices,
-        depending on the axiom.
-        """
+    def _identities(self, axiom: str, instance: dict) -> list[tuple]:
+        """One axiom instance as identities (target, source, lhs, rhs) between
+        maps HH^n(R_source) -> HH^n(R_target).  A side is a sum of words; a
+        word is a list of carrier keys (K, g, H) whose map_along matrices
+        multiply left to right, and the empty word is the identity.
+        Instance keys: K, H as element tuples, g, h as element indices."""
+        conj = _groups.conjugate_subgroup
         full = self.full()
-        if axiom == "i":
-            k = self.subgroup(instance["K"])
-            h = self.subgroup(instance["H"])
-            lhs = self._mm(self.map_along(k, 0, h, n), self.restriction(h, n))
-            rhs = self.restriction(k, n)
-            rep = self._report("i", instance, n, lhs, rhs)
-            if not rep.ok:
-                return rep
-            lhs = self._mm(self.transfer_up(h, n), self.map_along(h, 0, k, n))
-            rhs = self.transfer_up(k, n)
-            return self._report("i", instance, n, lhs, rhs)
+        if axiom not in AXIOMS:
+            raise ValidationError(f"unknown axiom {axiom!r}")
+        h = self.subgroup(instance["H"])
         if axiom == "ii":
-            h = self.subgroup(instance["H"])
-            mat = self.map_along(h, 0, h, n)
-            ident = np.eye(mat.shape[0], dtype=np.int64)
-            return self._report("ii", instance, n, mat, ident)
+            return [(h, h, [[(h, 0, h)]], [[]])]
         if axiom == "iii":
-            h = self.subgroup(instance["H"])
             g, he = int(instance["g"]), int(instance["h"])
             gh = self.group.mul(g, he)
-            conj_h = _groups.conjugate_subgroup(he, h)
-            lhs = self._mm(self.conjugation(g, conj_h, n), self.conjugation(he, h, n))
-            rhs = self.conjugation(gh, h, n)
-            return self._report("iii", instance, n, lhs, rhs)
+            mid, top = conj(he, h), conj(gh, h)
+            return [(top, h, [[(top, g, mid), (mid, he, h)]], [[(top, gh, h)]])]
         if axiom == "iv":
-            h = self.subgroup(instance["H"])
             he = int(instance["h"])
             if not h.contains(he):
                 raise ValidationError("axiom iv needs the element inside the subgroup")
-            mat = self.conjugation(he, h, n)
-            ident = np.eye(mat.shape[0], dtype=np.int64)
-            return self._report("iv", instance, n, mat, ident)
+            return [(h, h, [[(h, he, h)]], [[]])]
+        k = self.subgroup(instance["K"])
+        if axiom == "i":
+            return [(k, full, [[(k, 0, h), (h, 0, full)]], [[(k, 0, full)]]),
+                    (full, k, [[(full, 0, h), (h, 0, k)]], [[(full, 0, k)]])]
         if axiom == "v":
-            k = self.subgroup(instance["K"])
-            h = self.subgroup(instance["H"])
             g = int(instance["g"])
-            gk = _groups.conjugate_subgroup(g, k)
-            gh = _groups.conjugate_subgroup(g, h)
-            lhs = self._mm(self.conjugation(g, k, n), self.map_along(k, 0, h, n))
-            rhs = self._mm(self.map_along(gk, 0, gh, n), self.conjugation(g, h, n))
-            rep = self._report("v", instance, n, lhs, rhs)
-            if not rep.ok:
-                return rep
-            lhs = self._mm(self.conjugation(g, h, n), self.map_along(h, 0, k, n))
-            rhs = self._mm(self.map_along(gh, 0, gk, n), self.conjugation(g, k, n))
-            return self._report("v", instance, n, lhs, rhs)
-        if axiom == "vi":
-            k = self.subgroup(instance["K"])
-            h = self.subgroup(instance["H"])
-            reps = instance.get("reps")
-            if reps is None:
-                reps = _groups.double_coset_reps(k, h)
-            lhs = self._mm(self.restriction(k, n), self.transfer_up(h, n))
-            hk = self.sub_data(k).classes(n, self.memory_mb).dim
-            hh_dim = self.sub_data(h).classes(n, self.memory_mb).dim
-            rhs = np.zeros((hk, hh_dim), dtype=np.int64)
-            for g in reps:
-                gh = _groups.conjugate_subgroup(g, h)
-                meet = _groups.intersect(k, gh)
-                term = self._mm(
-                    self.map_along(k, 0, meet, n),
-                    self.map_along(meet, 0, gh, n),
-                    self.conjugation(g, h, n),
-                )
-                rhs = (rhs + term) % self.rg.field.p
-            return self._report("vi", instance, n, lhs, rhs)
-        raise ValidationError(f"unknown axiom {axiom!r}")
+            gk, gh = conj(g, k), conj(g, h)
+            return [(gk, h, [[(gk, g, k), (k, 0, h)]], [[(gk, 0, gh), (gh, g, h)]]),
+                    (gh, k, [[(gh, g, h), (h, 0, k)]], [[(gh, 0, gk), (gk, g, k)]])]
+        reps = instance.get("reps")
+        if reps is None:
+            reps = _groups.double_coset_reps(k, h)
+        rhs = []
+        for g in reps:
+            gh = conj(g, h)
+            meet = _groups.intersect(k, gh)
+            rhs.append([(k, 0, meet), (meet, 0, gh), (gh, g, h)])
+        return [(k, h, [[(k, 0, full), (full, 0, h)]], rhs)]
+
+    def _evaluate(self, side, target, source, n: int) -> np.ndarray:
+        f = self.rg.field
+
+        def dim(sub):
+            return self.sub_data(sub).classes(n, self.memory_mb).dim
+
+        terms = [functools.reduce(f.matmul, (self.map_along(*key, n) for key in word))
+                 if word else f.eye(dim(source)) for word in side]
+        return sum(terms) % f.p if terms else f.zeros((dim(target), dim(source)))
+
+    def verify_axiom(self, axiom: str, instance: dict, n: int) -> AxiomReport:
+        """Evaluate the identities of one axiom instance in order; the report
+        carries the first that fails, or the last."""
+        for target, source, lhs, rhs in self._identities(axiom, instance):
+            lmat = self._evaluate(lhs, target, source, n)
+            rmat = self._evaluate(rhs, target, source, n)
+            ok = bool(np.array_equal(lmat, rmat))
+            if not ok:
+                break
+        return AxiomReport(axiom=axiom, instance=instance, degree=n, ok=ok,
+                           lhs=lmat, rhs=rmat,
+                           lhs_words=_plain(lhs), rhs_words=_plain(rhs))
 
     # -- enumeration ---------------------------------------------------------
 
@@ -242,8 +240,9 @@ class MackeySystem:
         return sorted(subs.values(), key=lambda s: (s.order, s.elements))
 
     def instances_for(self, axiom: str, subs: list[_groups.Subgroup]) -> list[dict]:
-        """Admissible instances: nested pairs for i, v, vi; coset-transversal
-        elements for iii, iv; one per subgroup for ii."""
+        """Admissible instances: nested pairs for i, v, vi; minimal coset
+        representatives for iii, all subgroup elements for iv; one per
+        subgroup for ii."""
         grp = self.group
         out = []
         if axiom in ("i", "v", "vi"):

@@ -94,8 +94,8 @@ def test_tensor_unit_constraints(ks3_p2):
     amb = f.zeros((m.dim, pres.ambient_dim))
     for i in range(a_reg.dim):
         for j in range(m.dim):
-            amb[:, pres.ambient_index(i, j)] = m.left_action[i][:, j]
-    mat = f.matmul(amb, pres.pres.section)
+            amb[:, i * m.dim + j] = m.left_action[i][:, j]
+    mat = f.matmul(amb, pres.section)
     fwd = bimod.BimoduleMap(prod, m, mat)
     fwd.validate()
     assert fwd.is_isomorphism()
@@ -106,8 +106,8 @@ def test_tensor_unit_constraints(ks3_p2):
     amb2 = f.zeros((m.dim, pres2.ambient_dim))
     for i in range(m.dim):
         for j in range(b_reg.dim):
-            amb2[:, pres2.ambient_index(i, j)] = m.right_action[j][:, i]
-    fwd2 = bimod.BimoduleMap(prod2, m, f.matmul(amb2, pres2.pres.section))
+            amb2[:, i * b_reg.dim + j] = m.right_action[j][:, i]
+    fwd2 = bimod.BimoduleMap(prod2, m, f.matmul(amb2, pres2.section))
     fwd2.validate()
     assert fwd2.is_isomorphism()
 
@@ -140,10 +140,10 @@ def test_tensor_associativity(ks3_p2):
     dl, dm, dn = l.dim, m.dim, n.dim
     cols = f.zeros((l_mn.dim, lm_n.dim))
     for q in range(lm_n.dim):
-        amb_outer = lmn_pres.pres.section[:, q].reshape(lm.dim, dn)
+        amb_outer = lmn_pres.section[:, q].reshape(lm.dim, dn)
         acc = f.zeros(dl * mn.dim)
         for t in range(lm.dim):
-            inner = lm_pres.pres.section[:, t].reshape(dl, dm)
+            inner = lm_pres.section[:, t].reshape(dl, dm)
             for j in range(dn):
                 c = amb_outer[t, j]
                 if not c:

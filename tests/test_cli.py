@@ -1,9 +1,10 @@
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
-from gradedhh import cli
+from gradedhh import cli, mackey
 
 SPECS = pathlib.Path(__file__).resolve().parent.parent / "specs"
 
@@ -162,23 +163,56 @@ def test_explicit_cayley_table_spec(tmp_path, capsys):
     assert "dim 2" in out
 
 
-@pytest.mark.parametrize("group,extra", [
-    ({"kind": "cyclic"}, ()),
-    ({"kind": "product", "factors": 3}, ()),
-    ({"kind": "product", "factors": [{"kind": "cyclic"}]}, ()),
-    ({"kind": "table", "table": [[0, 1], [1]]}, ()),
-    ({"kind": "cyclic", "n": 2}, ("--subgroups", "x")),
-    ({"kind": "cyclic", "n": 2}, ("--subgroups", "99")),
+def spec_with(group=None, algebra=None, p=2):
+    return {"field": {"p": p}, "group": group or {"kind": "cyclic", "n": 2},
+            "algebra": algebra or {"kind": "group_algebra"}}
+
+
+CROSSED = {"kind": "crossed_product", "base": {"kind": "matrix", "n": 2}}
+
+
+@pytest.mark.parametrize("spec,extra", [
+    (spec_with({"kind": "cyclic"}), ()),
+    (spec_with({"kind": "product", "factors": 3}), ()),
+    (spec_with({"kind": "product", "factors": [{"kind": "cyclic"}]}), ()),
+    (spec_with({"kind": "table", "table": [[0, 1], [1]]}), ()),
+    (spec_with(), ("--subgroups", "x")),
+    (spec_with(), ("--subgroups", "99")),
+    (spec_with({"kind": "cyclic", "n": 0}), ()),
+    (spec_with({"kind": "dihedral", "n": 120}), ()),
+    (spec_with({"kind": "table", "table": np.zeros((49, 49), int).tolist()}), ()),
+    (spec_with(p=4), ()),
+    (spec_with(algebra={**CROSSED, "base": 3}), ()),
+    (spec_with(algebra={**CROSSED, "base": {"kind": "matrix"}}), ()),
+    (spec_with(algebra={**CROSSED, "action": 3}), ()),
+    (spec_with(algebra={**CROSSED, "action": [[[1]]]}), ()),
+    (spec_with(algebra={**CROSSED, "cocycle": 3}), ()),
 ], ids=["missing-n", "factors-not-a-list", "factor-missing-n", "ragged-table",
-        "subgroups-not-a-number", "subgroups-out-of-range"])
-def test_malformed_input_exit_2(tmp_path, cli_process, group, extra):
+        "subgroups-not-a-number", "subgroups-out-of-range", "n-below-1",
+        "order-over-bound", "table-over-bound", "p-not-prime", "base-not-an-object",
+        "base-missing-n", "action-not-a-list", "action-wrong-shape",
+        "cocycle-not-a-list"])
+def test_malformed_input_exit_2(tmp_path, cli_process, spec, extra):
     # a real process, so that an uncaught exception shows as its traceback
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({
-        "field": {"p": 2}, "group": group, "algebra": {"kind": "group_algebra"},
-    }))
-    proc = cli_process("verify", "--spec", str(spec), "--degree", "0", *extra)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    proc = cli_process("verify", "--spec", str(path), "--degree", "0", *extra)
     err = proc.stderr.decode()
     assert proc.returncode == 2, err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_failed_axiom_text_names_its_maps(monkeypatch, capsys):
+    honest = mackey.MackeySystem.map_along
+
+    def broken(self, k, g, h, n):
+        mat = honest(self, k, g, h, n)
+        return (mat + 1) % 2 if (k.key, g, h.key) == ((0, 1), 0, (0, 1)) else mat
+
+    monkeypatch.setattr(mackey.MackeySystem, "map_along", broken)
+    code, out, _ = run(capsys, "verify", "--spec", str(SPECS / "c2_p2.json"),
+                       "--degree", "0", "--axioms", "ii", "--subgroups", "1")
+    assert code == 1
+    assert "  lhs = ((0, 1), 0, (0, 1)) = [[0, 1], [1, 0]]" in out
+    assert "  rhs = id = [[1, 0], [0, 1]]" in out

@@ -160,17 +160,16 @@ def test_solve_by_substitution(data, seed):
 
 
 def test_solve_factored_matches_solve():
+    # a matrix right-hand side is solved column by column in one elimination
     f = PrimeField(5)
     m = f.arr([[1, 2, 0], [0, 0, 3]])
-    fact = f.rref_transform(m)
-    b = f.arr([4, 1])
-    assert np.array_equal(f.solve_factored(fact, b), f.solve(m, b))
     rhs = f.arr([[4, 0], [1, 3]])
-    many = f.solve_factored(fact, rhs)
+    many = f.solve(m, rhs)
+    assert many.shape == (3, 2)
     assert np.array_equal(many[:, 0], f.solve(m, rhs[:, 0]))
     assert np.array_equal(many[:, 1], f.solve(m, rhs[:, 1]))
-    bad = f.solve_factored(f.rref_transform(f.arr([[0]])), f.arr([1]))
-    assert bad is None
+    assert f.solve(f.arr([[0]]), f.arr([1])) is None
+    assert f.solve(f.arr([[1], [0]]), f.arr([[1, 1], [0, 1]])) is None
 
 
 def test_quotient_examples():
@@ -186,7 +185,7 @@ def test_quotient_examples():
     line = subspace_from_rows(f, [[1, 1]])
     q = f.quotient(line)
     assert q.quotient_dim == 1
-    assert np.array_equal(q.transversal, f.arr([[0, 1]]))
+    assert np.array_equal(q.section, f.arr([[0], [1]]))
 
 
 @settings(max_examples=100, deadline=None)
@@ -286,3 +285,102 @@ def test_inverse():
     inv = f.inverse(m)
     assert np.array_equal(f.matmul(m, inv), f.eye(2))
     assert f.inverse(f.arr([[1, 1], [1, 1]])) is None
+
+
+# -- properties over the supported range of p, against Python integers ------
+
+PRIMES = [2, 3, 1048573, 2147483647]
+
+
+def draw_array(draw, p, shape):
+    size = int(np.prod(shape, dtype=np.int64))
+    values = draw(st.lists(st.integers(0, p - 1), min_size=size, max_size=size))
+    return np.array(values, dtype=np.int64).reshape(shape)
+
+
+def reference_einsum(subscripts, ops, p):
+    """Explicit-output einsum mod p by looping over every index value."""
+    inputs, output = subscripts.split("->")
+    terms = inputs.split(",")
+    size = {}
+    for term, op in zip(terms, ops):
+        size.update(zip(term, op.shape))
+    letters = sorted(size)
+    out = np.zeros(tuple(size[c] for c in output), dtype=object)
+    for values in itertools.product(*(range(size[c]) for c in letters)):
+        at = dict(zip(letters, values))
+        term_product = 1
+        for term, op in zip(terms, ops):
+            term_product *= int(op[tuple(at[c] for c in term)])
+        key = tuple(at[c] for c in output)
+        out[key] = (out[key] + term_product) % p
+    return out.astype(np.int64)
+
+
+def reference_rank(p, mat):
+    return len(reference_rref(PrimeField(p), mat)[1]) if mat.size else 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from(PRIMES))
+def test_matmul_matches_python_ints(data, p):
+    r, k, c = (data.draw(st.integers(0, 4)) for _ in range(3))
+    a = draw_array(data.draw, p, (r, k))
+    b = draw_array(data.draw, p, (k, c))
+    got = PrimeField(p).matmul(a, b)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, reference_einsum("ij,jk->ik", [a, b], p))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from(PRIMES), st.sampled_from([
+    "ij,jk->ik", "i,i->", "ijk,kj->i", "ij,kj->ik",
+    "i,j,ijk->k", "ij,jk,kl->il", "aij,j,ai->",
+]))
+def test_contract_matches_python_ints(data, p, subscripts):
+    terms = subscripts.split("->")[0].split(",")
+    size = {c: data.draw(st.integers(0, 3)) for c in sorted(set("".join(terms)))}
+    ops = [draw_array(data.draw, p, tuple(size[c] for c in term)) for term in terms]
+    got = PrimeField(p).contract(subscripts, *ops)
+    assert np.array_equal(got, reference_einsum(subscripts, ops, p))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from(PRIMES))
+def test_solve_vector_and_matrix_rhs(data, p):
+    f = PrimeField(p)
+    rows, cols, k = (data.draw(st.integers(1, 4)) for _ in range(3))
+    m = draw_array(data.draw, p, (rows, cols))
+    rhs = draw_array(data.draw, p, (rows, k))
+    if data.draw(st.booleans()):        # make every column solvable
+        rhs = reference_einsum("ij,jk->ik", [m, draw_array(data.draw, p, (cols, k))], p)
+    free = [c for c in range(cols) if c not in reference_rref(f, m)[1]]
+    columns = []
+    for j in range(k):
+        x = f.solve(m, rhs[:, j])
+        consistent = reference_rank(p, np.concatenate([m, rhs[:, j:j + 1]], axis=1)) \
+            == reference_rank(p, m)
+        assert (x is not None) == consistent
+        if x is not None:
+            assert np.array_equal(reference_einsum("ij,j->i", [m, x], p), rhs[:, j])
+            assert not x[free].any()
+        columns.append(x)
+    many = f.solve(m, rhs)
+    if any(x is None for x in columns):
+        assert many is None
+    else:
+        assert np.array_equal(many, np.stack(columns, axis=1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from(PRIMES))
+def test_inverse_matches_rank(data, p):
+    f = PrimeField(p)
+    n = data.draw(st.integers(0, 4))
+    m = draw_array(data.draw, p, (n, n))
+    if data.draw(st.booleans()) and n > 1:  # force a dependent row
+        m[-1] = m[0]
+    inv = f.inverse(m)
+    assert (inv is None) == (reference_rank(p, m) < n)
+    if inv is not None:
+        assert np.array_equal(reference_einsum("ij,jk->ik", [inv, m], p), f.eye(n))

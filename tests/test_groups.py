@@ -178,3 +178,34 @@ def test_subgroup_as_group():
     for i in range(3):
         for j in range(3):
             assert to_parent[local.mul(i, j)] == s3.mul(int(to_parent[i]), int(to_parent[j]))
+
+
+def dihedral_table_by_search(n):
+    """The dihedral Cayley table found by composing the maps of Z/n and
+    searching for the result (valid for n >= 3, where the maps are faithful)."""
+    def apply(e, x):
+        return (x + e) % n if e < n else (e - n - x) % n
+
+    images = [tuple(apply(e, x) for x in range(n)) for e in range(2 * n)]
+    return [[images.index(tuple(apply(a, apply(b, x)) for x in range(n)))
+             for b in range(2 * n)] for a in range(2 * n)]
+
+
+def test_dihedral_closed_form_small_and_against_search():
+    d1 = groups.dihedral(1)
+    assert d1.order == 2 and np.array_equal(d1.table, groups.cyclic(2).table)
+    d2 = groups.dihedral(2)
+    klein = groups.direct_product(groups.cyclic(2), groups.cyclic(2))
+    assert np.array_equal(d2.table, klein.table)
+    assert all(d2.inv(a) == a for a in range(4))
+    for n in range(3, 25):
+        assert groups.dihedral(n).table.tolist() == dihedral_table_by_search(n)
+
+
+def test_order_bound_checked_before_the_table():
+    # each of these would need a table far beyond memory if it were built
+    for make in (lambda: groups.cyclic(10**7), lambda: groups.dihedral(10**9),
+                 lambda: groups.symmetric(10**6),
+                 lambda: groups.direct_product(groups.cyclic(7), groups.cyclic(7))):
+        with pytest.raises(ValidationError, match="exceeds"):
+            make()

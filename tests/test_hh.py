@@ -310,7 +310,7 @@ def test_casimir_class_independent_of_dual_basis():
     s = galg.symmetrizing_form(rg).vector
     d1 = hh.transfer_data(reg, s, s)
     d2 = hh.transfer_data(reg, s, s, generator_order=[1, 0])
-    q = d1.dualpres.pres
+    q = d1.dualpres
     assert np.array_equal(q.to_quotient(d1.eta_raw), q.to_quotient(d2.eta_raw))
 
 

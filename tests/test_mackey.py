@@ -216,3 +216,22 @@ def test_report_json_shape(s3_p2):
     js = rep.to_json()
     assert js["verdict"] == "pass"
     assert "lhs" not in js
+
+
+def test_failed_axiom_names_its_maps(monkeypatch):
+    sys = system(galg.group_algebra(groups.cyclic(2), 2), degree_bound=0)
+    h = sys.full()
+    honest = sys.map_along
+
+    def broken(k, g, hh, n):
+        mat = honest(k, g, hh, n)
+        return (mat + 1) % 2 if (k.key, g, hh.key) == (h.key, 0, h.key) else mat
+
+    monkeypatch.setattr(sys, "map_along", broken)
+    report = sys.verify_axiom("ii", {"H": h.elements}, 0)
+    assert not report.ok
+    assert report.lhs_words == [[(h.elements, 0, h.elements)]]
+    assert report.rhs_words == [[]]
+    assert mackey.side_text(report.lhs_words) == "((0, 1), 0, (0, 1))"
+    assert mackey.side_text(report.rhs_words) == "id"
+    assert set(report.to_json()) == {"axiom", "instance", "degree", "verdict", "lhs", "rhs"}
