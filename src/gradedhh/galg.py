@@ -20,6 +20,9 @@ from . import groups as _groups
 from .errors import SpecError, ValidationError
 from .exactfield import PrimeField
 
+# a group algebra's dimension is its group's order, so the group order bound
+# also bounds the dimension of a crossed product, checked before allocation
+MAX_DIM = _groups.MAX_ORDER
 
 @dataclass(eq=False)
 class Algebra:
@@ -471,7 +474,8 @@ def algebra_from_spec(spec: dict) -> GradedAlgebra:
                  "action": [...], "cocycle": [[...]]}}
 
     Structural problems (missing keys, unknown kinds, a modulus that is not
-    prime, misshapen crossed-product fields, a group above the order bound)
+    prime, misshapen crossed-product fields, a group above the order bound,
+    a crossed product above the dimension bound)
     raise SpecError; mathematical ones (a table that is not a group, a bad
     action or cocycle) raise ValidationError.
     """
@@ -497,6 +501,9 @@ def algebra_from_spec(spec: dict) -> GradedAlgebra:
         if bn < 1:
             raise ValueError(f"base n = {bn} is below 1")
         n, db = group.order, bn * bn
+        if db * n > MAX_DIM:
+            raise ValueError(f"crossed-product dimension {bn}^2 * {n} exceeds "
+                             f"the supported bound {MAX_DIM}")
         fields = {}
         for key, shape in (("action", (n, db, db)), ("cocycle", (n, n, db))):
             if aspec.get(key) is not None:

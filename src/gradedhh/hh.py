@@ -22,6 +22,17 @@ A cochain f: A^(ox n) -> A is stored as a (d, d^n) matrix and vectorized
 row-major.  The differential is
 (delta f)(a_1,...,a_{n+1}) = a_1 f(a_2,...) + sum (-1)^i f(...,a_i a_{i+1},...)
 + (-1)^{n+1} f(...,a_n) a_{n+1}.
+
+The matrix of delta(n) is d^(n+2) x d^(n+1) but has at most n+2 nonzeros
+per row, so it is never built dense: a ``Differential`` holds its nonzero
+entries, read off the nonzero structure constants, split into the connected
+components of its nonzero pattern.  On a homogeneous basis of a graded
+algebra every component lies inside one twist class, the conjugacy class of
+deg(out) (deg a_1...a_n)^-1.  Cocycles and coboundaries are eliminated block
+by block, and the blocks' RREF bases merge into the global RREF bases, so
+representatives and class coordinates are those of the dense elimination.
+Cochains are taken modulo the coboundaries through the non-pivot coordinates
+of the coboundaries' RREF basis.
 """
 
 from __future__ import annotations
@@ -32,7 +43,7 @@ import numpy as np
 
 from . import bimod, galg
 from .errors import BudgetError, ValidationError
-from .exactfield import QuotientPresentation, Subspace, subspace_from_rows
+from .exactfield import PrimeField, QuotientPresentation, Subspace, subspace_from_rows
 
 DEFAULT_MEMORY_MB = 1024
 
@@ -48,41 +59,191 @@ def _check_budget(byte_count: int, memory_mb: int, what: str) -> None:
 # -- cochain complex ---------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
+class Differential:
+    """The matrix of delta(n): C^n -> C^(n+1), stored sparse.
+
+    ``rows``, ``cols`` and ``vals`` hold the nonzero entries, ordered by
+    block, then row, then column.  The blocks are the connected components of
+    the nonzero pattern (two columns meet when they share a row), so after
+    permuting rows and columns the matrix is block-diagonal: block k owns the
+    entries ``offsets[k]:offsets[k+1]``, the sorted rows ``block_rows[k]`` and
+    the sorted columns ``block_cols[k]``.  A column without a nonzero entry
+    is a block of its own, with no rows."""
+
+    field: PrimeField
+    shape: tuple[int, int]
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    offsets: np.ndarray
+    block_rows: tuple[np.ndarray, ...]
+    block_cols: tuple[np.ndarray, ...]
+
+    @property
+    def nbytes(self) -> int:
+        arrays = (self.rows, self.cols, self.vals, self.offsets,
+                  *self.block_rows, *self.block_cols)
+        return sum(x.nbytes for x in arrays)
+
+    @property
+    def dense_bytes(self) -> int:
+        """Largest dense array that ``kernel`` or ``image`` allocates: a
+        stacked batch of 2c x c, or a transposed c x r block."""
+        return 8 * max((len(c) * max(2 * len(c), len(r))
+                        for r, c in zip(self.block_rows, self.block_cols)), default=0)
+
+    def _block(self, k: int):
+        """Entries of block k as block-local (row, column) indices and values."""
+        part = slice(self.offsets[k], self.offsets[k + 1])
+        return (np.searchsorted(self.block_rows[k], self.rows[part]),
+                np.searchsorted(self.block_cols[k], self.cols[part]),
+                self.vals[part])
+
+    def kernel(self) -> Subspace:
+        """RREF basis of {v : delta v = 0}.
+
+        A block with c columns is fed to ``rref`` c rows at a time, each batch
+        first reduced against the row space found so far, so no elimination
+        holds more than 2c x c; the block kernel is read off that row space.
+        Block kernels have disjoint supports, so their union sorted by pivot
+        is the RREF basis of the whole kernel."""
+        f = self.field
+        parts = []
+        for k, cols in enumerate(self.block_cols):
+            lr, lc, v = self._block(k)
+            c, nr = len(cols), len(self.block_rows[k])
+            basis, piv = f.zeros((0, c)), []
+            for lo in range(0, nr, c):
+                a, b = np.searchsorted(lr, (lo, lo + c))
+                batch = f.zeros((min(c, nr - lo), c))
+                batch[lr[a:b] - lo, lc[a:b]] = v[a:b]
+                if piv:
+                    batch = (batch - f.matmul(batch[:, piv], basis)) % f.p
+                if batch.any():
+                    basis, piv = f.rref(np.concatenate([basis, batch]))
+                    basis = basis[:len(piv)]
+                    if len(piv) == c:
+                        break
+            parts.append((cols, f.kernel(basis)))
+        return _merge(f, self.shape[1], parts)
+
+    def image(self) -> Subspace:
+        """RREF basis of the column space: the row space of each transposed
+        block, merged like the block kernels."""
+        f = self.field
+        parts = []
+        for k, (rows, cols) in enumerate(zip(self.block_rows, self.block_cols)):
+            if len(rows):
+                lr, lc, v = self._block(k)
+                t = f.zeros((len(cols), len(rows)))
+                t[lc, lr] = v
+                parts.append((rows, subspace_from_rows(f, t)))
+        return _merge(f, self.shape[0], parts)
+
+
+def _merge(f: PrimeField, dim: int, parts) -> Subspace:
+    """One RREF basis of F_p^dim from subspaces (``index``, sub) on disjoint
+    coordinate sets, where sub lives on the coordinates ``index``."""
+    pivots = np.array([index[p] for index, sub in parts for p in sub.pivots], dtype=np.int64)
+    basis = f.zeros((len(pivots), dim))
+    top = 0
+    for index, sub in parts:
+        basis[top:top + sub.dim, index] = sub.basis
+        top += sub.dim
+    order = np.argsort(pivots, kind="stable")
+    return Subspace(field=f, ambient_dim=dim, basis=basis[order],
+                    pivots=tuple(int(p) for p in pivots[order]))
+
+
+def _components(rows: np.ndarray, cols: np.ndarray, nrows: int, ncols: int) -> np.ndarray:
+    """Label each column by the smallest column of its connected component,
+    two columns being connected when they share a row: min-label hooking
+    with pointer jumping, repeated until nothing changes."""
+    label = np.arange(ncols)
+    while True:
+        row_min = np.full(nrows, ncols)
+        np.minimum.at(row_min, rows, label[cols])
+        low = row_min[rows]
+        new = label.copy()
+        np.minimum.at(new, cols, low)
+        np.minimum.at(new, label[cols], low)
+        while not np.array_equal(new[new], new):
+            new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
 class CochainComplex:
     """Hochschild cochain spaces C^n = Hom(A^(ox n), A) with differentials."""
 
     def __init__(self, a: galg.Algebra, memory_mb: int = DEFAULT_MEMORY_MB):
         self.algebra = a
         self.memory_mb = memory_mb
-        self._deltas: dict[int, np.ndarray] = {}
+        self._deltas: dict[int, Differential] = {}
 
     def dim(self, n: int) -> int:
         return self.algebra.dim ** (n + 1)
 
-    def delta(self, n: int) -> np.ndarray:
+    def delta(self, n: int) -> Differential:
         if n in self._deltas:
             return self._deltas[n]
         a = self.algebra
         f = a.field
         d = a.dim
-        _check_budget(2 * 8 * d ** (n + 2) * d ** (n + 1), self.memory_mb,
-                      f"cochain differential at degree {n}")
-        sc = a.sc
-        mu = a.mult_matrix
+        dn = d ** n
+        shape = (d * d * dn, d * dn)
+        si, sj, sk = np.nonzero(a.sc)
+        s = a.sc[si, sj, sk]
+        what = f"cochain differential at degree {n}"
+        _check_budget(3 * 8 * (n + 2) * len(s) * dn, self.memory_mb, what)
+        # entry [(k, a_1..a_{n+1}), (m, b_1..b_n)] is the coefficient of
+        # f(b_1..b_n)_m in (delta f)(a_1..a_{n+1})_k; each term below adds one
+        # entry per nonzero b_si b_sj = s b_sk + ... and free argument tuple
+        t = np.arange(dn)
         # left term: a_1 f(a_2, ..., a_{n+1})
-        mul_left = np.ascontiguousarray(sc.transpose(2, 0, 1)).reshape(d * d, d)
-        mat = f.kronecker(mul_left, f.eye(d ** n))
+        rows = [((sk * d + si) * dn)[:, None] + t]
+        cols = [(sj * dn)[:, None] + t]
+        vals = [np.broadcast_to(s[:, None], (len(s), dn))]
         # middle terms: f(..., a_i a_{i+1}, ...)
         for i in range(1, n + 1):
-            w = f.kronecker(f.eye(d ** (i - 1)), f.kronecker(mu, f.eye(d ** (n - i))))
-            mat = (mat + (-1) ** i * f.kronecker(f.eye(d), w.T)) % f.p
+            tail = d ** (n - i)
+            target = np.arange(d)[:, None, None, None]
+            head = np.arange(d ** (i - 1))[None, :, None, None]
+            rest = np.arange(tail)
+            rows.append(target * (d * dn)
+                        + ((head * d + si[:, None]) * d + sj[:, None]) * tail + rest)
+            cols.append(target * dn + (head * d + sk[:, None]) * tail + rest)
+            vals.append(np.broadcast_to((-1) ** i * s[:, None], rows[-1].shape))
         # right term: f(a_1, ..., a_n) a_{n+1}
-        r3 = np.ascontiguousarray(sc.transpose(2, 1, 0))   # r3[k, a, m] = sc[m, a, k]
-        last = np.einsum("kam,tu->ktamu", r3, np.eye(d ** n, dtype=np.int64))
-        last = last.reshape(d ** (n + 2), d ** (n + 1)) % f.p
-        mat = (mat + (-1) ** (n + 1) * last) % f.p
-        self._deltas[n] = mat
-        return mat
+        rows.append((sk * (d * dn) + sj)[:, None] + t * d)
+        cols.append((si * dn)[:, None] + t)
+        vals.append(np.broadcast_to((-1) ** (n + 1) * s[:, None], (len(s), dn)))
+        key, where = np.unique(
+            np.concatenate([(r * shape[1] + c).ravel() for r, c in zip(rows, cols)]),
+            return_inverse=True)
+        total = np.zeros(len(key), dtype=np.int64)
+        np.add.at(total, where, np.concatenate([v.ravel() for v in vals]))
+        total %= f.p
+        nonzero = total != 0
+        rows, cols = np.divmod(key[nonzero], shape[1])
+        vals = total[nonzero]
+        # blocks: order the entries by component, keeping row-major order inside
+        _, col_block = np.unique(_components(rows, cols, *shape), return_inverse=True)
+        block = col_block[cols]
+        order = np.argsort(block, kind="stable")
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        ends = np.cumsum(np.bincount(block, minlength=col_block.max() + 1))
+        offsets = np.concatenate([[0], ends])
+        block_rows = tuple(np.unique(rows[lo:hi]) for lo, hi in zip(offsets, ends))
+        block_cols = tuple(np.split(np.argsort(col_block, kind="stable"),
+                                    np.cumsum(np.bincount(col_block))[:-1]))
+        out = Differential(field=f, shape=shape, rows=rows, cols=cols, vals=vals,
+                           offsets=offsets, block_rows=block_rows, block_cols=block_cols)
+        _check_budget(out.nbytes + out.dense_bytes, self.memory_mb, what)
+        self._deltas[n] = out
+        return out
 
 
 def _cochain_complex(a: galg.Algebra, memory_mb: int) -> CochainComplex:
@@ -96,18 +257,22 @@ def _cochain_complex(a: galg.Algebra, memory_mb: int) -> CochainComplex:
 @dataclass(eq=False)
 class HHClasses:
     """Chosen representatives for HH^n: a complement of the coboundaries
-    inside the cocycles, in RREF-canonical form."""
+    inside the cocycles, in RREF-canonical form.
+
+    Cochains are taken modulo the coboundaries B^n through the non-pivot
+    coordinates of B^n's RREF basis: v maps to ``_b.reduce(v)[_free]``."""
 
     algebra: galg.Algebra
     degree: int
     reps: np.ndarray            # (dim, d^(n+1)) rows are representative cocycles
     dim: int
-    _bquot: object
+    _b: Subspace
+    _free: np.ndarray
     _w: Subspace
 
     def coords(self, cochain_vec: np.ndarray) -> np.ndarray:
         """Class coordinates of a cocycle in the representative basis."""
-        w = self._bquot.to_quotient(cochain_vec)
+        w = self._b.reduce(cochain_vec)[self._free]
         if self._w.reduce(w).any():
             raise ValidationError("cochain is not a cocycle modulo coboundaries")
         if self.dim == 0:
@@ -126,21 +291,21 @@ def cohomology(a: galg.Algebra, n: int,
         return cache[n]
     f = a.field
     cc = _cochain_complex(a, memory_mb)
-    z = f.kernel(cc.delta(n))
+    z = cc.delta(n).kernel()
     if n == 0:
         b = subspace_from_rows(f, [], ambient_dim=cc.dim(0))
     else:
-        b = subspace_from_rows(f, cc.delta(n - 1).T, ambient_dim=cc.dim(n))
+        b = cc.delta(n - 1).image()
     if not z.contains_space(b):
         raise ValidationError("coboundaries are not cocycles (bug)")
-    bq = f.quotient(b)
-    images = f.matmul(z.basis, bq.projection.T) if z.dim else f.zeros((0, bq.quotient_dim))
-    w = subspace_from_rows(f, images, ambient_dim=bq.quotient_dim)
-    reps = f.matmul(w.basis, bq.section.T) if w.dim else f.zeros((0, cc.dim(n)))
+    free = f._free_columns(cc.dim(n), b.pivots)
+    w = subspace_from_rows(f, b.reduce_rows(z.basis)[:, free], ambient_dim=len(free))
+    reps = f.zeros((w.dim, cc.dim(n)))
+    reps[:, free] = w.basis
     for row in reps:
         if not z.contains(row):
             raise ValidationError("representative is not a cocycle (bug)")
-    out = HHClasses(algebra=a, degree=n, reps=reps, dim=w.dim, _bquot=bq, _w=w)
+    out = HHClasses(algebra=a, degree=n, reps=reps, dim=w.dim, _b=b, _free=free, _w=w)
     cache[n] = out
     return out
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from gradedhh import bimod, galg, groups
-from gradedhh.exactfield import PrimeField
+from gradedhh.exactfield import PrimeField, subspace_from_rows
 
 
 def truncated_poly_hh_dims(p: int, m: int, max_degree: int) -> list[int]:
@@ -96,3 +96,99 @@ def bar_bimodule(a: galg.Algebra, n: int) -> bimod.Bimodule:
                        left_action=left, right_action=right, label=f"bar_{n}")
     m.validate()
     return m
+
+
+def as_dense(delta) -> np.ndarray:
+    """The sparse ``hh.Differential`` as a dense array."""
+    out = np.zeros(delta.shape, dtype=np.int64)
+    out[delta.rows, delta.cols] = delta.vals
+    return out
+
+
+def dense_delta(a: galg.Algebra, n: int) -> np.ndarray:
+    """delta(n) built densely from Kronecker products: the left action, the n
+    contractions of neighbouring arguments, and the right action."""
+    f = a.field
+    d = a.dim
+    sc = a.sc
+    mu = a.mult_matrix
+    # left term: a_1 f(a_2, ..., a_{n+1})
+    mul_left = np.ascontiguousarray(sc.transpose(2, 0, 1)).reshape(d * d, d)
+    mat = f.kronecker(mul_left, f.eye(d ** n))
+    # middle terms: f(..., a_i a_{i+1}, ...)
+    for i in range(1, n + 1):
+        w = f.kronecker(f.eye(d ** (i - 1)), f.kronecker(mu, f.eye(d ** (n - i))))
+        mat = (mat + (-1) ** i * f.kronecker(f.eye(d), w.T)) % f.p
+    # right term: f(a_1, ..., a_n) a_{n+1}
+    r3 = np.ascontiguousarray(sc.transpose(2, 1, 0))   # r3[k, a, m] = sc[m, a, k]
+    last = np.einsum("kam,tu->ktamu", r3, np.eye(d ** n, dtype=np.int64))
+    last = last.reshape(d ** (n + 2), d ** (n + 1)) % f.p
+    return (mat + (-1) ** (n + 1) * last) % f.p
+
+
+class DenseClasses:
+    """HH^n from the dense differentials: cocycles are the kernel of
+    delta(n), and cochains are taken modulo the coboundaries through the
+    quotient presentation of their span."""
+
+    def __init__(self, a: galg.Algebra, n: int):
+        f = a.field
+        self.field = f
+        self.delta = dense_delta(a, n)
+        z = f.kernel(self.delta)
+        if n == 0:
+            b = subspace_from_rows(f, [], ambient_dim=a.dim)
+        else:
+            b = subspace_from_rows(f, dense_delta(a, n - 1).T, ambient_dim=a.dim ** (n + 1))
+        assert z.contains_space(b)
+        self._bq = f.quotient(b)
+        images = (f.matmul(z.basis, self._bq.projection.T) if z.dim
+                  else f.zeros((0, self._bq.quotient_dim)))
+        self._w = subspace_from_rows(f, images, ambient_dim=self._bq.quotient_dim)
+        self.dim = self._w.dim
+        self.reps = (f.matmul(self._w.basis, self._bq.section.T) if self.dim
+                     else f.zeros((0, a.dim ** (n + 1))))
+
+    def coords(self, cochain_vec: np.ndarray) -> np.ndarray:
+        w = self._bq.to_quotient(cochain_vec)
+        assert not self._w.reduce(w).any(), "not a cocycle modulo coboundaries"
+        return w[list(self._w.pivots)] if self.dim else self.field.zeros(0)
+
+
+# dim H^n(C_G(g), F_p) for n = 0..3, keyed by the smallest element g of each
+# conjugacy class: HH^n(kG) is the direct sum of these over the classes
+# (the centralizer decomposition), each summand on the cochains whose twist
+# out (a_1...a_n)^-1 lies in the class of g.  S3 elements are the one-line
+# permutations in lexicographic order (1 = (12), 3 = (123)); D4 has the
+# rotations r^k at k and the reflections r^k s at 4 + k, so 2 = r^2, 1 = r,
+# 4 = s and 5 = rs.
+CENTRALIZER_HH = {
+    # C_G(e) = S3, C_G((12)) = C2, C_G((123)) = C3
+    ("s3", 2): {0: (1, 1, 1, 1), 1: (1, 1, 1, 1), 3: (1, 0, 0, 0)},
+    ("s3", 3): {0: (1, 0, 0, 1), 1: (1, 0, 0, 0), 3: (1, 1, 1, 1)},
+    # abelian: every centralizer is C2 x C2
+    ("v4", 2): {g: (1, 2, 3, 4) for g in range(4)},
+    # C_G(e) = C_G(r^2) = D4, C_G(r) = C4, C_G(s) = C_G(rs) = C2 x C2
+    ("d4", 2): {0: (1, 2, 3, 4), 2: (1, 2, 3, 4), 1: (1, 1, 1, 1),
+                4: (1, 2, 3, 4), 5: (1, 2, 3, 4)},
+}
+
+
+def twist_class_counts(grp: groups.FiniteGroup, reps: np.ndarray, n: int) -> dict[int, int]:
+    """Number of HH^n(kG) representatives (rows of ``reps``) supported in
+    each twist class, keyed by the class's smallest element; a representative
+    whose support meets two classes fails an assertion."""
+    d = grp.order
+    word = np.zeros(1, dtype=np.int64)          # products a_1...a_k, C-order
+    for _ in range(n):
+        word = grp.table[word[:, None], np.arange(d)].ravel()
+    twist = grp.table[np.arange(d)[:, None], grp.inverse[word]].ravel()
+    label = np.zeros(d, dtype=np.int64)
+    for cls in grp.conjugacy_classes():
+        label[list(cls)] = cls[0]
+    counts = dict.fromkeys(sorted(set(label.tolist())), 0)
+    for row in reps:
+        hit = sorted(set(label[twist[np.flatnonzero(row)]].tolist()))
+        assert len(hit) == 1, f"an HH^{n} representative meets the classes of g = {hit}"
+        counts[hit[0]] += 1
+    return counts

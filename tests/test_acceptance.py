@@ -279,7 +279,7 @@ def test_criterion_7_choice_independence():
         for i in range(classes_h.dim):
             zeta = classes_h.reps[i]
             xi = rng.integers(0, 2, size=cc.dim(n - 1))
-            shifted = (zeta + rg.field.matmul(cc.delta(n - 1), xi)) % 2
+            shifted = (zeta + rg.field.matmul(oracles.as_dense(cc.delta(n - 1)), xi)) % 2
             a_img = classes_g.coords(hh.transfer_cochain(base, zeta, n))
             b_img = classes_g.coords(hh.transfer_cochain(base, shifted, n))
             if not np.array_equal(a_img, b_img):

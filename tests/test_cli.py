@@ -72,6 +72,15 @@ def test_hh_table_s3_f7(capsys):
     assert lines and lines[0].split()[-3:] == ["3", "0", "0"]
 
 
+def test_hh_table_matrix_crossed_degree_3(capsys):
+    # M_2(k) x| C2 is Morita equivalent to kC2, so its HH dimensions are kC2's
+    code, out, _ = run(capsys, "hh", "--spec", str(SPECS / "matrix_crossed_c2_p2.json"),
+                       "--degree", "3", "--subgroups", "1")
+    assert code == 0
+    lines = [l for l in out.splitlines() if l.startswith("order 2")]
+    assert lines and lines[0].split()[-4:] == ["2", "2", "2", "2"]
+
+
 def test_hh_budget_exceeded_exit_2(capsys):
     code, _, err = run(capsys, "hh", "--spec", str(SPECS / "s3_p2.json"),
                        "--degree", "3", "--memory-mb", "1", "--subgroups", "1,2")
@@ -187,11 +196,12 @@ CROSSED = {"kind": "crossed_product", "base": {"kind": "matrix", "n": 2}}
     (spec_with(algebra={**CROSSED, "action": 3}), ()),
     (spec_with(algebra={**CROSSED, "action": [[[1]]]}), ()),
     (spec_with(algebra={**CROSSED, "cocycle": 3}), ()),
+    (spec_with(algebra={**CROSSED, "base": {"kind": "matrix", "n": 1000}}), ()),
 ], ids=["missing-n", "factors-not-a-list", "factor-missing-n", "ragged-table",
         "subgroups-not-a-number", "subgroups-out-of-range", "n-below-1",
         "order-over-bound", "table-over-bound", "p-not-prime", "base-not-an-object",
         "base-missing-n", "action-not-a-list", "action-wrong-shape",
-        "cocycle-not-a-list"])
+        "cocycle-not-a-list", "base-n-over-bound"])
 def test_malformed_input_exit_2(tmp_path, cli_process, spec, extra):
     # a real process, so that an uncaught exception shows as its traceback
     path = tmp_path / "spec.json"
