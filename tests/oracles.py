@@ -3,8 +3,11 @@
 These deliberately avoid the cochain/transfer pipeline: the truncated
 polynomial algebra dimensions come from its 2-periodic bimodule resolution,
 the degree-0 transfer on group algebras comes from direct summation of
-conjugates over coset representatives, and the bar resolution, from which
-the cochain differential is derived, is built from its face maps.
+conjugates over coset representatives, the bar resolution, from which
+the cochain differential is derived, is built from its face maps, the dense
+cochain differential and cohomology are the Kronecker-product construction
+that the sparse complex replaced, and the split of HH^n(kG) over conjugacy
+classes is a table of centralizer cohomology.
 """
 
 from __future__ import annotations
@@ -174,16 +177,50 @@ CENTRALIZER_HH = {
 }
 
 
-def twist_class_counts(grp: groups.FiniteGroup, reps: np.ndarray, n: int) -> dict[int, int]:
-    """Number of HH^n(kG) representatives (rows of ``reps``) supported in
-    each twist class, keyed by the class's smallest element; a representative
-    whose support meets two classes fails an assertion."""
-    d = grp.order
-    word = np.zeros(1, dtype=np.int64)          # products a_1...a_k, C-order
+def group_cohomology_dims(grp: groups.FiniteGroup, p: int, top: int) -> list[int]:
+    """dim H^n(G, F_p) for n = 0..top from the inhomogeneous bar complex:
+    C^n is the functions G^n -> F_p and (df)(g_1..g_{n+1}) = f(g_2..g_{n+1})
+    + sum_i (-1)^i f(.., g_i g_{i+1}, ..) + (-1)^(n+1) f(g_1..g_n)."""
+    f = PrimeField(p)
+    m = grp.order
+
+    def index(args):                    # C-order index of argument tuples
+        out = np.zeros(args.shape[1], dtype=np.int64)
+        for a in args:
+            out = out * m + a
+        return out
+
+    ranks = []
+    for n in range(top + 1):
+        args = np.indices((m,) * (n + 1)).reshape(n + 1, -1)
+        terms = [(args[1:], 1), (args[:-1], (-1) ** (n + 1))]
+        for i in range(n):
+            merged = grp.table[args[i], args[i + 1]][None]
+            terms.append((np.concatenate([args[:i], merged, args[i + 2:]]), (-1) ** (i + 1)))
+        d = f.zeros((m ** (n + 1), m ** n))
+        for cols, sign in terms:
+            np.add.at(d, (np.arange(m ** (n + 1)), index(cols)), sign)
+        ranks.append(f.rank((d % p).T))     # the transpose has fewer rows
+    return [m ** n - ranks[n] - (ranks[n - 1] if n else 0) for n in range(top + 1)]
+
+
+def centralizer(grp: groups.FiniteGroup, g: int) -> groups.FiniteGroup:
+    """C_G(g) as a group in its own right."""
+    elems = [x for x in range(grp.order) if grp.mul(x, g) == grp.mul(g, x)]
+    return groups.Subgroup(grp, tuple(elems)).as_group()[0]
+
+
+def twist_class_counts(rg: galg.GradedAlgebra, reps: np.ndarray, n: int) -> dict[int, int]:
+    """Number of HH^n representatives (rows of ``reps``) supported in each
+    twist class of the homogeneous basis of ``rg``, keyed by the class's
+    smallest element; a representative whose support meets two classes fails
+    an assertion."""
+    grp, deg = rg.group, rg.grading
+    word = np.zeros(1, dtype=np.int64)          # deg(a_1...a_k), C-order
     for _ in range(n):
-        word = grp.table[word[:, None], np.arange(d)].ravel()
-    twist = grp.table[np.arange(d)[:, None], grp.inverse[word]].ravel()
-    label = np.zeros(d, dtype=np.int64)
+        word = grp.table[word[:, None], deg].ravel()
+    twist = grp.table[deg[:, None], grp.inverse[word]].ravel()
+    label = np.zeros(grp.order, dtype=np.int64)
     for cls in grp.conjugacy_classes():
         label[list(cls)] = cls[0]
     counts = dict.fromkeys(sorted(set(label.tolist())), 0)

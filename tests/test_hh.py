@@ -116,11 +116,11 @@ def _matches_dense_oracle(a, degrees):
         assert np.array_equal(oracles.as_dense(cc.delta(n)), dense.delta), n
         classes = hh.cohomology(a, n)
         assert classes.dim == dense.dim and np.array_equal(classes.reps, dense.reps), n
+        # coboundaries: the image of delta(n-1), none in degree 0
+        lower = oracles.dense_delta(a, n - 1) if n else f.zeros((cc.dim(0), 1))
         for rep in classes.reps:
-            shifted = rep
-            if n:
-                xi = rng.integers(0, f.p, size=cc.dim(n - 1))
-                shifted = (rep + f.matmul(oracles.as_dense(cc.delta(n - 1)), xi)) % f.p
+            xi = rng.integers(0, f.p, size=lower.shape[1])
+            shifted = (rep + f.matmul(lower, xi)) % f.p
             for vec in (rep, shifted):
                 assert np.array_equal(classes.coords(vec), dense.coords(vec)), n
 
@@ -138,7 +138,8 @@ def test_sparse_complex_matches_dense_oracle_s3_degree_3():
 
 def _check_centralizer_split(rg, expected):
     for n in range(4):
-        got = oracles.twist_class_counts(rg.group, hh.cohomology(rg.algebra, n).reps, n)
+        got = oracles.twist_class_counts(rg, hh.cohomology(rg.algebra, n).reps, n)
+        assert got.keys() == expected.keys()
         for g, dims in expected.items():
             assert got[g] == dims[n], (
                 f"HH^{n}: the class of g = {g} holds {got[g]} representatives, "
@@ -147,7 +148,24 @@ def _check_centralizer_split(rg, expected):
 
 @pytest.mark.parametrize("kind,p", sorted(oracles.CENTRALIZER_HH))
 def test_hh_splits_by_centralizer(kind, p):
-    _check_centralizer_split(group_algebra(kind, p), oracles.CENTRALIZER_HH[kind, p])
+    expected = oracles.CENTRALIZER_HH[kind, p]
+    rg = group_algebra(kind, p)
+    for g, dims in expected.items():
+        assert oracles.group_cohomology_dims(oracles.centralizer(rg.group, g), p, 3) == list(dims), g
+    _check_centralizer_split(rg, expected)
+
+
+@pytest.mark.parametrize("spec", sorted(
+    path.stem for path in SPECS.glob("*.json")
+    if json.loads(path.read_text())["algebra"]["kind"] == "group_algebra"))
+def test_hh_of_subgroup_components_splits_by_centralizer(spec):
+    rg = galg.algebra_from_spec(json.loads((SPECS / f"{spec}.json").read_text()))
+    for sub in groups.all_subgroups(rg.group):
+        comp = galg.component_subalgebra(rg, sub)
+        grp = comp.group
+        expected = {cls[0]: tuple(oracles.group_cohomology_dims(
+            oracles.centralizer(grp, cls[0]), rg.field.p, 3)) for cls in grp.conjugacy_classes()}
+        _check_centralizer_split(comp, expected)
 
 
 def test_centralizer_split_names_the_class_of_a_dropped_entry(monkeypatch):
