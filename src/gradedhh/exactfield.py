@@ -8,8 +8,10 @@ Conventions used by the whole package:
 * every operation is exact and deterministic; "canonical" always means
   the unique object produced by the reduced row echelon form (RREF),
 * the modulus satisfies ``2 <= p < 2**31`` so that single products fit in
-  64-bit integers; matrix products with long inner dimensions are chunked
-  (or run through exact float64 BLAS when safe) to avoid overflow.
+  64-bit integers; every matrix product, including a contraction that is
+  one, runs through one exact kernel: float64 BLAS while the sums stay
+  below 2**53, int64 below 2**62, and chunks of the inner dimension past
+  that.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +28,17 @@ from .errors import ValidationError
 # a float64 matmul is exact while every accumulated sum stays below 2**53
 _FLOAT_SAFE = 2**53
 _INT_SAFE = 2**62
+# a contraction that is one matrix product runs as one when it has at least
+# this many multiply-adds; below that, one einsum call costs less than the
+# conversions around a BLAS call (half as much at 1024 multiply-adds, while
+# the product is faster past 10**4)
+_GEMM_MIN = 2**13
+# largest slice, in entries, of an operand or product that a contraction
+# routed as a matrix product converts to float64 at once
+_SLICE = 2**20
+# bytes such a contraction holds besides its output and its small operand:
+# a float64 slice of the large operand, and the float64 and int64 product
+PRODUCT_WORKSPACE = 3 * 8 * _SLICE
 
 
 def _is_prime(n: int) -> bool:
@@ -53,6 +67,62 @@ def _summed_axes(subscripts: str) -> tuple[tuple[tuple[int, int], ...], ...]:
             if letter not in output:
                 positions.setdefault(letter, []).append((k, axis))
     return tuple(tuple(where) for where in positions.values())
+
+
+class _Gemm(NamedTuple):
+    """A two-operand contraction as out = A[X, K] @ B[K, Y] (see
+    ``_gemm_plan``)."""
+
+    swap: bool                  # A is the second operand
+    perm_a: tuple[int, ...]     # axes of A in X+K order
+    perm_b: tuple[int, ...]     # axes of B in K+Y order
+    nk: int                     # len(K)
+    axes: tuple[int, ...]       # output axis of each letter of X+Y
+    order: tuple[int, ...]      # position in X+Y of each output letter
+
+
+@functools.lru_cache(maxsize=None)
+def _gemm_plan(subscripts: str) -> _Gemm | None:
+    """How a two-operand contraction runs as one matrix product, or None.
+
+    It is one product when no letter repeats within a term, no letter is
+    kept in the output by both operands, and every summed letter is in both.
+    An outer product (no summed letter) is left to einsum, which writes it
+    faster.
+    Then out = A[X, K] @ B[K, Y]: A is the operand holding the first output
+    letter, X and Y the letters that A and B keep, in output order, and K
+    the summed letters."""
+    inputs, _, out = subscripts.replace(" ", "").partition("->")
+    terms = inputs.split(",")
+    if len(terms) != 2 or any(len(set(t)) < len(t) for t in (*terms, out)):
+        return None
+    first, second, kept = set(terms[0]), set(terms[1]), set(out)
+    shared = first & second
+    if not shared or shared & kept or (first ^ second) - kept or kept - (first | second):
+        return None
+    swap = bool(out) and out[0] in second
+    a, b = terms[::-1] if swap else terms
+    x = [c for c in out if c in a]
+    y = [c for c in out if c in b]
+    k = [c for c in a if c not in out]
+    return _Gemm(swap=swap,
+                 perm_a=tuple(a.index(c) for c in x + k),
+                 perm_b=tuple(b.index(c) for c in k + y),
+                 nk=len(k),
+                 axes=tuple(out.index(c) for c in x + y),
+                 order=tuple((x + y).index(c) for c in out))
+
+
+def _gemm_pays(plan: _Gemm, a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether to run a contraction that is one matrix product as one: at
+    least ``_GEMM_MIN`` multiply-adds, and no summed axis of length 1
+    broadcast against a longer one (einsum's rule, which a product lacks)."""
+    if plan.swap:
+        a, b = b, a
+    nx = len(plan.perm_a) - plan.nk
+    if any(a.shape[i] != b.shape[j] for i, j in zip(plan.perm_a[nx:], plan.perm_b)):
+        return False
+    return a.size * math.prod(b.shape[i] for i in plan.perm_b[plan.nk:]) >= _GEMM_MIN
 
 
 class PrimeField:
@@ -96,38 +166,81 @@ class PrimeField:
 
     # -- products ----------------------------------------------------------
 
+    def _product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Exact a @ b mod p of two matrices, the one product kernel: float64
+        BLAS while every sum stays below 2**53, int64 below 2**62, and past
+        that chunks of the inner dimension, each reduced mod p."""
+        p = self.p
+        largest = a.shape[1] * (p - 1) ** 2     # bound on every sum
+        if largest < _FLOAT_SAFE:
+            out = (a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)).astype(np.int64)
+        elif largest < _INT_SAFE:
+            out = a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)
+        else:
+            chunk = max(1, _INT_SAFE // (p - 1) ** 2)
+            out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+            for lo in range(0, a.shape[1], chunk):
+                out += a[:, lo:lo + chunk] @ b[lo:lo + chunk]
+                out %= p
+        out %= p
+        return out
+
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Exact a @ b mod p, chunking the inner dimension when needed."""
+        """Exact a @ b mod p, for a matrix a and a matrix or vector b."""
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        inner = a.shape[-1]
-        if inner == 0:
-            return np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
-        bound = (self.p - 1) ** 2
-        if inner * bound < _FLOAT_SAFE:
-            prod = a.astype(np.float64) @ b.astype(np.float64)
-            return prod.astype(np.int64) % self.p
-        if inner * bound < _INT_SAFE:
-            return (a @ b) % self.p
-        chunk = max(1, _INT_SAFE // bound)
-        out = np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
-        for lo in range(0, inner, chunk):
-            hi = min(lo + chunk, inner)
-            out = (out + a[..., lo:hi] @ b[lo:hi]) % self.p
+        if b.ndim == 2:
+            return self._product(a, b)
+        return self._product(a, b[:, None])[:, 0]
+
+    def _contract_product(self, plan: _Gemm, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """A two-operand contraction run as the matrix product of ``plan``.
+        The operand A is converted and multiplied a slice of its first axis
+        at a time, each slice written into the output, so a large A is never
+        copied whole."""
+        if plan.swap:
+            a, b = b, a
+        a, b = a.transpose(plan.perm_a), b.transpose(plan.perm_b)
+        nx, ks, ys = a.ndim - plan.nk, b.shape[:plan.nk], b.shape[plan.nk:]
+        inner = math.prod(ks)
+        floats = inner * (self.p - 1) ** 2 < _FLOAT_SAFE      # as _product decides
+        if floats:
+            b = np.ascontiguousarray(b, dtype=np.float64)
+        b = b.reshape(inner, math.prod(ys))
+        xy = a.shape[:nx] + ys
+        out = np.empty([xy[i] for i in plan.order], dtype=np.int64)
+        view = out.transpose(plan.axes)
+        if not nx:
+            a, view = a[None], view[None]
+        width = math.prod(a.shape[1:])
+        step = max(1, _SLICE // max(1, width, math.prod(view.shape[1:])))
+        for lo in range(0, a.shape[0], step):
+            part, into = a[lo:lo + step], view[lo:lo + step]
+            if floats:
+                part = np.ascontiguousarray(part, dtype=np.float64)
+            rows = math.prod(into.shape[:max(nx, 1)])
+            into[...] = self._product(part.reshape(rows, inner), b).reshape(into.shape)
         return out
 
     def contract(self, subscripts: str, *ops: np.ndarray) -> np.ndarray:
         """np.einsum reduced mod p, exact for every operand size.
 
         ``subscripts`` must name the output (``->``) and use no ellipsis.
-        Each summed term is a product of len(ops) entries below p, so the
-        int64 einsum is exact while (p-1)**len(ops) times the number of
-        terms per output entry stays below 2**62.  Past that bound the
+        A two-operand contraction that is one matrix product (see
+        ``_gemm_plan``) of at least ``_GEMM_MIN`` multiply-adds runs through
+        the exact product kernel.  Otherwise each summed term is a product of
+        len(ops) entries below p, so the int64 einsum is exact while
+        (p-1)**len(ops) times the number of terms per output entry stays
+        below 2**62.  Past that bound the
         longest summed index is split in halves that are reduced mod p
         separately, and a single product that overflows int64 is computed
         with Python integers."""
         ops = tuple(np.asarray(o, dtype=np.int64) for o in ops)
         summed = _summed_axes(subscripts)
+        if len(ops) == 2 and ops[0].size * ops[1].size >= _GEMM_MIN:
+            plan = _gemm_plan(subscripts)
+            if plan is not None and _gemm_pays(plan, *ops):
+                return self._contract_product(plan, *ops)
         sizes = [max(ops[k].shape[axis] for k, axis in where) for where in summed]
         top = (self.p - 1) ** len(ops)
         if top * math.prod(sizes) < _INT_SAFE:
@@ -176,7 +289,7 @@ class PrimeField:
             row += 1
         return aug[:, k:]
 
-    def rref(self, mat: np.ndarray, block_size: int = 512):
+    def rref(self, mat: np.ndarray, block_size: int = 256):
         """Reduced row echelon form.
 
         Returns ``(R, pivots)`` where R is the unique RREF of ``mat`` and

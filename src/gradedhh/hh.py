@@ -43,7 +43,8 @@ import numpy as np
 
 from . import bimod, galg
 from .errors import BudgetError, ValidationError
-from .exactfield import PrimeField, QuotientPresentation, Subspace, subspace_from_rows
+from .exactfield import (PRODUCT_WORKSPACE, PrimeField, QuotientPresentation, Subspace,
+                         subspace_from_rows)
 
 DEFAULT_MEMORY_MB = 1024
 
@@ -270,14 +271,15 @@ class HHClasses:
     _free: np.ndarray
     _w: Subspace
 
-    def coords(self, cochain_vec: np.ndarray) -> np.ndarray:
-        """Class coordinates of a cocycle in the representative basis."""
-        w = self._b.reduce(cochain_vec)[self._free]
-        if self._w.reduce(w).any():
+    def coords(self, cochains: np.ndarray) -> np.ndarray:
+        """Class coordinates of a cocycle, or of each row of a matrix of
+        cocycles, in the representative basis."""
+        rows = np.atleast_2d(cochains)
+        w = self._b.reduce_rows(rows)[:, self._free]
+        if self._w.reduce_rows(w).any():
             raise ValidationError("cochain is not a cocycle modulo coboundaries")
-        if self.dim == 0:
-            return self.algebra.field.zeros(0)
-        return w[list(self._w.pivots)]
+        out = w[:, list(self._w.pivots)]
+        return out[0] if np.ndim(cochains) == 1 else out
 
 
 def cohomology(a: galg.Algebra, n: int,
@@ -311,6 +313,15 @@ def cohomology(a: galg.Algebra, n: int,
 
 
 # -- transfer maps -----------------------------------------------------------
+
+
+def _add_signed(p: int, acc: np.ndarray, sign: int, term: np.ndarray) -> None:
+    """acc <- acc + sign * term mod p in place, for entries in 0..p-1; term is
+    overwritten, so no temporary of their size is made."""
+    if sign < 0:
+        np.subtract(p, term, out=term)
+    acc += term
+    acc %= p
 
 
 @dataclass(eq=False)
@@ -352,10 +363,10 @@ class TransferData:
         for i in range(1, n):
             vi = arr.reshape(batch, r, db ** (i - 1), db, db, db ** (n - i - 1), r)
             term = f.contract("ijm,zkpijql->zkpmql", scb, vi).reshape(batch, -1)
-            out = (out + (-1) ** i * term) % f.p
+            _add_signed(f.p, out, (-1) ** i, term)
         vlast = arr.reshape(batch, r, db ** (n - 1), db, r)
         term = f.contract("amk,zitam->zitk", racts, vlast).reshape(batch, -1)
-        out = (out + (-1) ** n * term) % f.p
+        _add_signed(f.p, out, (-1) ** n, term)
         return out
 
     def _s_apply(self, n: int, arr: np.ndarray) -> np.ndarray:
@@ -388,7 +399,12 @@ class TransferData:
             self._lifts[0] = out
             return out
         prev = self.lift(n - 1)
-        _check_budget(8 * da ** n * self.x_dim(n), self.memory_mb,
+        # held at once, at the check of the solution: the lifts below n, the
+        # solution, the right-hand side, the check with one of its terms, and
+        # the workspace of the contraction (every other step holds less)
+        held = sum(da ** j * self.x_dim(j) for j in range(n)) \
+            + da ** n * (self.x_dim(n) + 3 * self.x_dim(n - 1))
+        _check_budget(8 * held + PRODUCT_WORKSPACE, self.memory_mb,
                       f"chain lift at degree {n}")
         lm = self.m.left_action
         gens_prev = da ** (n - 1)
@@ -396,15 +412,13 @@ class TransferData:
         # previous lift, extended by the outer actions
         p4 = prev.reshape(gens_prev, r, db ** (n - 1), r)
         rhs = f.contract("aij,gjtl->agitl", lm, p4).reshape(da * gens_prev, -1)
-        sign = 1
         for i in range(1, n):
-            sign = -sign
             pi = prev.reshape(da ** (i - 1), da, da ** (n - 1 - i), self.x_dim(n - 1))
             term = f.contract("ijm,pmqx->pijqx", a.sc, pi).reshape(da ** n, -1)
-            rhs = (rhs + sign * term) % f.p
-        sign = -sign
+            _add_signed(f.p, rhs, (-1) ** i, term)
         term = f.contract("amk,gitm->gaitk", lm, p4).reshape(da ** n, -1)
-        rhs = (rhs + sign * term) % f.p
+        _add_signed(f.p, rhs, (-1) ** n, term)
+        del term
         # solvability: rhs must die one step further down
         if n == 1:
             img = f.matmul(rhs, self.dualpres.projection.T)
@@ -497,7 +511,8 @@ def _validate_transfer_data(data: TransferData) -> None:
 
 
 def transfer_cochain(data: TransferData, zeta: np.ndarray, n: int) -> np.ndarray:
-    """Image cochain: (a_1..a_n) -> eps((1 ox zeta ox 1)(lift(1 ox a ox 1)))."""
+    """Image cochain (a_1..a_n) -> eps((1 ox zeta ox 1)(lift(1 ox a ox 1))) of
+    a cochain zeta, or of each row of a matrix of cochains."""
     f = data.field
     r = data.m.dim
     da = data.m.left.dim
@@ -505,12 +520,12 @@ def transfer_cochain(data: TransferData, zeta: np.ndarray, n: int) -> np.ndarray
     lift = data.lift(n)
     gens = lift.shape[0]
     l4 = lift.reshape(gens, r, db ** n, r)
-    z = zeta.reshape(db, db ** n)
-    u = f.contract("gitl,bt->gibl", l4, z)
-    w = f.contract("gibl,bki->gkl", u, data.m.right_action)
+    z = np.reshape(zeta, (-1, db, db ** n))
+    u = f.contract("gitl,sbt->glsbi", l4, z)
+    w = f.contract("glsbi,bki->glsk", u, data.m.right_action)
     eps3 = data.eps_amb.reshape(da, r, r)
-    out = f.contract("gkl,ckl->gc", w, eps3)
-    return np.ascontiguousarray(out.T).reshape(-1)
+    out = f.contract("glsk,ckl->scg", w, eps3).reshape(len(z), -1)
+    return out[0] if np.ndim(zeta) == 1 else out
 
 
 def transfer(
@@ -520,17 +535,17 @@ def transfer(
     classes_a: HHClasses | None = None,
     memory_mb: int = DEFAULT_MEMORY_MB,
 ) -> np.ndarray:
-    """Matrix of the transfer HH^n(B) -> HH^n(A) on class coordinates."""
+    """Matrix of the transfer HH^n(B) -> HH^n(A) on class coordinates: all
+    representatives of HH^n(B) pushed along at once, and the class
+    coordinates of every image taken in one pass."""
     if classes_b is None:
         classes_b = cohomology(data.m.right, n, memory_mb)
     if classes_a is None:
         classes_a = cohomology(data.m.left, n, memory_mb)
-    f = data.field
-    cols = f.zeros((classes_a.dim, classes_b.dim))
-    for i in range(classes_b.dim):
-        image = transfer_cochain(data, classes_b.reps[i], n)
-        cols[:, i] = classes_a.coords(image)
-    return cols
+    if classes_b.dim == 0:
+        return data.field.zeros((classes_a.dim, 0))
+    images = transfer_cochain(data, classes_b.reps, n)
+    return np.ascontiguousarray(classes_a.coords(images).T)
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,9 @@ R_K - R_H bimodule),
 Each axiom instance is therefore data: identities between sums of words of
 carrier keys (K, g, H), all evaluated by one routine.  All comparisons
 happen on cohomology-class coordinates at a fixed degree; caches keep one
-symmetrizing form and one HH basis per subalgebra and one TransferData per
-carrier.
+symmetrizing form and one HH basis per subalgebra, and one TransferData and
+one transfer matrix per degree for each carrier.  A carrier is the set KgH,
+not the element g, so every g in one double coset shares them.
 """
 
 from __future__ import annotations
@@ -38,6 +39,15 @@ class SubalgebraData:
 
     def classes(self, n: int, memory_mb: int) -> hh.HHClasses:
         return hh.cohomology(self.algebra.algebra, n, memory_mb)
+
+
+@dataclass(eq=False)
+class Carrier:
+    """The transfer along one double-coset carrier: its TransferData and its
+    transfer matrix at each degree computed so far."""
+
+    data: hh.TransferData
+    maps: dict[int, np.ndarray]
 
 
 @dataclass(eq=False)
@@ -99,6 +109,9 @@ class MackeySystem:
                 f"algebra is not fully graded: first failure {report.failures[0]}"
             )
         self._subs: dict[tuple, SubalgebraData] = {}
+        # keyed by (K, KgH, H); the two caches below by (K, g, H[, n]), filled
+        # from the carrier so that a hit needs no double coset
+        self._carriers: dict[tuple, Carrier] = {}
         self._transfers: dict[tuple, hh.TransferData] = {}
         self._maps: dict[tuple, np.ndarray] = {}
 
@@ -117,14 +130,20 @@ class MackeySystem:
     def full(self) -> _groups.Subgroup:
         return _groups.full_subgroup(self.group)
 
+    def _carrier(self, k: _groups.Subgroup, g: int, h: _groups.Subgroup) -> Carrier:
+        key = (k.key, _groups.double_coset(k, g, h), h.key)
+        if key not in self._carriers:
+            module = bimod.truncation(self.rg, k, g, h)
+            dk, dh = self.sub_data(k), self.sub_data(h)
+            self._carriers[key] = Carrier(hh.transfer_data(
+                module, dk.form.vector, dh.form.vector, memory_mb=self.memory_mb
+            ), {})
+        return self._carriers[key]
+
     def transfer_for(self, k: _groups.Subgroup, g: int, h: _groups.Subgroup) -> hh.TransferData:
         key = (k.key, g, h.key)
         if key not in self._transfers:
-            carrier = bimod.truncation(self.rg, k, g, h)
-            dk, dh = self.sub_data(k), self.sub_data(h)
-            self._transfers[key] = hh.transfer_data(
-                carrier, dk.form.vector, dh.form.vector, memory_mb=self.memory_mb
-            )
+            self._transfers[key] = self._carrier(k, g, h).data
         return self._transfers[key]
 
     def map_along(self, k: _groups.Subgroup, g: int, h: _groups.Subgroup, n: int) -> np.ndarray:
@@ -134,12 +153,15 @@ class MackeySystem:
             if n > self.degree_bound:
                 raise ValidationError(f"degree {n} exceeds the bound {self.degree_bound}")
             data = self.transfer_for(k, g, h)
-            self._maps[key] = hh.transfer(
-                data, n,
-                classes_b=self.sub_data(h).classes(n, self.memory_mb),
-                classes_a=self.sub_data(k).classes(n, self.memory_mb),
-                memory_mb=self.memory_mb,
-            )
+            maps = self._carrier(k, g, h).maps
+            if n not in maps:
+                maps[n] = hh.transfer(
+                    data, n,
+                    classes_b=self.sub_data(h).classes(n, self.memory_mb),
+                    classes_a=self.sub_data(k).classes(n, self.memory_mb),
+                    memory_mb=self.memory_mb,
+                )
+            self._maps[key] = maps[n]
         return self._maps[key]
 
     # -- the three structure maps ---------------------------------------------

@@ -6,15 +6,16 @@ the degree-0 transfer on group algebras comes from direct summation of
 conjugates over coset representatives, the bar resolution, from which
 the cochain differential is derived, is built from its face maps, the dense
 cochain differential and cohomology are the Kronecker-product construction
-that the sparse complex replaced, and the split of HH^n(kG) over conjugacy
-classes is a table of centralizer cohomology.
+that the sparse complex replaced, the split of HH^n(kG) over conjugacy
+classes is a table of centralizer cohomology, and the transfer matrix is
+the loop that pushed one class representative at a time.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from gradedhh import bimod, galg, groups
+from gradedhh import bimod, galg, groups, hh
 from gradedhh.exactfield import PrimeField, subspace_from_rows
 
 
@@ -229,3 +230,22 @@ def twist_class_counts(rg: galg.GradedAlgebra, reps: np.ndarray, n: int) -> dict
         assert len(hit) == 1, f"an HH^{n} representative meets the classes of g = {hit}"
         counts[hit[0]] += 1
     return counts
+
+
+def transfer_by_representative(data: hh.TransferData, n: int,
+                               classes_b: hh.HHClasses, classes_a: hh.HHClasses) -> np.ndarray:
+    """The transfer HH^n(B) -> HH^n(A) on class coordinates, one
+    representative of HH^n(B) at a time: its image cochain through three
+    contractions of its own, then the class coordinates of that image."""
+    f = data.field
+    r, da, db = data.m.dim, data.m.left.dim, data.m.right.dim
+    lift = data.lift(n)
+    l4 = lift.reshape(lift.shape[0], r, db ** n, r)
+    eps3 = data.eps_amb.reshape(da, r, r)
+    cols = f.zeros((classes_a.dim, classes_b.dim))
+    for i, zeta in enumerate(classes_b.reps):
+        u = f.contract("gitl,bt->gibl", l4, zeta.reshape(db, db ** n))
+        w = f.contract("gibl,bki->gkl", u, data.m.right_action)
+        image = f.contract("gkl,ckl->gc", w, eps3).T.reshape(-1)
+        cols[:, i] = classes_a.coords(image)
+    return cols

@@ -1,5 +1,7 @@
 import json
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -79,6 +81,16 @@ def test_hh_table_matrix_crossed_degree_3(capsys):
     assert code == 0
     lines = [l for l in out.splitlines() if l.startswith("order 2")]
     assert lines and lines[0].split()[-4:] == ["2", "2", "2", "2"]
+
+
+def test_chain_lift_budget_counts_what_the_lift_holds(capsys):
+    # the degree-3 lift of the whole-group carrier holds its 134 MB of
+    # generator images, three arrays of its right-hand side's size and the
+    # product workspace at once: about 202 MiB
+    code, _, err = run(capsys, "verify", "--spec", str(SPECS / "matrix_crossed_c2_p2.json"),
+                       "--degree", "3", "--memory-mb", "200")
+    assert code == 2
+    assert "chain lift at degree 3" in err
 
 
 def test_hh_budget_exceeded_exit_2(capsys):
@@ -226,3 +238,23 @@ def test_failed_axiom_text_names_its_maps(monkeypatch, capsys):
     assert code == 1
     assert "  lhs = ((0, 1), 0, (0, 1)) = [[0, 1], [1, 0]]" in out
     assert "  rhs = id = [[1, 0], [0, 1]]" in out
+
+
+def test_benchmark_tracer_targets_resolve(tmp_path):
+    # bench/child.py wraps package functions and reads cache attributes by
+    # name; a renamed target must fail here, not only in the benchmark
+    root = SPECS.parent
+    sidecar = tmp_path / "sidecar.json"
+    proc = subprocess.run(
+        [sys.executable, str(root / "bench" / "child.py"), str(sidecar), "1", "--",
+         "verify", "--spec", str(SPECS / "c2xc2_p2.json"), "--degree", "1", "--format", "json"],
+        capture_output=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert json.loads(proc.stdout)["summary"]["failed"] == 0
+    trace = json.loads(sidecar.read_text())
+    counters = trace["counters"]
+    for name in ("mackey.transfer_for.miss", "mackey.map_along.miss",
+                 "hh.cohomology.miss", "hh.delta.miss"):
+        assert counters.get(name, 0) > 0, name
+    spans = [trace["names"][span[0]] for span in trace["spans"]]
+    assert 0 < spans.count("hh.transfer_data") <= counters["mackey.transfer_for.miss"]

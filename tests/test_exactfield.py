@@ -1,10 +1,14 @@
 import itertools
+import pathlib
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradedhh import exactfield
 from gradedhh.errors import ValidationError
 from gradedhh.exactfield import PrimeField, subspace_from_rows
 
@@ -248,12 +252,18 @@ def test_large_modulus_matmul_paths():
 
 
 def test_contract_exact_past_int64():
-    # split path: (p-1)**2 * 2**24 overflows int64; the operands are
-    # broadcast views, so nothing of that length is allocated
+    # chunked product: (p-1)**2 * 2**24 overflows int64; the operands are
+    # broadcast views, so nothing of that length (2**27 bytes) is allocated
     p = 1000003
     f = PrimeField(p)
     a = np.broadcast_to(np.int64(p - 1), (2**24,))
-    assert f.contract("i,i->", a, a) == (p - 1) ** 2 * 2**24 % p
+    tracemalloc.start()
+    try:
+        assert f.contract("i,i->", a, a) == (p - 1) ** 2 * 2**24 % p
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
     # Python-integer path: a single product of three entries overflows int64
     p = 2**31 - 1
     f = PrimeField(p)
@@ -343,6 +353,47 @@ def test_contract_matches_python_ints(data, p, subscripts):
     ops = [draw_array(data.draw, p, tuple(size[c] for c in term)) for term in terms]
     got = PrimeField(p).contract(subscripts, *ops)
     assert np.array_equal(got, reference_einsum(subscripts, ops, p))
+
+
+# every two-operand contraction the package makes, and four that do not run as
+# one matrix product: a repeated letter, a letter summed from one operand
+# only, a letter both operands keep (a batch letter), and an outer product
+SRC_SUBSCRIPTS = sorted({
+    found for path in pathlib.Path(exactfield.__file__).parent.glob("*.py")
+    for found in re.findall(r'contract\(\s*"([^"]+)"', path.read_text())
+    if found.split("->")[0].count(",") == 1})
+EINSUM_ONLY = ["ii,ij->j", "ij,jk->k", "bij,bjk->bik", "ij,k->ijk"]
+
+
+@pytest.mark.parametrize("subscripts", SRC_SUBSCRIPTS + EINSUM_ONLY)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), p=st.sampled_from(PRIMES), width=st.sampled_from([1, 5, 2**20]))
+def test_two_operand_contract_matches_python_ints(subscripts, data, p, width):
+    # routed as a product at every size (and sliced every ``width`` entries),
+    # then at the default size floor
+    if subscripts in EINSUM_ONLY:
+        assert exactfield._gemm_plan(subscripts) is None
+    terms = subscripts.split("->")[0].split(",")
+    size = {c: data.draw(st.integers(0, 3)) for c in sorted(set("".join(terms)))}
+    ops = [draw_array(data.draw, p, tuple(size[c] for c in term)) for term in terms]
+    expect = reference_einsum(subscripts, ops, p)
+    f = PrimeField(p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactfield, "_SLICE", width)
+        for floor in (0, exactfield._GEMM_MIN):
+            mp.setattr(exactfield, "_GEMM_MIN", floor)
+            got = f.contract(subscripts, *ops)
+            assert got.dtype == np.int64 and np.array_equal(got, expect), floor
+
+
+def test_contract_broadcasts_a_length_1_summed_axis():
+    # einsum's rule, which a matrix product lacks: such a call stays on einsum
+    f = PrimeField(5)
+    a = np.full((300, 1), 2)
+    b = np.full((7, 300), 3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactfield, "_GEMM_MIN", 0)
+        assert np.array_equal(f.contract("ij,jk->ik", a, b), np.full((300, 300), 2 * 3 * 7 % 5))
 
 
 @settings(max_examples=80, deadline=None)

@@ -367,6 +367,18 @@ def test_transfer_kills_coboundaries():
         assert np.array_equal(classes.coords(img_a), classes.coords(img_b))
 
 
+def test_coords_of_a_batch_checks_every_row():
+    rg = group_algebra("s3", 2)
+    a = rg.algebra
+    classes = hh.cohomology(a, 1)
+    dense = oracles.as_dense(hh.CochainComplex(a).delta(1))
+    bad = next(e for e in np.eye(dense.shape[1], dtype=np.int64) if (dense @ e % 2).any())
+    stack = np.stack([classes.reps[-1], classes.reps[0]])
+    assert np.array_equal(classes.coords(stack), np.stack([classes.coords(r) for r in stack]))
+    with pytest.raises(ValidationError, match="not a cocycle"):
+        classes.coords(np.stack([classes.reps[0], bad]))
+
+
 def test_lift_methods_agree():
     for kind, p in (("c2", 2), ("v4", 2), ("c3", 3)):
         rg = group_algebra(kind, p)

@@ -1,7 +1,11 @@
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
-from gradedhh import galg, groups, mackey
+import oracles
+from gradedhh import bimod, galg, groups, hh, mackey
 
 
 def system(rg, **kw):
@@ -235,3 +239,49 @@ def test_failed_axiom_names_its_maps(monkeypatch):
     assert mackey.side_text(report.lhs_words) == "((0, 1), 0, (0, 1))"
     assert mackey.side_text(report.rhs_words) == "id"
     assert set(report.to_json()) == {"axiom", "instance", "degree", "verdict", "lhs", "rhs"}
+
+
+# -- one transfer per double-coset carrier, checked against fresh builds -----
+
+SPECS = pathlib.Path(__file__).resolve().parent.parent / "specs"
+GROUP_ALGEBRA_SPECS = sorted(
+    path.stem for path in SPECS.glob("*.json")
+    if json.loads(path.read_text())["algebra"]["kind"] == "group_algebra")
+
+
+def _check_carriers(rg, degrees):
+    """For every (K, g, H) with K, H subgroups and g any element: map_along at
+    each degree equals the per-representative oracle on a TransferData
+    built fresh from the (K, g, H) truncation, and two elements share one
+    TransferData exactly when they give the same double coset."""
+    sys = system(rg, degree_bound=max(degrees))
+    subs = groups.all_subgroups(rg.group)
+    for k in subs:
+        for h in subs:
+            dk, dh = sys.sub_data(k), sys.sub_data(h)
+            for g in range(rg.group.order):
+                fresh = hh.transfer_data(bimod.truncation(rg, k, g, h),
+                                         dk.form.vector, dh.form.vector)
+                for n in degrees:
+                    expect = oracles.transfer_by_representative(
+                        fresh, n, dh.classes(n, sys.memory_mb), dk.classes(n, sys.memory_mb))
+                    assert np.array_equal(sys.map_along(k, g, h, n), expect), (k, g, h, n)
+                coset = groups.double_coset(k, g, h)
+                for g2 in range(g):
+                    shared = sys.transfer_for(k, g, h) is sys.transfer_for(k, g2, h)
+                    assert shared == (groups.double_coset(k, g2, h) == coset), (k, g, g2, h)
+
+
+@pytest.mark.parametrize("spec", GROUP_ALGEBRA_SPECS)
+def test_carrier_transfers_match_fresh_per_representative_oracle(spec):
+    _check_carriers(galg.algebra_from_spec(json.loads((SPECS / f"{spec}.json").read_text())),
+                    range(3))
+
+
+def test_carrier_transfers_match_fresh_per_representative_oracle_d4():
+    _check_carriers(galg.group_algebra(groups.dihedral(4), 2), range(3))
+
+
+def test_carrier_transfers_match_fresh_per_representative_oracle_s3_degree_3():
+    # degrees 0..2 are covered by the s3_p2 spec above
+    _check_carriers(galg.group_algebra(groups.symmetric(3), 2), (3,))
