@@ -2,11 +2,16 @@
 
 Covers everything the verification pipeline needs: carriers cut out of a
 graded algebra by cosets and double cosets, tensor products over the middle
-algebra materialized as quotient presentations, linear duals, hom spaces,
-projectivity via explicit splittings of free covers, direct-sum
-decompositions along double cosets, and the explicit mutually inverse
-multiplication/unit-decomposition isomorphisms between a double-coset
-carrier and the corresponding tensor product.
+algebra materialized as quotient presentations, linear duals, one-sided
+module maps, projectivity via explicit splittings of free covers, and the
+explicit mutually inverse multiplication/unit-decomposition isomorphisms
+between a double-coset carrier and the corresponding tensor product.
+
+Every construction works on whole tensors: actions are (dim algebra, dim,
+dim) arrays, and a tensor product's actions, an intertwiner system, the
+multiplication map and its inverse are slices of the structure constants
+and ``PrimeField.contract`` calls on those arrays, never one basis element
+or one basis vector at a time.
 """
 
 from __future__ import annotations
@@ -191,31 +196,6 @@ def dual(m: Bimodule) -> Bimodule:
     return out
 
 
-def direct_sum(*parts: Bimodule) -> Bimodule:
-    """Block direct sum of bimodules over the same algebra pair."""
-    if not parts:
-        raise ValidationError("direct_sum needs at least one part")
-    first = parts[0]
-    f = first.field
-    for p in parts[1:]:
-        if not (p.left.structurally_equal(first.left) and p.right.structurally_equal(first.right)):
-            raise ValidationError("direct summands must share the algebra pair")
-    dim = sum(p.dim for p in parts)
-    left_action = f.zeros((first.left.dim, dim, dim))
-    right_action = f.zeros((first.right.dim, dim, dim))
-    off = 0
-    for p in parts:
-        sl = slice(off, off + p.dim)
-        left_action[:, sl, sl] = p.left_action
-        right_action[:, sl, sl] = p.right_action
-        off += p.dim
-    out = Bimodule(left=first.left, right=first.right, dim=dim,
-                   left_action=left_action, right_action=right_action,
-                   label="(+)".join(p.label or "?" for p in parts))
-    out.validate()
-    return out
-
-
 def tensor_over(m: Bimodule, n: Bimodule) -> tuple[Bimodule, QuotientPresentation]:
     """Tensor product over the middle algebra, with its presentation as the
     quotient of M (x)_k N by the balancing relations
@@ -234,24 +214,24 @@ def tensor_over(m: Bimodule, n: Bimodule) -> tuple[Bimodule, QuotientPresentatio
     relations = subspace_from_rows(f, rel.reshape(db * dm * dn, dm * dn),
                                    ambient_dim=dm * dn)
     pres = f.quotient(relations)
-    proj, sect = pres.projection, pres.section
-
-    def induced(ambient_ops):
-        q = pres.quotient_dim
-        out = f.zeros((len(ambient_ops), q, q))
-        for a, op in enumerate(ambient_ops):
-            if relations.dim:
-                moved = f.matmul(op, relations.basis.T)
-                if relations.reduce_rows(moved.T).any():
-                    raise ValidationError("relations not stable under outer action")
-            out[a] = f.matmul(proj, f.matmul(op, sect))
-        return out
-
-    left_ops = [f.kronecker(m.left_action[a], eye_n) for a in range(m.left.dim)]
-    right_ops = [f.kronecker(eye_m, n.right_action[c]) for c in range(n.right.dim)]
+    q = pres.quotient_dim
+    proj = pres.projection.reshape(q, dm, dn)
+    sect = pres.section.reshape(dm, dn, q)
+    # the outer actions a ox 1 and 1 ox c on M ox_k N, applied to the
+    # relations and to the section
+    if relations.dim:
+        basis = relations.basis.reshape(relations.dim, dm, dn)
+        for moved in (f.contract("aik,skj->asij", m.left_action, basis),
+                      f.contract("cjl,sil->csij", n.right_action, basis)):
+            if relations.reduce_rows(moved.reshape(-1, dm * dn)).any():
+                raise ValidationError("relations not stable under outer action")
+    left_action = f.contract("qij,aijr->aqr", proj,
+                             f.contract("aik,kjr->aijr", m.left_action, sect))
+    right_action = f.contract("qij,cijr->cqr", proj,
+                              f.contract("cjl,ilr->cijr", n.right_action, sect))
     module = Bimodule(
-        left=m.left, right=n.right, dim=pres.quotient_dim,
-        left_action=induced(left_ops), right_action=induced(right_ops),
+        left=m.left, right=n.right, dim=q,
+        left_action=left_action, right_action=right_action,
         label=f"({m.label})ox({n.label})",
     )
     module.validate()
@@ -262,26 +242,14 @@ def _intertwiners(f: PrimeField, pairs, dm: int, dn: int) -> np.ndarray:
     """RREF basis, stacked as (k, dn, dm) matrices, of the linear maps
     X: F^dm -> F^dn with X src = tgt X for every pair of actions in
     ``pairs``; X is vectorized row-major."""
+    # row (a, r, s) of the system is entry (r, s) of X src_a - tgt_a X
     system = np.concatenate([
-        (f.kronecker(f.eye(dn), src.T) - f.kronecker(tgt, f.eye(dm))) % f.p
+        f.contract("ru,avs->arsuv", f.eye(dn), src_act)
+        - f.contract("aru,sv->arsuv", tgt_act, f.eye(dm))
         for src_act, tgt_act in pairs
-        for src, tgt in zip(src_act, tgt_act)
     ])
-    ker = f.kernel(system)
+    ker = f.kernel(system.reshape(len(system) * dn * dm, dn * dm))
     return ker.basis.reshape(ker.dim, dn, dm)
-
-
-def hom_space(m: Bimodule, n: Bimodule) -> list[BimoduleMap]:
-    """RREF-canonical basis of the space of bimodule maps M -> N."""
-    if not (m.left.structurally_equal(n.left) and m.right.structurally_equal(n.right)):
-        raise ValidationError("hom space needs the same algebra pair")
-    pairs = ((m.left_action, n.left_action), (m.right_action, n.right_action))
-    out = []
-    for x in _intertwiners(m.field, pairs, m.dim, n.dim):
-        bm = BimoduleMap(m, n, x)
-        bm.validate()
-        out.append(bm)
-    return out
 
 
 def module_hom_basis(m: Bimodule, side: str) -> np.ndarray:
@@ -348,48 +316,24 @@ def is_projective(m: Bimodule, side: str, generator_order=None) -> SplittingResu
     return SplittingResult(True, gens, sigma)
 
 
-def decompose_by_double_cosets(
-    rg: galg.GradedAlgebra,
-    k: _groups.Subgroup,
-    h: _groups.Subgroup,
-):
-    """Internal direct-sum decomposition of R_G as an R_K - R_H bimodule by
-    double cosets: returns [(rep, summand, inclusion map)] and the whole."""
-    whole = side_restricted(rg, k, h)
-    f = rg.field
-    out = []
-    total = 0
-    for rep in _groups.double_coset_reps(k, h):
-        part = truncation(rg, k, rep, h)
-        incl = f.zeros((whole.dim, part.dim))
-        for local, parent in enumerate(part.parent_indices):
-            incl[parent, local] = 1
-        bm = BimoduleMap(part, whole, incl)
-        bm.validate()
-        out.append((rep, part, bm))
-        total += part.dim
-    if total != whole.dim:
-        raise ValidationError("double-coset pieces do not fill the module (bug)")
-    return whole, out
-
-
 # -- multiplication isomorphisms for the double-coset carriers --------------
+
+
+def _outside(rg, indices: np.ndarray) -> np.ndarray:
+    """Mask of the basis vectors of rg that are not at ``indices``."""
+    mask = np.ones(rg.dim, dtype=bool)
+    mask[indices] = False
+    return mask
 
 
 def _mult_forward(rg, tensor_module: Bimodule, pres: QuotientPresentation,
                   m: Bimodule, n: Bimodule, target: Bimodule) -> BimoduleMap:
     """Multiplication map (M ox N presented by pres) -> target carrier."""
     f = rg.field
-    sc = rg.algebra.sc
-    tgt_idx = {int(pidx): pos for pos, pidx in enumerate(target.parent_indices)}
-    amb = f.zeros((target.dim, pres.ambient_dim))
-    for i, pi in enumerate(m.parent_indices):
-        for j, pj in enumerate(n.parent_indices):
-            prod = sc[pi, pj]
-            for kk in np.nonzero(prod)[0]:
-                if int(kk) not in tgt_idx:
-                    raise ValidationError("product leaves the target carrier")
-                amb[tgt_idx[int(kk)], i * n.dim + j] = prod[kk]
+    prods = rg.algebra.sc[np.ix_(m.parent_indices, n.parent_indices)]
+    if prods[:, :, _outside(rg, target.parent_indices)].any():
+        raise ValidationError("product leaves the target carrier")
+    amb = prods[:, :, target.parent_indices].reshape(pres.ambient_dim, target.dim).T
     if pres.sub.dim and f.matmul(amb, pres.sub.basis.T).any():
         raise ValidationError("multiplication does not kill the balancing relations")
     fwd = BimoduleMap(
@@ -404,31 +348,25 @@ def _psi_matrix(rg, pres: QuotientPresentation, m: Bimodule, n: Bimodule,
                 source: Bimodule, degree_for) -> np.ndarray:
     """Matrix of r -> sum_i a_i ox (b_i r) into M ox N presented by pres,
     with the unit decomposition taken at degree_for(x) where x is the
-    grading of the source basis vector."""
+    grading of the source basis vector: one decomposition per degree, and
+    all source basis vectors that use it pushed through at once."""
     f = rg.field
-    mpos = {int(pi): i for i, pi in enumerate(m.parent_indices)}
-    npos = {int(pj): j for j, pj in enumerate(n.parent_indices)}
+    degrees = np.array([degree_for(int(x)) for x in rg.grading[source.parent_indices]],
+                       dtype=np.int64)
     amb_cols = f.zeros((pres.ambient_dim, source.dim))
-    for y, py in enumerate(source.parent_indices):
-        x = int(rg.grading[py])
-        dec = galg.unit_decomposition(rg, degree_for(x))
-        basis_vec = f.zeros(rg.dim)
-        basis_vec[py] = 1
-        col = f.zeros(pres.ambient_dim)
-        for av, bv in dec.pairs:
-            br = rg.algebra.multiply(bv, basis_vec)
-            left = f.zeros(m.dim)
-            for pidx in np.nonzero(av)[0]:
-                if int(pidx) not in mpos:
-                    raise ValidationError("unit decomposition leaves the left carrier")
-                left[mpos[int(pidx)]] = av[pidx]
-            rightv = f.zeros(n.dim)
-            for pidx in np.nonzero(br)[0]:
-                if int(pidx) not in npos:
-                    raise ValidationError("unit decomposition leaves the right carrier")
-                rightv[npos[int(pidx)]] = br[pidx]
-            col = (col + np.outer(left, rightv).reshape(-1)) % f.p
-        amb_cols[:, y] = col
+    for t in dict.fromkeys(degrees.tolist()):
+        ys = np.flatnonzero(degrees == t)
+        dec = galg.unit_decomposition(rg, t)
+        a = np.stack([av for av, _ in dec.pairs])
+        if a[:, _outside(rg, m.parent_indices)].any():
+            raise ValidationError("unit decomposition leaves the left carrier")
+        # br[k, y] = b_k times the y-th source basis vector
+        rmul = rg.algebra.basis_right_mults[source.parent_indices[ys]]
+        br = f.contract("ki,yzi->kyz", np.stack([bv for _, bv in dec.pairs]), rmul)
+        if br[:, :, _outside(rg, n.parent_indices)].any():
+            raise ValidationError("unit decomposition leaves the right carrier")
+        cols = f.contract("ki,kyj->ijy", a[:, m.parent_indices], br[:, :, n.parent_indices])
+        amb_cols[:, ys] = cols.reshape(pres.ambient_dim, len(ys))
     return f.matmul(pres.projection, amb_cols)
 
 
@@ -510,37 +448,3 @@ def mult_iso_conjugate_chain(
     target_carrier = tuple(sorted(grp.mul(gh, e) for e in h.elements))
     carrier = graded_carrier(rg, target_carrier, conj_gh, h, label="target chain")
     return _build_mult_iso(rg, left_mod, right_mod, carrier, lambda x: g)
-
-
-# -- isomorphism testing -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IsoVerdict:
-    status: str                  # "isomorphic" | "not isomorphic" | "inconclusive"
-    reason: str
-    witness: np.ndarray | None = None
-
-
-def iso_check(m: Bimodule, n: Bimodule, seed: int = 0, budget: int = 128) -> IsoVerdict:
-    """Three-valued isomorphism test: dimension, hom space, then a scan of
-    basis homs followed by seeded random combinations for an invertible one."""
-    if m.dim != n.dim:
-        return IsoVerdict("not isomorphic", "dimension mismatch")
-    homs = hom_space(m, n)
-    if not homs:
-        if m.dim == 0:
-            return IsoVerdict("isomorphic", "both zero",
-                              witness=m.field.zeros((0, 0)))
-        return IsoVerdict("not isomorphic", "empty hom space")
-    f = m.field
-    for bm in homs:
-        if f.inverse(bm.matrix) is not None:
-            return IsoVerdict("isomorphic", "basis hom", witness=bm.matrix)
-    rng = np.random.default_rng(seed)
-    for _ in range(budget):
-        coeff = rng.integers(0, f.p, size=len(homs))
-        cand = sum(int(c) * bm.matrix for c, bm in zip(coeff, homs)) % f.p
-        if f.inverse(cand) is not None:
-            return IsoVerdict("isomorphic", "random combination", witness=cand)
-    return IsoVerdict("inconclusive", f"budget {budget} exhausted")

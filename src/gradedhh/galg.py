@@ -44,7 +44,7 @@ class Algebra:
     # -- products ----------------------------------------------------------
 
     def multiply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self.field.contract("i,j,ijk->k", x, y, self.sc)
+        return self.field.matmul(self.left_mult(x), y)
 
     def left_mult(self, x: np.ndarray) -> np.ndarray:
         """Matrix of y -> x*y."""
@@ -447,20 +447,11 @@ def unit_decomposition(a: GradedAlgebra, g: int, variant: int = 0) -> UnitDecomp
             bv = f.zeros(a.dim)
             bv[j] = 1
             pairs.append((av, bv))
-    total = f.zeros(a.dim)
-    for av, bv in pairs:
-        total = (total + a.algebra.multiply(av, bv)) % f.p
+    left, right = (np.stack(side) for side in zip(*pairs))
+    total = f.contract("ki,kj,ijz->z", left, right, a.algebra.sc)
     if not np.array_equal(total, a.algebra.unit):
         raise ValidationError("unit decomposition failed the substitution check (bug)")
     return UnitDecomposition(degree=g, pairs=tuple(pairs))
-
-
-def trivially_graded(alg: Algebra) -> GradedAlgebra:
-    """View a plain algebra as graded by the trivial group."""
-    return GradedAlgebra(
-        algebra=alg, group=_groups.cyclic(1),
-        grading=np.zeros(alg.dim, dtype=np.int64), kind=alg.kind,
-    )
 
 
 # -- specification files ---------------------------------------------------

@@ -11,12 +11,10 @@ symmetrizing forms s_A, s_B) is realized by
   between left-module maps M -> A and the linear dual,
 * a chain lift of eta through Bar(A) and X_n = M ox B^(ox n) ox M*.
 
-The lift is produced degree by degree.  The default path applies the
-explicit contracting homotopy s(m ox w) = sum_j m_j ox phi_j(m) ox w that
-the dual basis provides, so no linear solve is needed; the alternative
-"solve" path finds every generator image with one canonical solve per
-degree.  Both satisfy the same chain contract and must agree on cohomology
-classes.
+The lift is produced degree by degree by the explicit contracting homotopy
+s(m ox w) = sum_j m_j ox phi_j(m) ox w that the dual basis provides, so no
+linear system is solved on the relative complexes; every lift is checked
+against the chain condition.
 
 A cochain f: A^(ox n) -> A is stored as a (d, d^n) matrix and vectorized
 row-major.  The differential is
@@ -336,7 +334,6 @@ class TransferData:
     eta_raw: np.ndarray          # (r*r,) representative of eta(1) in M ox M*
     dualpres: QuotientPresentation     # M ox_B M* as a quotient of M ox_k M*
     dual_quotient: bimod.Bimodule
-    lift_method: str = "homotopy"
     memory_mb: int = DEFAULT_MEMORY_MB
     _lifts: list = field(default_factory=list, repr=False)
 
@@ -377,10 +374,6 @@ class TransferData:
         v = arr.reshape(batch, r, -1)
         out = f.contract("jbi,zit->zjbt", self.phi, v)
         return out.reshape(batch, -1)
-
-    def _dx_matrix(self, n: int) -> np.ndarray:
-        ident = self.field.eye(self.x_dim(n))
-        return self._dx_apply(n, ident).T.copy()
 
     def lift(self, n: int) -> np.ndarray:
         """Generator images of the chain lift at degree n, shape
@@ -427,15 +420,7 @@ class TransferData:
         else:
             if self._dx_apply(n - 1, rhs).any():
                 raise ValidationError("chain lift right-hand side is not a cycle (bug)")
-        if self.lift_method == "homotopy":
-            x = self._s_apply(n - 1, rhs)
-        elif self.lift_method == "solve":
-            sol = f.solve(self._dx_matrix(n), rhs.T)
-            if sol is None:
-                raise ValidationError("chain lift system inconsistent (bug)")
-            x = sol.T.copy()
-        else:
-            raise ValidationError(f"unknown lift method {self.lift_method!r}")
+        x = self._s_apply(n - 1, rhs)
         if not np.array_equal(self._dx_apply(n, x), rhs):
             raise ValidationError("chain lift does not satisfy the chain condition")
         self._lifts[n] = x
@@ -446,7 +431,6 @@ def transfer_data(
     m: bimod.Bimodule,
     s_a: np.ndarray,
     s_b: np.ndarray,
-    lift_method: str = "homotopy",
     generator_order=None,
     memory_mb: int = DEFAULT_MEMORY_MB,
 ) -> TransferData:
@@ -489,7 +473,7 @@ def transfer_data(
         m=m, s_a=f.arr(s_a), s_b=f.arr(s_b), phi=phi,
         eps_amb=eps_amb, eta_raw=eta_raw,
         dualpres=dualpres, dual_quotient=dual_quotient,
-        lift_method=lift_method, memory_mb=memory_mb,
+        memory_mb=memory_mb,
     )
     _validate_transfer_data(data)
     return data
@@ -546,35 +530,3 @@ def transfer(
         return data.field.zeros((classes_a.dim, 0))
     images = transfer_cochain(data, classes_b.reps, n)
     return np.ascontiguousarray(classes_a.coords(images).T)
-
-
-@dataclass(frozen=True)
-class ComposeReport:
-    ok: bool
-    degree: int
-    lhs: np.ndarray
-    rhs: np.ndarray
-
-
-def compose_check(
-    m: bimod.Bimodule,
-    n_mod: bimod.Bimodule,
-    degree: int,
-    s_a: np.ndarray,
-    s_b: np.ndarray,
-    s_c: np.ndarray,
-    memory_mb: int = DEFAULT_MEMORY_MB,
-) -> ComposeReport:
-    """Check matrix(t_M) @ matrix(t_N) = matrix(t_{M ox_B N}) at one degree."""
-    tensor_module, _ = bimod.tensor_over(m, n_mod)
-    data_m = transfer_data(m, s_a, s_b, memory_mb=memory_mb)
-    data_n = transfer_data(n_mod, s_b, s_c, memory_mb=memory_mb)
-    data_t = transfer_data(tensor_module, s_a, s_c, memory_mb=memory_mb)
-    f = m.field
-    lhs = f.matmul(
-        transfer(data_m, degree, memory_mb=memory_mb),
-        transfer(data_n, degree, memory_mb=memory_mb),
-    )
-    rhs = transfer(data_t, degree, memory_mb=memory_mb)
-    return ComposeReport(ok=bool(np.array_equal(lhs, rhs)), degree=degree,
-                         lhs=lhs, rhs=rhs)

@@ -9,13 +9,24 @@ cochain differential and cohomology are the Kronecker-product construction
 that the sparse complex replaced, the split of HH^n(kG) over conjugacy
 classes is a table of centralizer cohomology, and the transfer matrix is
 the loop that pushed one class representative at a time.
+
+The module also holds what only the tests use: the composition and
+direct-sum checks of transfers, hom spaces and a three-valued isomorphism
+test for bimodules, the trivial grading, a chain lift by linear solve, and
+the per-element Kronecker and per-vector constructions that the batched
+tensor product, multiplication map and unit-decomposition inverse of
+``bimod`` replaced.
 """
 
 from __future__ import annotations
 
+import dataclasses
+from dataclasses import dataclass
+
 import numpy as np
 
 from gradedhh import bimod, galg, groups, hh
+from gradedhh.errors import ValidationError
 from gradedhh.exactfield import PrimeField, subspace_from_rows
 
 
@@ -249,3 +260,263 @@ def transfer_by_representative(data: hh.TransferData, n: int,
         image = f.contract("gkl,ckl->gc", w, eps3).T.reshape(-1)
         cols[:, i] = classes_a.coords(image)
     return cols
+
+
+# -- test-only constructions: composition, direct sums, hom spaces, isomorphism
+
+
+@dataclass(frozen=True)
+class ComposeReport:
+    ok: bool
+    degree: int
+    lhs: np.ndarray
+    rhs: np.ndarray
+
+
+def compose_check(
+    m: bimod.Bimodule,
+    n_mod: bimod.Bimodule,
+    degree: int,
+    s_a: np.ndarray,
+    s_b: np.ndarray,
+    s_c: np.ndarray,
+    memory_mb: int = hh.DEFAULT_MEMORY_MB,
+) -> ComposeReport:
+    """Check matrix(t_M) @ matrix(t_N) = matrix(t_{M ox_B N}) at one degree."""
+    tensor_module, _ = bimod.tensor_over(m, n_mod)
+    data_m = hh.transfer_data(m, s_a, s_b, memory_mb=memory_mb)
+    data_n = hh.transfer_data(n_mod, s_b, s_c, memory_mb=memory_mb)
+    data_t = hh.transfer_data(tensor_module, s_a, s_c, memory_mb=memory_mb)
+    f = m.field
+    lhs = f.matmul(
+        hh.transfer(data_m, degree, memory_mb=memory_mb),
+        hh.transfer(data_n, degree, memory_mb=memory_mb),
+    )
+    rhs = hh.transfer(data_t, degree, memory_mb=memory_mb)
+    return ComposeReport(ok=bool(np.array_equal(lhs, rhs)), degree=degree,
+                         lhs=lhs, rhs=rhs)
+
+
+def trivially_graded(alg: galg.Algebra) -> galg.GradedAlgebra:
+    """View a plain algebra as graded by the trivial group."""
+    return galg.GradedAlgebra(
+        algebra=alg, group=groups.cyclic(1),
+        grading=np.zeros(alg.dim, dtype=np.int64), kind=alg.kind,
+    )
+
+
+def direct_sum(*parts: bimod.Bimodule) -> bimod.Bimodule:
+    """Block direct sum of bimodules over the same algebra pair."""
+    if not parts:
+        raise ValidationError("direct_sum needs at least one part")
+    first = parts[0]
+    f = first.field
+    for p in parts[1:]:
+        if not (p.left.structurally_equal(first.left) and p.right.structurally_equal(first.right)):
+            raise ValidationError("direct summands must share the algebra pair")
+    dim = sum(p.dim for p in parts)
+    left_action = f.zeros((first.left.dim, dim, dim))
+    right_action = f.zeros((first.right.dim, dim, dim))
+    off = 0
+    for p in parts:
+        sl = slice(off, off + p.dim)
+        left_action[:, sl, sl] = p.left_action
+        right_action[:, sl, sl] = p.right_action
+        off += p.dim
+    out = bimod.Bimodule(left=first.left, right=first.right, dim=dim,
+                         left_action=left_action, right_action=right_action,
+                         label="(+)".join(p.label or "?" for p in parts))
+    out.validate()
+    return out
+
+
+def hom_space(m: bimod.Bimodule, n: bimod.Bimodule) -> list[bimod.BimoduleMap]:
+    """RREF-canonical basis of the space of bimodule maps M -> N."""
+    if not (m.left.structurally_equal(n.left) and m.right.structurally_equal(n.right)):
+        raise ValidationError("hom space needs the same algebra pair")
+    pairs = ((m.left_action, n.left_action), (m.right_action, n.right_action))
+    out = []
+    for x in bimod._intertwiners(m.field, pairs, m.dim, n.dim):
+        bm = bimod.BimoduleMap(m, n, x)
+        bm.validate()
+        out.append(bm)
+    return out
+
+
+def decompose_by_double_cosets(rg: galg.GradedAlgebra, k: groups.Subgroup,
+                               h: groups.Subgroup):
+    """Internal direct-sum decomposition of R_G as an R_K - R_H bimodule by
+    double cosets: returns [(rep, summand, inclusion map)] and the whole."""
+    whole = bimod.side_restricted(rg, k, h)
+    f = rg.field
+    out = []
+    total = 0
+    for rep in groups.double_coset_reps(k, h):
+        part = bimod.truncation(rg, k, rep, h)
+        incl = f.zeros((whole.dim, part.dim))
+        for local, parent in enumerate(part.parent_indices):
+            incl[parent, local] = 1
+        bm = bimod.BimoduleMap(part, whole, incl)
+        bm.validate()
+        out.append((rep, part, bm))
+        total += part.dim
+    if total != whole.dim:
+        raise ValidationError("double-coset pieces do not fill the module (bug)")
+    return whole, out
+
+
+@dataclass(frozen=True)
+class IsoVerdict:
+    status: str                  # "isomorphic" | "not isomorphic" | "inconclusive"
+    reason: str
+    witness: np.ndarray | None = None
+
+
+def iso_check(m: bimod.Bimodule, n: bimod.Bimodule, seed: int = 0,
+              budget: int = 128) -> IsoVerdict:
+    """Three-valued isomorphism test: dimension, hom space, then a scan of
+    basis homs followed by seeded random combinations for an invertible one."""
+    if m.dim != n.dim:
+        return IsoVerdict("not isomorphic", "dimension mismatch")
+    homs = hom_space(m, n)
+    if not homs:
+        if m.dim == 0:
+            return IsoVerdict("isomorphic", "both zero",
+                              witness=m.field.zeros((0, 0)))
+        return IsoVerdict("not isomorphic", "empty hom space")
+    f = m.field
+    for bm in homs:
+        if f.inverse(bm.matrix) is not None:
+            return IsoVerdict("isomorphic", "basis hom", witness=bm.matrix)
+    rng = np.random.default_rng(seed)
+    for _ in range(budget):
+        coeff = rng.integers(0, f.p, size=len(homs))
+        cand = sum(int(c) * bm.matrix for c, bm in zip(coeff, homs)) % f.p
+        if f.inverse(cand) is not None:
+            return IsoVerdict("isomorphic", "random combination", witness=cand)
+    return IsoVerdict("inconclusive", f"budget {budget} exhausted")
+
+
+# -- the chain lift by a linear solve ----------------------------------------
+
+
+class SolvedLift(hh.TransferData):
+    """Transfer data whose chain lift solves the relative-bar differential
+    instead of applying the contracting homotopy: each generator image is the
+    canonical solution (free variables 0) of d_n x = rhs.  Both are chain
+    lifts of the same map, so the transfers must agree on classes."""
+
+    @classmethod
+    def of(cls, data: hh.TransferData) -> "SolvedLift":
+        return cls(**{fld.name: getattr(data, fld.name)
+                      for fld in dataclasses.fields(data) if not fld.name.startswith("_")})
+
+    def _s_apply(self, n: int, arr: np.ndarray) -> np.ndarray:
+        dx = self._dx_apply(n + 1, self.field.eye(self.x_dim(n + 1))).T
+        sol = self.field.solve(dx, arr.T)
+        if sol is None:
+            raise ValidationError("chain lift system inconsistent (bug)")
+        return sol.T.copy()
+
+
+# -- bimodule constructions one basis element or vector at a time -------------
+
+
+def kron_intertwiners(f: PrimeField, pairs, dm: int, dn: int) -> np.ndarray:
+    """``bimod._intertwiners`` with the system stacked from Kronecker
+    products kron(I, src^T) - kron(tgt, I), one per action matrix."""
+    system = np.concatenate([
+        (f.kronecker(f.eye(dn), src.T) - f.kronecker(tgt, f.eye(dm))) % f.p
+        for src_act, tgt_act in pairs
+        for src, tgt in zip(src_act, tgt_act)
+    ])
+    ker = f.kernel(system)
+    return ker.basis.reshape(ker.dim, dn, dm)
+
+
+def kron_tensor_over(m: bimod.Bimodule, n: bimod.Bimodule):
+    """``bimod.tensor_over`` with each outer action induced separately from
+    its Kronecker matrix on M ox_k N."""
+    f = m.field
+    dm, dn, db = m.dim, n.dim, m.right.dim
+    eye_m, eye_n = f.eye(dm), f.eye(dn)
+    rel = (
+        f.contract("bki,jl->bijkl", m.right_action, eye_n)
+        - f.contract("ik,blj->bijkl", eye_m, n.left_action)
+    ) % f.p
+    relations = subspace_from_rows(f, rel.reshape(db * dm * dn, dm * dn),
+                                   ambient_dim=dm * dn)
+    pres = f.quotient(relations)
+    proj, sect = pres.projection, pres.section
+
+    def induced(ambient_ops):
+        q = pres.quotient_dim
+        out = f.zeros((len(ambient_ops), q, q))
+        for a, op in enumerate(ambient_ops):
+            if relations.dim:
+                moved = f.matmul(op, relations.basis.T)
+                if relations.reduce_rows(moved.T).any():
+                    raise ValidationError("relations not stable under outer action")
+            out[a] = f.matmul(proj, f.matmul(op, sect))
+        return out
+
+    left_ops = [f.kronecker(m.left_action[a], eye_n) for a in range(m.left.dim)]
+    right_ops = [f.kronecker(eye_m, n.right_action[c]) for c in range(n.right.dim)]
+    module = bimod.Bimodule(
+        left=m.left, right=n.right, dim=pres.quotient_dim,
+        left_action=induced(left_ops), right_action=induced(right_ops),
+        label=f"({m.label})ox({n.label})",
+    )
+    module.validate()
+    return module, pres
+
+
+def loop_mult_forward(rg, pres, m: bimod.Bimodule, n: bimod.Bimodule,
+                      target: bimod.Bimodule) -> np.ndarray:
+    """Matrix of ``bimod._mult_forward``, filled one product of basis vectors
+    at a time."""
+    f = rg.field
+    sc = rg.algebra.sc
+    tgt_idx = {int(pidx): pos for pos, pidx in enumerate(target.parent_indices)}
+    amb = f.zeros((target.dim, pres.ambient_dim))
+    for i, pi in enumerate(m.parent_indices):
+        for j, pj in enumerate(n.parent_indices):
+            prod = sc[pi, pj]
+            for kk in np.nonzero(prod)[0]:
+                if int(kk) not in tgt_idx:
+                    raise ValidationError("product leaves the target carrier")
+                amb[tgt_idx[int(kk)], i * n.dim + j] = prod[kk]
+    if pres.sub.dim and f.matmul(amb, pres.sub.basis.T).any():
+        raise ValidationError("multiplication does not kill the balancing relations")
+    return f.matmul(amb, pres.section)
+
+
+def per_vector_psi_matrix(rg, pres, m: bimod.Bimodule, n: bimod.Bimodule,
+                          source: bimod.Bimodule, degree_for) -> np.ndarray:
+    """``bimod._psi_matrix`` with a unit decomposition solved for each source
+    basis vector and its column summed pair by pair."""
+    f = rg.field
+    mpos = {int(pi): i for i, pi in enumerate(m.parent_indices)}
+    npos = {int(pj): j for j, pj in enumerate(n.parent_indices)}
+    amb_cols = f.zeros((pres.ambient_dim, source.dim))
+    for y, py in enumerate(source.parent_indices):
+        x = int(rg.grading[py])
+        dec = galg.unit_decomposition(rg, degree_for(x))
+        basis_vec = f.zeros(rg.dim)
+        basis_vec[py] = 1
+        col = f.zeros(pres.ambient_dim)
+        for av, bv in dec.pairs:
+            br = rg.algebra.multiply(bv, basis_vec)
+            left = f.zeros(m.dim)
+            for pidx in np.nonzero(av)[0]:
+                if int(pidx) not in mpos:
+                    raise ValidationError("unit decomposition leaves the left carrier")
+                left[mpos[int(pidx)]] = av[pidx]
+            rightv = f.zeros(n.dim)
+            for pidx in np.nonzero(br)[0]:
+                if int(pidx) not in npos:
+                    raise ValidationError("unit decomposition leaves the right carrier")
+                rightv[npos[int(pidx)]] = br[pidx]
+            col = (col + np.outer(left, rightv).reshape(-1)) % f.p
+        amb_cols[:, y] = col
+    return f.matmul(pres.projection, amb_cols)

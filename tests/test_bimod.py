@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from gradedhh import bimod, galg, groups
 from gradedhh.exactfield import PrimeField
 
@@ -26,7 +27,7 @@ def ex11():
 
 def test_regular_bimodules_validate():
     f = PrimeField(3)
-    one = galg.trivially_graded(galg.matrix_algebra(f, 1))
+    one = oracles.trivially_graded(galg.matrix_algebra(f, 1))
     assert bimod.regular(one.algebra).dim == 1
     c2 = galg.group_algebra(groups.cyclic(2), 2)
     assert bimod.regular(c2.algebra).dim == 2
@@ -170,7 +171,7 @@ def test_dual(ks3_p2):
     m = bimod.regular(c2.algebra)
     dm = bimod.dual(m)
     assert dm.dim == m.dim
-    verdict = bimod.iso_check(dm, m)
+    verdict = oracles.iso_check(dm, m)
     assert verdict.status == "isomorphic"
     ddm = bimod.dual(dm)
     assert np.array_equal(ddm.left_action, m.left_action)
@@ -183,7 +184,7 @@ def test_hom_space(ks3_p2):
     h = groups.subgroup_generated(grp, [involution(grp)])
     g = next(x for x in range(1, 6) if x not in h.elements)
     d = bimod.truncation(ks3_p2, h, g, h)
-    homs = bimod.hom_space(d, d)
+    homs = oracles.hom_space(d, d)
     f = ks3_p2.field
     ident_found = any(np.array_equal(bm.matrix, f.eye(d.dim)) for bm in homs)
     coeffs = f.solve(
@@ -199,7 +200,7 @@ def test_hom_space(ks3_p2):
         right_action=f.zeros((d.right.dim, 0, 0)),
     )
     zero.validate()
-    assert bimod.hom_space(d, zero) == []
+    assert oracles.hom_space(d, zero) == []
 
 
 def test_is_projective(ks3_p2):
@@ -238,12 +239,12 @@ def test_decompose_by_double_cosets(ks3_p2):
     grp = ks3_p2.group
     full = groups.full_subgroup(grp)
     triv = groups.trivial_subgroup(grp)
-    whole, parts = bimod.decompose_by_double_cosets(ks3_p2, full, full)
+    whole, parts = oracles.decompose_by_double_cosets(ks3_p2, full, full)
     assert len(parts) == 1 and parts[0][1].dim == 6
-    whole, parts = bimod.decompose_by_double_cosets(ks3_p2, triv, triv)
+    whole, parts = oracles.decompose_by_double_cosets(ks3_p2, triv, triv)
     assert len(parts) == 6 and all(p.dim == 1 for _, p, _ in parts)
     h = groups.subgroup_generated(grp, [involution(grp)])
-    whole, parts = bimod.decompose_by_double_cosets(ks3_p2, h, h)
+    whole, parts = oracles.decompose_by_double_cosets(ks3_p2, h, h)
     assert sorted(p.dim for _, p, _ in parts) == [2, 4]
     for _, part, incl in parts:
         incl.validate()
@@ -343,8 +344,8 @@ def test_psi_independent_of_unit_decomposition(ex11, monkeypatch):
 def test_direct_sum(ks3_p2):
     grp = ks3_p2.group
     h = groups.subgroup_generated(grp, [involution(grp)])
-    _, parts = bimod.decompose_by_double_cosets(ks3_p2, h, h)
-    sum_mod = bimod.direct_sum(parts[0][1], parts[1][1])
+    _, parts = oracles.decompose_by_double_cosets(ks3_p2, h, h)
+    sum_mod = oracles.direct_sum(parts[0][1], parts[1][1])
     assert sum_mod.dim == 6
     sum_mod.validate()
 
@@ -359,10 +360,174 @@ def test_iso_check_negative():
         right_action=np.stack([f.eye(2), f.eye(2)]),
     )
     triv.validate()
-    verdict = bimod.iso_check(reg, triv)
+    verdict = oracles.iso_check(reg, triv)
     assert verdict.status == "not isomorphic" or verdict.status == "inconclusive"
     small = bimod.Bimodule(
         left=c2.algebra, right=c2.algebra, dim=1,
         left_action=f.arr([[[1]], [[1]]]), right_action=f.arr([[[1]], [[1]]]),
     )
-    assert bimod.iso_check(reg, small).status == "not isomorphic"
+    assert oracles.iso_check(reg, small).status == "not isomorphic"
+
+
+# -- error branches of the tensor product and the multiplication isomorphism
+
+
+def test_tensor_over_rejects_relations_unstable_under_outer_action():
+    # the left and right actions on M do not commute, so a ox 1 moves the
+    # balancing relations m b ox n - m ox b n off their span
+    from gradedhh.errors import ValidationError
+
+    c2 = galg.group_algebra(groups.cyclic(2), 2).algebra
+    f = c2.field
+    swap, shear = f.arr([[0, 1], [1, 0]]), f.arr([[1, 1], [0, 1]])
+    m = bimod.Bimodule(left=c2, right=c2, dim=2,
+                       left_action=np.stack([f.eye(2), swap]),
+                       right_action=np.stack([f.eye(2), shear]))
+    with pytest.raises(ValidationError, match="relations not stable under outer action"):
+        bimod.tensor_over(m, bimod.regular(c2))
+
+
+def _double_coset_factors(rg, k, g, h):
+    """The two factors and the carrier that mult_iso_double_coset tensors."""
+    grp = rg.group
+    meet = groups.intersect(k, groups.conjugate_subgroup(g, h))
+    left_mod = bimod.truncation(rg, k, 0, k, left_sub=k, right_sub=meet)
+    coset = tuple(sorted(grp.mul(g, e) for e in h.elements))
+    right_mod = bimod.graded_carrier(rg, coset, meet, h)
+    return left_mod, right_mod
+
+
+def test_mult_forward_rejects_a_product_outside_the_target(ks3_p2):
+    from gradedhh.errors import ValidationError
+
+    grp = ks3_p2.group
+    h = groups.subgroup_generated(grp, [involution(grp)])
+    g = next(x for x in range(1, 6) if x not in h.elements)
+    left_mod, right_mod = _double_coset_factors(ks3_p2, h, g, h)
+    module, pres = bimod.tensor_over(left_mod, right_mod)
+    wrong = bimod.truncation(ks3_p2, h, 0, h)     # HH, disjoint from HgH
+    with pytest.raises(ValidationError, match="product leaves the target carrier"):
+        bimod._mult_forward(ks3_p2, module, pres, left_mod, right_mod, wrong)
+
+
+def test_mult_forward_rejects_relations_it_does_not_kill(ks3_p2):
+    # a presentation whose relations contain e_0 ox e_0, which multiplies
+    # to a group element, not to zero
+    from gradedhh.errors import ValidationError
+    from gradedhh.exactfield import subspace_from_rows
+
+    grp = ks3_p2.group
+    h = groups.subgroup_generated(grp, [involution(grp)])
+    g = next(x for x in range(1, 6) if x not in h.elements)
+    left_mod, right_mod = _double_coset_factors(ks3_p2, h, g, h)
+    module, _ = bimod.tensor_over(left_mod, right_mod)
+    f = ks3_p2.field
+    amb = left_mod.dim * right_mod.dim
+    bad = f.quotient(subspace_from_rows(f, f.eye(amb)[:1], ambient_dim=amb))
+    carrier = bimod.truncation(ks3_p2, h, g, h)
+    with pytest.raises(ValidationError, match="multiplication does not kill the balancing"):
+        bimod._mult_forward(ks3_p2, module, bad, left_mod, right_mod, carrier)
+
+
+@pytest.mark.parametrize("side,k_full,forced", [
+    # K trivial: a decomposition at a degree outside K leaves R_K
+    ("left", False, 1),
+    # K = G, H trivial: the decomposition at degree 1 for every x sends
+    # b r_x to degree x, outside the coset gH = {1}
+    ("right", True, 0),
+])
+def test_psi_rejects_a_decomposition_outside_the_carrier(ks3_p2, monkeypatch, side, k_full,
+                                                         forced):
+    from gradedhh.errors import ValidationError
+
+    grp = ks3_p2.group
+    full, triv = groups.full_subgroup(grp), groups.trivial_subgroup(grp)
+    k, h = (full, triv) if k_full else (triv, full)
+    original = galg.unit_decomposition
+    monkeypatch.setattr(galg, "unit_decomposition",
+                        lambda a, g, variant=0: original(a, forced, variant))
+    with pytest.raises(ValidationError, match=f"unit decomposition leaves the {side} carrier"):
+        bimod.mult_iso_double_coset(ks3_p2, k, 0, h)
+
+
+# -- the batched constructions against the per-element ones -------------------
+
+
+def _same_bytes(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("spec", ["s3_p2", "c2xc2_p2", "matrix_crossed_c2_p2"])
+def test_mult_iso_matches_per_element_oracle(spec, monkeypatch):
+    # every instance lemma2 checks: the tensor product's actions, the
+    # multiplication map and its inverse equal the Kronecker / loop /
+    # per-vector constructions array for array
+    import json
+    import pathlib
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "specs" / f"{spec}.json"
+    rg = galg.algebra_from_spec(json.loads(path.read_text()))
+    grp = rg.group
+    seen = []
+    build = bimod._build_mult_iso
+
+    def recording(*args):
+        iso = build(*args)
+        seen.append((args, iso))
+        return iso
+
+    monkeypatch.setattr(bimod, "_build_mult_iso", recording)
+    subs = groups.all_subgroups(grp)
+    for k in subs:
+        for h in subs:
+            for g in range(grp.order):
+                bimod.mult_iso_double_coset(rg, k, g, h)
+    for h in subs:
+        for g in range(grp.order):
+            for he in range(grp.order):
+                bimod.mult_iso_conjugate_chain(rg, g, he, h)
+    assert len(seen) == len(subs) ** 2 * grp.order + len(subs) * grp.order ** 2
+    for (_, left_mod, right_mod, carrier, degree_for), iso in seen:
+        module, pres = oracles.kron_tensor_over(left_mod, right_mod)
+        assert _same_bytes(iso.tensor_module.left_action, module.left_action)
+        assert _same_bytes(iso.tensor_module.right_action, module.right_action)
+        assert _same_bytes(iso.forward.matrix,
+                           oracles.loop_mult_forward(rg, pres, left_mod, right_mod, carrier))
+        assert _same_bytes(iso.inverse.matrix, oracles.per_vector_psi_matrix(
+            rg, pres, left_mod, right_mod, carrier, degree_for))
+    if spec == "matrix_crossed_c2_p2":
+        # components of dimension 4: one decomposition serves four vectors
+        assert all(len(rg.component_indices(x)) == 4 for x in range(grp.order))
+
+
+def test_intertwiners_and_tensor_match_kronecker_oracle_with_zero_modules(ks3_p2):
+    grp = ks3_p2.group
+    h = groups.subgroup_generated(grp, [involution(grp)])
+    g = next(x for x in range(1, 6) if x not in h.elements)
+    d = bimod.truncation(ks3_p2, h, g, h)
+    f = ks3_p2.field
+    zero = bimod.Bimodule(
+        left=d.left, right=d.right, dim=0,
+        left_action=f.zeros((d.left.dim, 0, 0)),
+        right_action=f.zeros((d.right.dim, 0, 0)),
+    )
+    for src, tgt in ((d, d), (d, zero), (zero, d), (zero, zero)):
+        pairs = ((src.left_action, tgt.left_action), (src.right_action, tgt.right_action))
+        assert _same_bytes(bimod._intertwiners(f, pairs, src.dim, tgt.dim),
+                           oracles.kron_intertwiners(f, pairs, src.dim, tgt.dim))
+    for side, reg in (("left", d.left.basis_left_mults), ("right", d.right.basis_right_mults)):
+        act = d.left_action if side == "left" else d.right_action
+        assert _same_bytes(bimod.module_hom_basis(d, side),
+                           oracles.kron_intertwiners(f, ((act, reg),), d.dim, len(reg)))
+    # tensor products with a zero factor, over R_H in the middle
+    m = bimod.side_restricted(ks3_p2, h, h)
+    zero_left = bimod.Bimodule(left=m.left, right=m.right, dim=0,
+                               left_action=f.zeros((m.left.dim, 0, 0)),
+                               right_action=f.zeros((m.right.dim, 0, 0)))
+    for a, b in ((m, m), (zero_left, m), (m, zero_left)):
+        module, pres = bimod.tensor_over(a, b)
+        want, want_pres = oracles.kron_tensor_over(a, b)
+        assert module.dim == want.dim == (0 if 0 in (a.dim, b.dim) else module.dim)
+        assert _same_bytes(module.left_action, want.left_action)
+        assert _same_bytes(module.right_action, want.right_action)
+        assert _same_bytes(pres.projection, want_pres.projection)

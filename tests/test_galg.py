@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from gradedhh import galg, groups
 from gradedhh.errors import SpecError, ValidationError
 from gradedhh.exactfield import PrimeField
@@ -151,7 +152,7 @@ def test_symmetrizing_form_group_algebra():
 
 def test_symmetrizing_form_matrix_trace():
     f = PrimeField(3)
-    m2 = galg.trivially_graded(galg.matrix_algebra(f, 2))
+    m2 = oracles.trivially_graded(galg.matrix_algebra(f, 2))
     s = galg.symmetrizing_form(m2)
     assert s.source == "canonical"
     assert np.array_equal(s.vector, f.arr([1, 0, 0, 1]))
@@ -189,7 +190,7 @@ def test_non_symmetric_algebra_rejected():
     sc[2, 2, 2] = 1             # E22 E22 = E22
     alg = galg.Algebra(field=f, dim=3, sc=sc, unit=f.arr([1, 0, 1]))
     alg.validate()
-    graded = galg.trivially_graded(alg)
+    graded = oracles.trivially_graded(alg)
     with pytest.raises(ValidationError, match="not symmetric"):
         galg.symmetrizing_form(graded)
 

@@ -31,7 +31,7 @@ def regular_data(rg, **kw):
 
 
 def test_bar_ranks_and_squares():
-    one = galg.trivially_graded(galg.matrix_algebra(PrimeField(5), 1))
+    one = oracles.trivially_graded(galg.matrix_algebra(PrimeField(5), 1))
     for a, top in ((one.algebra, 3), (group_algebra("c2", 2).algebra, 3),
                    (group_algebra("s3", 2).algebra, 2)):
         f = a.field
@@ -236,7 +236,7 @@ def test_cohomology_budget_error():
 
 
 def test_transfer_trivial_algebra():
-    one = galg.trivially_graded(galg.matrix_algebra(PrimeField(3), 1))
+    one = oracles.trivially_graded(galg.matrix_algebra(PrimeField(3), 1))
     s = galg.symmetrizing_form(one)
     data = hh.transfer_data(bimod.regular(one.algebra), s.vector, s.vector)
     for n in range(4):
@@ -307,7 +307,7 @@ def test_compose_check_with_regular_is_trivial():
     s = galg.symmetrizing_form(rg).vector
     reg = bimod.regular(rg.algebra)
     for n in (0, 1, 2):
-        rep = hh.compose_check(reg, reg, n, s, s, s)
+        rep = oracles.compose_check(reg, reg, n, s, s, s)
         assert rep.ok
 
 
@@ -327,7 +327,7 @@ def test_compose_check_subgroup_chain_s3():
     x_mod = bimod.truncation(rg, k, 0, h)
     m_mod = bimod.side_restricted(rg, h, full)
     for n in (0, 1):
-        rep = hh.compose_check(x_mod, m_mod, n, s_k, s_h, s_g)
+        rep = oracles.compose_check(x_mod, m_mod, n, s_k, s_h, s_g)
         assert rep.ok, n
 
 
@@ -336,12 +336,12 @@ def test_transfer_additivity_direct_sum():
     grp = rg.group
     invol = next(x for x in range(1, 6) if grp.mul(x, x) == 0)
     h = groups.subgroup_generated(grp, [invol])
-    _, parts = bimod.decompose_by_double_cosets(rg, h, h)
+    _, parts = oracles.decompose_by_double_cosets(rg, h, h)
     x_mod, y_mod = parts[0][1], parts[1][1]
     s_h = galg.symmetrizing_form(galg.component_subalgebra(rg, h)).vector
     data_x = hh.transfer_data(x_mod, s_h, s_h)
     data_y = hh.transfer_data(y_mod, s_h, s_h)
-    data_sum = hh.transfer_data(bimod.direct_sum(x_mod, y_mod), s_h, s_h)
+    data_sum = hh.transfer_data(oracles.direct_sum(x_mod, y_mod), s_h, s_h)
     for n in (0, 1, 2):
         lhs = hh.transfer(data_sum, n)
         rhs = (hh.transfer(data_x, n) + hh.transfer(data_y, n)) % 2
@@ -382,8 +382,8 @@ def test_coords_of_a_batch_checks_every_row():
 def test_lift_methods_agree():
     for kind, p in (("c2", 2), ("v4", 2), ("c3", 3)):
         rg = group_algebra(kind, p)
-        d1 = regular_data(rg, lift_method="homotopy")
-        d2 = regular_data(rg, lift_method="solve")
+        d1 = regular_data(rg)
+        d2 = oracles.SolvedLift.of(regular_data(rg))
         for n in (0, 1, 2):
             assert np.array_equal(hh.transfer(d1, n), hh.transfer(d2, n))
 
