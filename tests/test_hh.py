@@ -22,9 +22,9 @@ def group_algebra(kind, p):
     return galg.group_algebra(builders[kind](), p)
 
 
-def regular_data(rg, **kw):
+def regular_data(rg):
     s = galg.symmetrizing_form(rg)
-    return hh.transfer_data(bimod.regular(rg.algebra), s.vector, s.vector, **kw)
+    return hh.transfer_data(bimod.regular(rg.algebra), s.vector, s.vector)
 
 
 # -- bar resolution (test oracle) ------------------------------------------
