@@ -22,7 +22,7 @@ import numpy as np
 
 from . import galg, groups as _groups
 from .errors import ValidationError
-from .exactfield import PrimeField, QuotientPresentation, subspace_from_rows
+from .exactfield import PrimeField, QuotientPresentation, read_only, subspace_from_rows
 
 
 @dataclass(eq=False)
@@ -120,12 +120,19 @@ def graded_carrier(
     carrier: tuple[int, ...],
     left_sub: _groups.Subgroup,
     right_sub: _groups.Subgroup,
-    label: str = "",
 ) -> Bimodule:
     """The sum of the graded components over ``carrier`` with the left/right
     component subalgebras acting by multiplication.  Requires the carrier set
-    to be stable: left_sub * carrier * right_sub inside carrier."""
+    to be stable: left_sub * carrier * right_sub inside carrier.  Results are
+    cached on ``rg``, keyed by the carrier and the two subgroups; their
+    arrays are read-only."""
     grp = rg.group
+    if left_sub.group is not grp or right_sub.group is not grp:
+        raise ValidationError("subgroup belongs to a different group")
+    key = (tuple(carrier), left_sub.key, right_sub.key)
+    cache = rg._cache.setdefault("carriers", {})
+    if key in cache:
+        return cache[key]
     cset = set(carrier)
     for l in left_sub.elements:
         for x in carrier:
@@ -138,18 +145,17 @@ def graded_carrier(
     idx = rg.indices_for(carrier)
     left_alg = galg.component_subalgebra(rg, left_sub)
     right_alg = galg.component_subalgebra(rg, right_sub)
-    lmul = rg.algebra.basis_left_mults
-    rmul = rg.algebra.basis_right_mults
     li = left_alg.parent_indices
     ri = right_alg.parent_indices
-    left_action = lmul[np.ix_(li, idx, idx)].copy()
-    right_action = rmul[np.ix_(ri, idx, idx)].copy()
     m = Bimodule(
         left=left_alg.algebra, right=right_alg.algebra, dim=len(idx),
-        left_action=left_action, right_action=right_action,
-        label=label, parent_indices=idx,
+        left_action=rg.algebra.basis_left_mults[np.ix_(li, idx, idx)],
+        right_action=rg.algebra.basis_right_mults[np.ix_(ri, idx, idx)],
+        label=f"carrier {key[0]} over {key[1]}-{key[2]}", parent_indices=idx,
     )
     m.validate()
+    read_only(m.left_action, m.right_action, idx)
+    cache[key] = m
     return m
 
 
@@ -160,10 +166,7 @@ def side_restricted(
 ) -> Bimodule:
     """The whole graded algebra with multiplication actions restricted to the
     chosen left and right component subalgebras."""
-    return graded_carrier(
-        rg, tuple(range(rg.group.order)), left_sub, right_sub,
-        label=f"carrier G as ({left_sub.elements})-({right_sub.elements})",
-    )
+    return graded_carrier(rg, tuple(range(rg.group.order)), left_sub, right_sub)
 
 
 def truncation(
@@ -177,10 +180,7 @@ def truncation(
     """The double-coset carrier: components over KgH with R_K acting on the
     left and R_H on the right (overridable with smaller subgroups)."""
     carrier = _groups.double_coset(k, g, h)
-    return graded_carrier(
-        rg, carrier, left_sub or k, right_sub or h,
-        label=f"carrier {carrier}",
-    )
+    return graded_carrier(rg, carrier, left_sub or k, right_sub or h)
 
 
 def dual(m: Bimodule) -> Bimodule:
@@ -200,7 +200,11 @@ def tensor_over(m: Bimodule, n: Bimodule) -> tuple[Bimodule, QuotientPresentatio
     """Tensor product over the middle algebra, with its presentation as the
     quotient of M (x)_k N by the balancing relations
     span{m b (x) n - m (x) b n}; the ambient index of (i, j) is
-    i * dim(N) + j."""
+    i * dim(N) + j.  Results are cached on M, keyed by N (held with the
+    entry, so that its id stays N's); their arrays are read-only."""
+    key = ("tensor_over", id(n))
+    if key in m._cache:
+        return m._cache[key][1]
     if not (m.right is n.left or m.right.structurally_equal(n.left)):
         raise ValidationError("inner algebras do not match")
     f = m.field
@@ -235,6 +239,9 @@ def tensor_over(m: Bimodule, n: Bimodule) -> tuple[Bimodule, QuotientPresentatio
         label=f"({m.label})ox({n.label})",
     )
     module.validate()
+    read_only(left_action, right_action, pres.projection, pres.section,
+              relations.basis)
+    m._cache[key] = (n, (module, pres))
     return module, pres
 
 
@@ -416,7 +423,7 @@ def mult_iso_double_coset(
     meet = _groups.intersect(k, _groups.conjugate_subgroup(g, h))
     left_mod = truncation(rg, k, 0, k, left_sub=k, right_sub=meet)
     coset_gh = tuple(sorted(grp.mul(g, e) for e in h.elements))
-    right_mod = graded_carrier(rg, coset_gh, meet, h, label="coset carrier")
+    right_mod = graded_carrier(rg, coset_gh, meet, h)
     carrier = truncation(rg, k, g, h)
     gh_set = set(coset_gh)
 
@@ -442,9 +449,9 @@ def mult_iso_conjugate_chain(
     gh = grp.mul(g, h_elt)
     conj_gh = _groups.conjugate_subgroup(gh, h)
     left_carrier = tuple(sorted(grp.mul(g, e) for e in conj_h.elements))
-    left_mod = graded_carrier(rg, left_carrier, conj_gh, conj_h, label="left chain")
+    left_mod = graded_carrier(rg, left_carrier, conj_gh, conj_h)
     right_carrier = tuple(sorted(grp.mul(h_elt, e) for e in h.elements))
-    right_mod = graded_carrier(rg, right_carrier, conj_h, h, label="right chain")
+    right_mod = graded_carrier(rg, right_carrier, conj_h, h)
     target_carrier = tuple(sorted(grp.mul(gh, e) for e in h.elements))
-    carrier = graded_carrier(rg, target_carrier, conj_gh, h, label="target chain")
+    carrier = graded_carrier(rg, target_carrier, conj_gh, h)
     return _build_mult_iso(rg, left_mod, right_mod, carrier, lambda x: g)

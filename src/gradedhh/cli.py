@@ -49,6 +49,8 @@ def load_spec(path: str) -> dict:
             spec = json.load(fh)
     except OSError as exc:
         raise SpecError(f"cannot read spec file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SpecError(f"spec file is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecError(f"spec file is not valid JSON: {exc}") from exc
     if not isinstance(spec, dict):

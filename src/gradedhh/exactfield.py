@@ -479,6 +479,13 @@ def subspace_from_rows(field: PrimeField, rows, ambient_dim: int | None = None) 
                     basis=R[: len(piv)].copy(), pivots=tuple(piv))
 
 
+def read_only(*arrays: np.ndarray) -> None:
+    """Mark arrays that a cache hands out as read-only, so that an in-place
+    write by one caller raises instead of changing what later callers get."""
+    for arr in arrays:
+        arr.setflags(write=False)
+
+
 @dataclass(frozen=True, eq=False)
 class QuotientPresentation:
     """Presentation of ambient/sub with a chosen complement.

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import groups as _groups
 from .errors import SpecError, ValidationError
-from .exactfield import PrimeField
+from .exactfield import PrimeField, read_only
 
 # a group algebra's dimension is its group's order, so the group order bound
 # also bounds the dimension of a crossed product, checked before allocation
@@ -419,8 +419,12 @@ def unit_decomposition(a: GradedAlgebra, g: int, variant: int = 0) -> UnitDecomp
 
     ``variant`` > 0 adds the given kernel basis vector of the pairing system
     to the canonical solution, producing a different valid decomposition
-    (used to verify choice independence downstream).
+    (used to verify choice independence downstream).  Results are cached on
+    ``a``, keyed by (g, variant); their vectors are read-only.
     """
+    cache = a._cache.setdefault("unit_decompositions", {})
+    if (g, variant) in cache:
+        return cache[g, variant]
     f = a.field
     ginv = a.group.inv(g)
     gi = a.component_indices(g)
@@ -451,7 +455,9 @@ def unit_decomposition(a: GradedAlgebra, g: int, variant: int = 0) -> UnitDecomp
     total = f.contract("ki,kj,ijz->z", left, right, a.algebra.sc)
     if not np.array_equal(total, a.algebra.unit):
         raise ValidationError("unit decomposition failed the substitution check (bug)")
-    return UnitDecomposition(degree=g, pairs=tuple(pairs))
+    read_only(*(v for pair in pairs for v in pair))
+    cache[g, variant] = UnitDecomposition(degree=g, pairs=tuple(pairs))
+    return cache[g, variant]
 
 
 # -- specification files ---------------------------------------------------
@@ -464,14 +470,14 @@ def algebra_from_spec(spec: dict) -> GradedAlgebra:
                 {"kind": "crossed_product", "base": {"kind": "matrix", "n": 2},
                  "action": [...], "cocycle": [[...]]}}
 
-    Structural problems (missing keys, unknown kinds, a modulus that is not
-    prime, misshapen crossed-product fields, a group above the order bound,
-    a crossed product above the dimension bound)
-    raise SpecError; mathematical ones (a table that is not a group, a bad
-    action or cocycle) raise ValidationError.
+    Structural problems (missing keys, unknown kinds, a modulus or size that
+    is not a JSON integer, a modulus that is not prime, misshapen
+    crossed-product fields, a group above the order bound, a crossed product
+    above the dimension bound) raise SpecError; mathematical ones (a table
+    that is not a group, a bad action or cocycle) raise ValidationError.
     """
     try:
-        f = PrimeField(int(spec["field"]["p"]))
+        f = PrimeField(_groups.spec_int(spec["field"]["p"]))
         gspec = dict(spec["group"])
         aspec = dict(spec["algebra"])
         akind = aspec.pop("kind")
@@ -488,7 +494,7 @@ def algebra_from_spec(spec: dict) -> GradedAlgebra:
         bspec = dict(aspec.get("base") or {})
         if bspec.get("kind") != "matrix":
             raise SpecError(f"unsupported crossed-product base kind {bspec.get('kind')!r}")
-        bn = int(bspec["n"])
+        bn = _groups.spec_int(bspec["n"])
         if bn < 1:
             raise ValueError(f"base n = {bn} is below 1")
         n, db = group.order, bn * bn

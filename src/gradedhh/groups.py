@@ -157,6 +157,14 @@ def from_table(table) -> FiniteGroup:
     return _finish(table, "explicit")
 
 
+def spec_int(value) -> int:
+    """A spec's integer field, which must be a JSON integer: a float, a
+    string or a boolean raises TypeError instead of being truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def build(kind: str, **params) -> FiniteGroup:
     """Build a group by kind: cyclic, dihedral, symmetric, product, table.
 
@@ -165,7 +173,7 @@ def build(kind: str, **params) -> FiniteGroup:
     table that is not a group raises ValidationError."""
     try:
         if kind in ("cyclic", "dihedral", "symmetric"):
-            n = int(params["n"])
+            n = spec_int(params["n"])
             if n < 1:
                 raise ValueError(f"n = {n} is below 1")
         elif kind == "product":

@@ -1,9 +1,18 @@
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
 import oracles
-from gradedhh import bimod, galg, groups
+from gradedhh import bimod, cli, galg, groups
 from gradedhh.exactfield import PrimeField
+
+SPECS = pathlib.Path(__file__).resolve().parents[1] / "specs"
+
+
+def _load(spec):
+    return galg.algebra_from_spec(json.loads((SPECS / f"{spec}.json").read_text()))
 
 
 def s3():
@@ -70,8 +79,11 @@ def test_unstable_carrier_rejected(ks3_p2):
     grp = ks3_p2.group
     full = groups.full_subgroup(grp)
     triv = groups.trivial_subgroup(grp)
-    with pytest.raises(ValidationError, match="stable"):
-        bimod.graded_carrier(ks3_p2, (0,), full, triv)
+    # a failure is not cached: the second call raises too
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="not stable under the left"):
+            bimod.graded_carrier(ks3_p2, (0,), full, triv)
+    assert ((0,), full.key, triv.key) not in ks3_p2._cache["carriers"]
 
 
 def test_tensor_inner_algebra_mismatch(ks3_p2):
@@ -383,8 +395,10 @@ def test_tensor_over_rejects_relations_unstable_under_outer_action():
     m = bimod.Bimodule(left=c2, right=c2, dim=2,
                        left_action=np.stack([f.eye(2), swap]),
                        right_action=np.stack([f.eye(2), shear]))
-    with pytest.raises(ValidationError, match="relations not stable under outer action"):
-        bimod.tensor_over(m, bimod.regular(c2))
+    n = bimod.regular(c2)
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="relations not stable under outer action"):
+            bimod.tensor_over(m, n)
 
 
 def _double_coset_factors(rg, k, g, h):
@@ -462,11 +476,7 @@ def test_mult_iso_matches_per_element_oracle(spec, monkeypatch):
     # every instance lemma2 checks: the tensor product's actions, the
     # multiplication map and its inverse equal the Kronecker / loop /
     # per-vector constructions array for array
-    import json
-    import pathlib
-
-    path = pathlib.Path(__file__).resolve().parents[1] / "specs" / f"{spec}.json"
-    rg = galg.algebra_from_spec(json.loads(path.read_text()))
+    rg = _load(spec)
     grp = rg.group
     seen = []
     build = bimod._build_mult_iso
@@ -531,3 +541,90 @@ def test_intertwiners_and_tensor_match_kronecker_oracle_with_zero_modules(ks3_p2
         assert _same_bytes(module.left_action, want.left_action)
         assert _same_bytes(module.right_action, want.right_action)
         assert _same_bytes(pres.projection, want_pres.projection)
+
+
+# -- the carrier, tensor-product and unit-decomposition caches ----------------
+
+
+@pytest.mark.parametrize("spec", ["s3_p2", "c2xc2_p2", "matrix_crossed_c2_p2"])
+def test_lemma2_caches_equal_fresh_builds(spec, monkeypatch, capsys):
+    # every carrier and tensor product that lemma2 takes from a cache equals
+    # one built afresh on a newly loaded algebra, and the tensor product its
+    # Kronecker oracle, array for array
+    build_carrier, build_tensor = bimod.graded_carrier, bimod.tensor_over
+    carriers, tensors, calls = {}, {}, []
+
+    def carrier(rg, c, left, right):
+        out = build_carrier(rg, c, left, right)
+        carriers[id(out)] = (out, (tuple(c), left.key, right.key))
+        calls.append("carrier")
+        return out
+
+    def tensor(m, n):
+        out = build_tensor(m, n)
+        tensors[id(m), id(n)] = (m, n, out)
+        calls.append("tensor")
+        return out
+
+    monkeypatch.setattr(bimod, "graded_carrier", carrier)
+    monkeypatch.setattr(bimod, "tensor_over", tensor)
+    assert cli.main(["lemma2", "--spec", str(SPECS / f"{spec}.json")]) == 0
+    capsys.readouterr()
+    assert len(carriers) < calls.count("carrier")
+    assert len(tensors) < calls.count("tensor")
+
+    rg = _load(spec)
+    grp = rg.group
+
+    def fresh(module):
+        c, left, right = carriers[id(module)][1]
+        return build_carrier(rg, c, groups.Subgroup(grp, left), groups.Subgroup(grp, right))
+
+    for cached, _ in carriers.values():
+        new = fresh(cached)
+        for name in ("left_action", "right_action", "parent_indices"):
+            assert _same_bytes(getattr(cached, name), getattr(new, name))
+    for m, n, (module, pres) in tensors.values():
+        fm, fn = fresh(m), fresh(n)
+        for new, new_pres in (build_tensor(fm, fn), oracles.kron_tensor_over(fm, fn)):
+            assert _same_bytes(module.left_action, new.left_action)
+            assert _same_bytes(module.right_action, new.right_action)
+            for name in ("projection", "section"):
+                assert _same_bytes(getattr(pres, name), getattr(new_pres, name))
+            assert _same_bytes(pres.sub.basis, new_pres.sub.basis)
+
+
+def test_unit_decomposition_cache_keys_the_variant():
+    cp = _load("matrix_crossed_c2_p2")
+    canonical = galg.unit_decomposition(cp, 1)
+    variant = galg.unit_decomposition(cp, 1, 1)
+    assert galg.unit_decomposition(cp, 1) is canonical
+    assert galg.unit_decomposition(cp, 1, 1) is variant
+    flat = lambda d: np.concatenate([np.concatenate(pair) for pair in d.pairs])
+    assert not _same_bytes(flat(variant), flat(canonical))
+    new = _load("matrix_crossed_c2_p2")
+    assert _same_bytes(flat(variant), flat(galg.unit_decomposition(new, 1, 1)))
+    assert _same_bytes(flat(canonical), flat(galg.unit_decomposition(new, 1)))
+    # a failure is not cached: the second call raises too
+    from gradedhh.errors import ValidationError
+
+    c2 = galg.group_algebra(groups.cyclic(2), 2)
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="only 0 independent variants"):
+            galg.unit_decomposition(c2, 1, variant=1)
+
+
+def test_cached_arrays_are_read_only(ks3_p2):
+    grp = ks3_p2.group
+    h = groups.subgroup_generated(grp, [involution(grp)])
+    g = next(x for x in range(1, 6) if x not in h.elements)
+    iso = bimod.mult_iso_double_coset(ks3_p2, h, g, h)
+    dec = galg.unit_decomposition(ks3_p2, g)
+    arrays = [iso.carrier.left_action, iso.carrier.right_action, iso.carrier.parent_indices,
+              iso.tensor_module.left_action, iso.tensor_module.right_action,
+              iso.tensor.projection, iso.tensor.section, dec.pairs[0][0], dec.pairs[0][1]]
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = 1
+    # the next instance gets the same, unchanged carrier
+    assert bimod.truncation(ks3_p2, h, g, h) is iso.carrier

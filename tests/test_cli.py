@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -172,6 +173,27 @@ def test_lemma2_crossed_product_json(capsys):
     assert parts == {"a", "b", "c"}
 
 
+# sha256 of ``lemma2 --format json`` at seed 0, pinned before the carrier,
+# tensor-product and unit-decomposition caches landed
+LEMMA2_DIGESTS = {
+    "c2_p2": "28cf29c4d20d43c6ebd7dad54249dd535df8ec9929d0b984ee159f55203b3ddf",
+    "c2xc2_p2": "201284c2dabc9c5d10c251130fa7b014e8637f42a09960962e7ef6467eb04ed9",
+    "c3_p3": "73beeb260eae00a0590517a35e4a18a3c0b5bad61240dbcf18ee362ca8dbeb5d",
+    "matrix_crossed_c2_p2": "20a4bf4facf431ececc87422b730f7d04fb2a8372bc7c5eee48637c14973be00",
+    "s3_p2": "c87a9b738dbd0fae87cb76dd3ff7500e28862753bf3f4b402fa653af4083ea36",
+    "s3_p3": "334d0461f7a59fe42e003eec1b0151cdbf5c001de995ccdcf43129dd3b32bd58",
+    "s3_p7": "e941cc99aaf64e3ddc8c20be179b3490d94d88e5737935535f5d80ec8687ed9e",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(LEMMA2_DIGESTS))
+def test_lemma2_report_digest(spec, capsys):
+    code, out, _ = run(capsys, "lemma2", "--spec", str(SPECS / f"{spec}.json"),
+                       "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LEMMA2_DIGESTS[spec]
+
+
 def test_explicit_cayley_table_spec(tmp_path, capsys):
     spec = tmp_path / "table.json"
     spec.write_text(json.dumps({
@@ -209,15 +231,24 @@ CROSSED = {"kind": "crossed_product", "base": {"kind": "matrix", "n": 2}}
     (spec_with(algebra={**CROSSED, "action": [[[1]]]}), ()),
     (spec_with(algebra={**CROSSED, "cocycle": 3}), ()),
     (spec_with(algebra={**CROSSED, "base": {"kind": "matrix", "n": 1000}}), ()),
+    (b"\xff\xfe", ()),
+    (spec_with(p=2.5), ()),
+    (spec_with(p=True), ()),
+    (spec_with({"kind": "cyclic", "n": 2.5}), ()),
+    (spec_with(algebra={**CROSSED, "base": {"kind": "matrix", "n": "2"}}), ()),
 ], ids=["missing-n", "factors-not-a-list", "factor-missing-n", "ragged-table",
         "subgroups-not-a-number", "subgroups-out-of-range", "n-below-1",
         "order-over-bound", "table-over-bound", "p-not-prime", "base-not-an-object",
         "base-missing-n", "action-not-a-list", "action-wrong-shape",
-        "cocycle-not-a-list", "base-n-over-bound"])
+        "cocycle-not-a-list", "base-n-over-bound", "not-utf-8", "p-not-an-integer",
+        "p-a-boolean", "n-not-an-integer", "base-n-a-string"])
 def test_malformed_input_exit_2(tmp_path, cli_process, spec, extra):
     # a real process, so that an uncaught exception shows as its traceback
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(spec))
+    if isinstance(spec, bytes):
+        path.write_bytes(spec)
+    else:
+        path.write_text(json.dumps(spec))
     proc = cli_process("verify", "--spec", str(path), "--degree", "0", *extra)
     err = proc.stderr.decode()
     assert proc.returncode == 2, err
