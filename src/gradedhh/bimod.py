@@ -96,12 +96,6 @@ class BimoduleMap:
             if not np.array_equal(lhs, rhs):
                 raise ValidationError(f"map does not commute with the {name} action")
 
-    def is_isomorphism(self) -> bool:
-        return (
-            self.source.dim == self.target.dim
-            and self.source.field.inverse(self.matrix) is not None
-        )
-
 
 def regular(a: galg.Algebra) -> Bimodule:
     """The algebra as a bimodule over itself by multiplication."""

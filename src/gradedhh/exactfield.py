@@ -265,39 +265,20 @@ class PrimeField:
 
     # -- elimination ---------------------------------------------------------
 
-    def _inv_small(self, m: np.ndarray) -> np.ndarray:
-        """Unblocked Gauss-Jordan inverse of a small square matrix."""
-        p = self.p
-        k = m.shape[0]
-        aug = np.concatenate([m % p, self.eye(k)], axis=1)
-        row = 0
-        for col in range(k):
-            piv = None
-            for r in range(row, k):
-                if aug[r, col] % p:
-                    piv = r
-                    break
-            if piv is None:
-                raise ValidationError("matrix is singular")
-            if piv != row:
-                aug[[row, piv]] = aug[[piv, row]]
-            aug[row] = (aug[row] * self.inv(aug[row, col])) % p
-            mask = aug[:, col] != 0
-            mask[row] = False
-            if mask.any():
-                aug[mask] = (aug[mask] - np.outer(aug[mask, col], aug[row])) % p
-            row += 1
-        return aug[:, k:]
-
     def rref(self, mat: np.ndarray, block_size: int = 256):
-        """Reduced row echelon form.
+        """Reduced row echelon form, the package's one Gauss-Jordan loop.
 
         Returns ``(R, pivots)`` where R is the unique RREF of ``mat`` and
         ``pivots`` is the ascending list of pivot columns.  Elimination is
-        blocked by column panels: within a panel rows are reduced directly,
-        and the trailing columns are updated with one exact matrix product
-        per panel (final row = start row - coeffs @ final pivot rows, where
-        the coefficients are the panel-start entries at the pivot columns).
+        blocked by column panels.  Within a panel rows are reduced directly,
+        and every row operation also acts on multiplier columns beside the
+        panel: when a row becomes the panel's j-th pivot its multiplier j is
+        set to 1, so each row's multipliers record the combination of the
+        pivot rows, as they were at the panel's start, that it gained.  The
+        trailing columns then take one exact matrix product per panel: a
+        pivot row's new trailing part is its multipliers times the pivot
+        rows' start trailing parts, and any other row's is its own start
+        plus that product.
         """
         p = self.p
         R = self.arr(mat)
@@ -305,51 +286,42 @@ class PrimeField:
             raise ValidationError("rref expects a 2-d array")
         rows, cols = R.shape
         pivots: list[int] = []
-        if rows == 0 or cols == 0:
-            return R, pivots
         pr = 0
         for c0 in range(0, cols, block_size):
             if pr >= rows:
                 break
             c1 = min(c0 + block_size, cols)
-            panel_start = R[:, c0:c1].copy()
-            panel = panel_start.copy()
+            w = c1 - c0
+            # the panel, then (before the last panel) its multiplier columns
+            work = np.zeros((rows, 2 * w if c1 < cols else w), dtype=np.int64)
+            work[:, :w] = R[:, c0:c1]
             is_piv = np.zeros(rows, dtype=bool)
-            loc_cols: list[int] = []
             piv_rows: list[int] = []
-            for lc in range(c1 - c0):
-                cand = np.nonzero(panel[pr:, lc])[0]
-                cand = [pr + int(c) for c in cand if not is_piv[pr + int(c)]]
-                if not cand:
+            for lc in range(w):
+                cand = np.flatnonzero((work[pr:, lc] != 0) & ~is_piv[pr:])
+                if not cand.size:
                     continue
-                r = cand[0]
-                panel[r] = (panel[r] * self.inv(panel[r, lc])) % p
-                mask = panel[:, lc] != 0
+                r = pr + int(cand[0])
+                if c1 < cols:
+                    work[r, w + len(piv_rows)] = 1
+                work[r] = (work[r] * self.inv(work[r, lc])) % p
+                mask = work[:, lc] != 0
                 mask[r] = False
                 if mask.any():
-                    panel[mask] = (panel[mask] - np.outer(panel[mask, lc], panel[r])) % p
+                    work[mask] = (work[mask] - np.outer(work[mask, lc], work[r])) % p
                 is_piv[r] = True
-                loc_cols.append(lc)
                 piv_rows.append(r)
+                pivots.append(c0 + lc)
             if not piv_rows:
                 continue
-            k = len(piv_rows)
             if c1 < cols:
-                start_piv = panel_start[piv_rows][:, loc_cols]
-                transform = self._inv_small(start_piv)
-                fp_trail = self.matmul(transform, R[piv_rows, c1:])
-                beta = panel_start[:, loc_cols]
-                R[:, c1:] = (R[:, c1:] - self.matmul(beta, fp_trail)) % p
-                R[piv_rows, c1:] = fp_trail
-            R[:, c0:c1] = panel
-            others = [i for i in range(pr, rows) if not is_piv[i]]
-            order = np.concatenate(
-                [np.arange(pr), np.array(piv_rows, dtype=np.int64),
-                 np.array(others, dtype=np.int64)]
-            ) if (piv_rows or others) else np.arange(rows)
-            R = R[order.astype(np.intp)]
-            pivots.extend(c0 + lc for lc in loc_cols)
-            pr += k
+                gained = self.matmul(work[:, w:w + len(piv_rows)], R[piv_rows, c1:])
+                R[piv_rows, c1:] = 0
+                R[:, c1:] = (R[:, c1:] + gained) % p
+            R[:, c0:c1] = work[:, :w]
+            rest = np.flatnonzero(~is_piv)
+            R = R[np.concatenate([rest[:pr], piv_rows, rest[pr:]])]
+            pr += len(piv_rows)
         return R, pivots
 
     def rank(self, mat: np.ndarray) -> int:
@@ -387,13 +359,16 @@ class PrimeField:
 
     def kernel(self, mat: np.ndarray) -> "Subspace":
         """RREF basis of the right kernel {v : mat @ v = 0}."""
-        m = self.arr(mat)
-        R, piv = self.rref(m)
-        cols = m.shape[1]
-        free = self._free_columns(cols, piv)
+        return self.kernel_from_rref(*self.rref(mat))
+
+    def kernel_from_rref(self, R: np.ndarray, pivots) -> "Subspace":
+        """RREF basis of the right kernel of a matrix, read off its RREF R
+        (only the first len(pivots) rows are read) and its pivot columns."""
+        cols = R.shape[1]
+        free = self._free_columns(cols, pivots)
         basis = self.zeros((len(free), cols))
         basis[np.arange(len(free)), free] = 1
-        basis[:, piv] = (-R[:len(piv)][:, free]).T % self.p
+        basis[:, pivots] = (-R[:len(pivots)][:, free]).T % self.p
         return subspace_from_rows(self, basis, cols)
 
     def quotient(self, sub: "Subspace") -> "QuotientPresentation":

@@ -64,20 +64,6 @@ class Algebra:
             self._cache["rmul"] = np.ascontiguousarray(self.sc.transpose(1, 2, 0))
         return self._cache["rmul"]
 
-    @property
-    def mult_matrix(self) -> np.ndarray:
-        """Multiplication as a matrix k^(d*d) -> k^d, mu[k, i*d+j] = sc[i,j,k]."""
-        d = self.dim
-        return np.ascontiguousarray(self.sc.transpose(2, 0, 1).reshape(d, d * d))
-
-    def center(self):
-        """RREF basis of {z : z*a = a*z for all a} (exact subspace)."""
-        L = self.basis_left_mults
-        R = self.basis_right_mults
-        # z central iff for every basis a: (L_a - R_a) z = 0
-        rows = (L - R).reshape(self.dim * self.dim, self.dim) % self.field.p
-        return self.field.kernel(rows)
-
     def validate(self) -> None:
         f = self.field
         d = self.dim

@@ -30,6 +30,8 @@ class FiniteGroup:
     name: str = "group"
 
     identity: int = 0
+    # the one Subgroup per element tuple (see ``subgroup``)
+    _subgroups: dict = field(default_factory=dict, repr=False)
 
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
@@ -40,17 +42,6 @@ class FiniteGroup:
     def conj(self, g: int, x: int) -> int:
         """g x g^-1."""
         return self.mul(self.mul(g, x), self.inv(g))
-
-    def conjugacy_classes(self) -> list[tuple[int, ...]]:
-        seen = set()
-        classes = []
-        for x in range(self.order):
-            if x in seen:
-                continue
-            orbit = {self.conj(g, x) for g in range(self.order)}
-            seen |= orbit
-            classes.append(tuple(sorted(orbit)))
-        return classes
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order {self.order})"
@@ -254,12 +245,23 @@ class Subgroup:
         return f"Subgroup{self.elements}"
 
 
+def subgroup(g: FiniteGroup, elements) -> Subgroup:
+    """The group's one Subgroup on ``elements``, validated when first asked
+    for; a subset that is not a subgroup raises on every call and is never
+    kept."""
+    key = tuple(sorted(set(int(e) for e in elements)))
+    sub = g._subgroups.get(key)
+    if sub is None:
+        sub = g._subgroups[key] = Subgroup(g, key)
+    return sub
+
+
 def full_subgroup(g: FiniteGroup) -> Subgroup:
-    return Subgroup(g, tuple(range(g.order)))
+    return subgroup(g, range(g.order))
 
 
 def trivial_subgroup(g: FiniteGroup) -> Subgroup:
-    return Subgroup(g, (0,))
+    return subgroup(g, (0,))
 
 
 def subgroup_generated(g: FiniteGroup, gens) -> Subgroup:
@@ -279,18 +281,18 @@ def subgroup_generated(g: FiniteGroup, gens) -> Subgroup:
                         elems.add(prod)
                         nxt.append(prod)
         frontier = nxt
-    return Subgroup(g, tuple(sorted(elems)))
+    return subgroup(g, elems)
 
 
 def conjugate_subgroup(g_elt: int, h: Subgroup) -> Subgroup:
     g = h.group
-    return Subgroup(g, tuple(sorted(g.conj(g_elt, x) for x in h.elements)))
+    return subgroup(g, (g.conj(g_elt, x) for x in h.elements))
 
 
 def intersect(k: Subgroup, h: Subgroup) -> Subgroup:
     if k.group is not h.group:
         raise ValidationError("subgroups live in different groups")
-    return Subgroup(k.group, tuple(sorted(set(k.elements) & set(h.elements))))
+    return subgroup(k.group, set(k.elements) & set(h.elements))
 
 
 def cosets(h: Subgroup, side: str = "left") -> list[int]:

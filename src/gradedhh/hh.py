@@ -104,7 +104,8 @@ class Differential:
 
         A block with c columns is fed to ``rref`` c rows at a time, each batch
         first reduced against the row space found so far, so no elimination
-        holds more than 2c x c; the block kernel is read off that row space.
+        holds more than 2c x c; the block kernel is read off the RREF of that
+        row space, which is not reduced again.
         Block kernels have disjoint supports, so their union sorted by pivot
         is the RREF basis of the whole kernel."""
         f = self.field
@@ -124,7 +125,7 @@ class Differential:
                     basis = basis[:len(piv)]
                     if len(piv) == c:
                         break
-            parts.append((cols, f.kernel(basis)))
+            parts.append((cols, f.kernel_from_rref(basis, piv)))
         return _merge(f, self.shape[1], parts)
 
     def image(self) -> Subspace:
@@ -177,15 +178,16 @@ def _components(rows: np.ndarray, cols: np.ndarray, nrows: int, ncols: int) -> n
 class CochainComplex:
     """Hochschild cochain spaces C^n = Hom(A^(ox n), A) with differentials."""
 
-    def __init__(self, a: galg.Algebra, memory_mb: int = DEFAULT_MEMORY_MB):
+    def __init__(self, a: galg.Algebra):
         self.algebra = a
-        self.memory_mb = memory_mb
         self._deltas: dict[int, Differential] = {}
 
     def dim(self, n: int) -> int:
         return self.algebra.dim ** (n + 1)
 
-    def delta(self, n: int) -> Differential:
+    def delta(self, n: int, memory_mb: int = DEFAULT_MEMORY_MB) -> Differential:
+        """The differential at degree n, built once; ``memory_mb`` bounds the
+        call that builds it."""
         if n in self._deltas:
             return self._deltas[n]
         a = self.algebra
@@ -196,7 +198,7 @@ class CochainComplex:
         si, sj, sk = np.nonzero(a.sc)
         s = a.sc[si, sj, sk]
         what = f"cochain differential at degree {n}"
-        _check_budget(3 * 8 * (n + 2) * len(s) * dn, self.memory_mb, what)
+        _check_budget(3 * 8 * (n + 2) * len(s) * dn, memory_mb, what)
         # entry [(k, a_1..a_{n+1}), (m, b_1..b_n)] is the coefficient of
         # f(b_1..b_n)_m in (delta f)(a_1..a_{n+1})_k; each term below adds one
         # entry per nonzero b_si b_sj = s b_sk + ... and free argument tuple
@@ -240,17 +242,13 @@ class CochainComplex:
                                     np.cumsum(np.bincount(col_block))[:-1]))
         out = Differential(field=f, shape=shape, rows=rows, cols=cols, vals=vals,
                            offsets=offsets, block_rows=block_rows, block_cols=block_cols)
-        _check_budget(out.nbytes + out.dense_bytes, self.memory_mb, what)
+        _check_budget(out.nbytes + out.dense_bytes, memory_mb, what)
         self._deltas[n] = out
         return out
 
 
-def _cochain_complex(a: galg.Algebra, memory_mb: int) -> CochainComplex:
-    cc = a._cache.get("cochain")
-    if cc is None or cc.memory_mb < memory_mb:
-        cc = CochainComplex(a, memory_mb)
-        a._cache["cochain"] = cc
-    return cc
+def _cochain_complex(a: galg.Algebra) -> CochainComplex:
+    return a._cache.setdefault("cochain", CochainComplex(a))
 
 
 @dataclass(eq=False)
@@ -284,18 +282,17 @@ def cohomology(a: galg.Algebra, n: int,
                memory_mb: int = DEFAULT_MEMORY_MB) -> HHClasses:
     """HH^n with RREF-canonical complement representatives.
 
-    Degree 0 is the kernel of delta^0, i.e. the center of the algebra; this
-    agrees with the independent center solve (tested)."""
+    Degree 0 is the kernel of delta^0, i.e. the center of the algebra."""
     cache = a._cache.setdefault("hh", {})
     if n in cache:
         return cache[n]
     f = a.field
-    cc = _cochain_complex(a, memory_mb)
-    z = cc.delta(n).kernel()
+    cc = _cochain_complex(a)
+    z = cc.delta(n, memory_mb).kernel()
     if n == 0:
         b = subspace_from_rows(f, [], ambient_dim=cc.dim(0))
     else:
-        b = cc.delta(n - 1).image()
+        b = cc.delta(n - 1, memory_mb).image()
     if not z.contains_space(b):
         raise ValidationError("coboundaries are not cocycles (bug)")
     free = f._free_columns(cc.dim(n), b.pivots)

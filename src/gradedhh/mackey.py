@@ -125,7 +125,7 @@ class MackeySystem:
         return self._subs[sub.key]
 
     def subgroup(self, elements) -> _groups.Subgroup:
-        return _groups.Subgroup(self.group, tuple(elements))
+        return _groups.subgroup(self.group, elements)
 
     def full(self) -> _groups.Subgroup:
         return _groups.full_subgroup(self.group)

@@ -10,9 +10,11 @@ that the sparse complex replaced, the split of HH^n(kG) over conjugacy
 classes is a table of centralizer cohomology, and the transfer matrix is
 the loop that pushed one class representative at a time.
 
-The module also holds what only the tests use: the composition and
-direct-sum checks of transfers, hom spaces and a three-valued isomorphism
-test for bimodules, the trivial grading, a chain lift by linear solve, and
+The module also holds what only the tests use: the multiplication matrix
+and the center of an algebra, the conjugacy classes of a group, a test that
+a bimodule map is invertible, the composition and direct-sum checks of
+transfers, hom spaces and a three-valued isomorphism test for bimodules,
+the trivial grading, a chain lift by linear solve, and
 the per-element Kronecker and per-vector constructions that the batched
 tensor product, multiplication map and unit-decomposition inverse of
 ``bimod`` replaced.
@@ -95,7 +97,7 @@ def bar_differential(a: galg.Algebra, n: int) -> np.ndarray:
     d = a.dim
     mat = f.zeros((d ** (n + 1), d ** (n + 2)))
     for i in range(n + 1):
-        face = f.kronecker(f.eye(d ** i), f.kronecker(a.mult_matrix, f.eye(d ** (n - i))))
+        face = f.kronecker(f.eye(d ** i), f.kronecker(mult_matrix(a), f.eye(d ** (n - i))))
         mat = (mat + (-1) ** i * face) % f.p
     return mat
 
@@ -126,7 +128,7 @@ def dense_delta(a: galg.Algebra, n: int) -> np.ndarray:
     f = a.field
     d = a.dim
     sc = a.sc
-    mu = a.mult_matrix
+    mu = mult_matrix(a)
     # left term: a_1 f(a_2, ..., a_{n+1})
     mul_left = np.ascontiguousarray(sc.transpose(2, 0, 1)).reshape(d * d, d)
     mat = f.kronecker(mul_left, f.eye(d ** n))
@@ -233,7 +235,7 @@ def twist_class_counts(rg: galg.GradedAlgebra, reps: np.ndarray, n: int) -> dict
         word = grp.table[word[:, None], deg].ravel()
     twist = grp.table[deg[:, None], grp.inverse[word]].ravel()
     label = np.zeros(grp.order, dtype=np.int64)
-    for cls in grp.conjugacy_classes():
+    for cls in conjugacy_classes(grp):
         label[list(cls)] = cls[0]
     counts = dict.fromkeys(sorted(set(label.tolist())), 0)
     for row in reps:
@@ -260,6 +262,39 @@ def transfer_by_representative(data: hh.TransferData, n: int,
         image = f.contract("gkl,ckl->gc", w, eps3).T.reshape(-1)
         cols[:, i] = classes_a.coords(image)
     return cols
+
+
+# -- test-only members: multiplication matrix, center, conjugacy classes ------
+
+
+def mult_matrix(a: galg.Algebra) -> np.ndarray:
+    """Multiplication as a matrix k^(d*d) -> k^d, mu[k, i*d+j] = sc[i,j,k]."""
+    d = a.dim
+    return np.ascontiguousarray(a.sc.transpose(2, 0, 1).reshape(d, d * d))
+
+
+def center(a: galg.Algebra):
+    """RREF basis of {z : z*b = b*z for all b} (exact subspace)."""
+    # z central iff for every basis b: (L_b - R_b) z = 0
+    rows = (a.basis_left_mults - a.basis_right_mults).reshape(a.dim * a.dim, a.dim)
+    return a.field.kernel(rows % a.field.p)
+
+
+def conjugacy_classes(grp: groups.FiniteGroup) -> list[tuple[int, ...]]:
+    seen = set()
+    classes = []
+    for x in range(grp.order):
+        if x in seen:
+            continue
+        orbit = {grp.conj(g, x) for g in range(grp.order)}
+        seen |= orbit
+        classes.append(tuple(sorted(orbit)))
+    return classes
+
+
+def is_isomorphism(fmap: bimod.BimoduleMap) -> bool:
+    return (fmap.source.dim == fmap.target.dim
+            and fmap.source.field.inverse(fmap.matrix) is not None)
 
 
 # -- test-only constructions: composition, direct sums, hom spaces, isomorphism

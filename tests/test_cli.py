@@ -194,6 +194,29 @@ def test_lemma2_report_digest(spec, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == LEMMA2_DIGESTS[spec]
 
 
+# sha256 of ``verify --format json`` at seed 0 (degree 2 on every spec, and the
+# CLI default degree 3 on s3_p2, the benchmark's verify-s3p2-d3 report),
+# pinned before rref recorded its multipliers
+VERIFY_DIGESTS = {
+    ("c2_p2", 2): "0e9a2612154669328d1d7b475bb4fee756d658bc158900ab88bb51e2189c26ac",
+    ("c2xc2_p2", 2): "1b9f725cc79c299df3d584d756c41dbccf7df6275c35dfaf266e6fedfe0d6b00",
+    ("c3_p3", 2): "aca038ccb51a608379c7b46dbe07db80bde5fe8d826734d2c0659d5fa69981bb",
+    ("matrix_crossed_c2_p2", 2): "4970a3114360aa08df5c026d9e9283d70d6876f5892683ec4f375e4d6438977f",
+    ("s3_p2", 2): "a6dcc8b4b5c9080a8b62cc52e65c0fbe4cd6cc8246afea6ee9295569f738ded6",
+    ("s3_p3", 2): "1519cb2101957872c92aff9e92a3902b78ee18eeb8e648601b088382bff9a73d",
+    ("s3_p7", 2): "b113c39925f3a7431fc93441890c59df16c46dc5e498409a3886a0c617fa6e5a",
+    ("s3_p2", 3): "258c42707eb365aedb27cfe743a53aca40f42d4eba71c64e3ad62851f5489ae8",
+}
+
+
+@pytest.mark.parametrize("spec,degree", sorted(VERIFY_DIGESTS))
+def test_verify_report_digest(spec, degree, capsys):
+    code, out, _ = run(capsys, "verify", "--spec", str(SPECS / f"{spec}.json"),
+                       "--degree", str(degree), "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[spec, degree]
+
+
 def test_explicit_cayley_table_spec(tmp_path, capsys):
     spec = tmp_path / "table.json"
     spec.write_text(json.dumps({

@@ -168,6 +168,37 @@ def test_all_subgroups_counts():
     assert len(groups.all_subgroups(v4)) == 5
 
 
+def test_subgroup_is_built_once_per_group():
+    s3 = groups.symmetric(3)
+    t12 = s3_index((1, 0, 2))
+    h = groups.subgroup(s3, (t12, 0))
+    assert groups.subgroup(s3, [0, t12]) is h
+    assert groups.subgroup_generated(s3, [t12]) is h
+    assert groups.conjugate_subgroup(t12, h) is h
+    assert groups.intersect(h, groups.full_subgroup(s3)) is h
+    assert groups.full_subgroup(s3) is groups.full_subgroup(s3)
+    assert groups.trivial_subgroup(s3) is groups.intersect(h, groups.conjugate_subgroup(
+        s3_index((2, 1, 0)), h))
+    # a different group keeps its own subgroups
+    assert groups.subgroup(groups.symmetric(3), (0, t12)) is not h
+    # direct construction still validates, and makes a new object
+    assert groups.Subgroup(s3, (0, t12)) is not h
+
+
+def test_subgroup_not_closed_raises_every_time_and_is_not_kept():
+    s3 = groups.symmetric(3)
+    t12, t13 = s3_index((1, 0, 2)), s3_index((2, 1, 0))
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="not closed under product"):
+            groups.subgroup(s3, (0, t12, t13))
+    with pytest.raises(ValidationError, match="identity"):
+        groups.subgroup(s3, (t12,))
+    assert (0, t12, t13) not in s3._subgroups
+    assert (t12,) not in s3._subgroups
+    with pytest.raises(ValidationError):
+        groups.Subgroup(s3, (0, t12, t13))
+
+
 def test_subgroup_as_group():
     s3 = groups.symmetric(3)
     rot = s3_index((1, 2, 0))
