@@ -317,7 +317,9 @@ class PrimeField:
             if c1 < cols:
                 gained = self.matmul(work[:, w:w + len(piv_rows)], R[piv_rows, c1:])
                 R[piv_rows, c1:] = 0
-                R[:, c1:] = (R[:, c1:] + gained) % p
+                trail = R[:, c1:]       # a view, so no trailing-size temporary
+                trail += gained
+                trail %= p
             R[:, c0:c1] = work[:, :w]
             rest = np.flatnonzero(~is_piv)
             R = R[np.concatenate([rest[:pr], piv_rows, rest[pr:]])]

@@ -247,10 +247,6 @@ class CochainComplex:
         return out
 
 
-def _cochain_complex(a: galg.Algebra) -> CochainComplex:
-    return a._cache.setdefault("cochain", CochainComplex(a))
-
-
 @dataclass(eq=False)
 class HHClasses:
     """Chosen representatives for HH^n: a complement of the coboundaries
@@ -287,7 +283,7 @@ def cohomology(a: galg.Algebra, n: int,
     if n in cache:
         return cache[n]
     f = a.field
-    cc = _cochain_complex(a)
+    cc = a._cache.setdefault("cochain", CochainComplex(a))
     z = cc.delta(n, memory_mb).kernel()
     if n == 0:
         b = subspace_from_rows(f, [], ambient_dim=cc.dim(0))
