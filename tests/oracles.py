@@ -14,10 +14,9 @@ The module also holds what only the tests use: the multiplication matrix
 and the center of an algebra, the conjugacy classes of a group, a test that
 a bimodule map is invertible, the composition and direct-sum checks of
 transfers, hom spaces and a three-valued isomorphism test for bimodules,
-the trivial grading, a chain lift by linear solve, and
-the per-element Kronecker and per-vector constructions that the batched
-tensor product, multiplication map and unit-decomposition inverse of
-``bimod`` replaced.
+the trivial grading, a chain lift by linear solve, and the per-element
+Kronecker and per-vector constructions that the batched tensor product,
+multiplication map and unit-decomposition inverse of ``bimod`` replaced.
 """
 
 from __future__ import annotations
