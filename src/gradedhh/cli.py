@@ -41,6 +41,10 @@ class RunConfig:
     def __post_init__(self):
         if self.degree < 0:
             raise SpecError("degree bound must be nonnegative")
+        if not self.axioms:
+            raise SpecError("--axioms selects no axiom")
+        if self.memory_mb <= 0:
+            raise SpecError("memory budget must be positive")
 
 
 def load_spec(path: str) -> dict:
@@ -96,7 +100,18 @@ def _subgroup_name(sub: groups.Subgroup) -> str:
     return f"order {sub.order}: {list(sub.elements)}"
 
 
-def _base_payload(command: str, cfg: RunConfig, rg: galg.GradedAlgebra) -> dict:
+def _load(cfg: RunConfig) -> tuple[galg.GradedAlgebra, str]:
+    """The spec's graded algebra, and the label the reports give it:
+    ``group``, or ``crossed:`` and the kind of the base."""
+    spec = load_spec(cfg.spec_path)
+    rg = galg.algebra_from_spec(spec)
+    algebra = spec["algebra"]
+    if algebra["kind"] == "group_algebra":
+        return rg, "group"
+    return rg, "crossed:" + algebra["base"]["kind"]
+
+
+def _base_payload(command: str, cfg: RunConfig, rg: galg.GradedAlgebra, kind: str) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "command": command,
@@ -108,7 +123,7 @@ def _base_payload(command: str, cfg: RunConfig, rg: galg.GradedAlgebra) -> dict:
             "memory_mb": cfg.memory_mb,
         },
         "group": {"order": rg.group.order, "name": rg.group.name},
-        "algebra": {"dim": rg.dim, "p": rg.field.p, "kind": rg.kind},
+        "algebra": {"dim": rg.dim, "p": rg.field.p, "kind": kind},
     }
 
 
@@ -116,8 +131,7 @@ def _base_payload(command: str, cfg: RunConfig, rg: galg.GradedAlgebra) -> dict:
 
 
 def cmd_info(cfg: RunConfig) -> int:
-    spec = load_spec(cfg.spec_path)
-    rg = galg.algebra_from_spec(spec)
+    rg, kind = _load(cfg)
     graded = galg.check_fully_graded(rg)
     block_dims = [int((rg.grading == g).sum()) for g in range(rg.group.order)]
     form_ok, form_source = True, ""
@@ -126,14 +140,14 @@ def cmd_info(cfg: RunConfig) -> int:
         form_source = form.source
     except ValidationError:
         form_ok = False
-    payload = _base_payload("info", cfg, rg)
+    payload = _base_payload("info", cfg, rg, kind)
     payload["blocks"] = block_dims
     payload["fully_graded"] = graded.ok
     payload["fully_graded_failures"] = [list(f) for f in graded.failures]
     payload["symmetric_form"] = {"found": form_ok, "source": form_source}
     lines = [
         f"group: {rg.group.name}, order {rg.group.order}",
-        f"algebra: dim {rg.dim} over F_{rg.field.p} ({rg.kind})",
+        f"algebra: dim {rg.dim} over F_{rg.field.p} ({kind})",
         f"grading block dims: {block_dims}",
         f"fully graded: {'pass' if graded.ok else 'FAIL ' + str(graded.failures[:3])}",
         f"symmetric form: {'pass (' + form_source + ')' if form_ok else 'FAIL'}",
@@ -143,8 +157,7 @@ def cmd_info(cfg: RunConfig) -> int:
 
 
 def cmd_hh(cfg: RunConfig) -> int:
-    spec = load_spec(cfg.spec_path)
-    rg = galg.algebra_from_spec(spec)
+    rg, kind = _load(cfg)
     system = mackey.MackeySystem(rg, degree_bound=cfg.degree, seed=cfg.seed,
                                  memory_mb=cfg.memory_mb)
     subs = system.select_subgroups(parse_subgroups(cfg.subgroups, rg.group.order))
@@ -153,7 +166,7 @@ def cmd_hh(cfg: RunConfig) -> int:
         data = system.sub_data(sub)
         dims = [data.classes(n, cfg.memory_mb).dim for n in range(cfg.degree + 1)]
         table.append((sub, dims))
-    payload = _base_payload("hh", cfg, rg)
+    payload = _base_payload("hh", cfg, rg, kind)
     payload["table"] = [
         {"subgroup": list(sub.elements), "dims": dims} for sub, dims in table
     ]
@@ -166,8 +179,7 @@ def cmd_hh(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    spec = load_spec(cfg.spec_path)
-    rg = galg.algebra_from_spec(spec)
+    rg, kind = _load(cfg)
     t0 = time.monotonic()
     system = mackey.MackeySystem(rg, degree_bound=cfg.degree, seed=cfg.seed,
                                  memory_mb=cfg.memory_mb)
@@ -178,7 +190,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     )
     elapsed = time.monotonic() - t0
     passed = sum(1 for r in reports if r.ok)
-    payload = _base_payload("verify", cfg, rg)
+    payload = _base_payload("verify", cfg, rg, kind)
     payload["results"] = [r.to_json() for r in reports]
     payload["summary"] = {
         "total": len(reports), "passed": passed, "failed": len(reports) - passed,
@@ -198,8 +210,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_lemma2(cfg: RunConfig) -> int:
-    spec = load_spec(cfg.spec_path)
-    rg = galg.algebra_from_spec(spec)
+    rg, kind = _load(cfg)
     system = mackey.MackeySystem(rg, degree_bound=cfg.degree, seed=cfg.seed,
                                  memory_mb=cfg.memory_mb)
     subs = system.select_subgroups(parse_subgroups(cfg.subgroups, rg.group.order))
@@ -244,7 +255,7 @@ def cmd_lemma2(cfg: RunConfig) -> int:
                 record("c", {"g": g, "h": he, "H": list(h.elements)}, ok, detail)
 
     passed = sum(1 for r in results if r["verdict"] == "pass")
-    payload = _base_payload("lemma2", cfg, rg)
+    payload = _base_payload("lemma2", cfg, rg, kind)
     payload["results"] = results
     payload["summary"] = {
         "total": len(results), "passed": passed, "failed": len(results) - passed,

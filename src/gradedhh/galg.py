@@ -5,9 +5,10 @@ An Algebra is a structure-constant algebra: sc[i, j, k] is the coefficient
 of basis vector k in the product b_i * b_j.  A GradedAlgebra attaches a
 group and a grading map basis index -> group element; the basis is kept in
 group-element-major order so every graded component is a contiguous index
-slice.  Constructors cover group algebras and crossed products whose base
-is a full matrix ring (which includes twisted group algebras via a 1x1
-matrix base).
+slice.  The one constructor is the crossed product over a full matrix ring;
+a group algebra, or a twisted one, is the crossed product over a 1x1
+matrix base.  The symmetrizing form is read off the structure constants
+and the grading alone.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ class Algebra:
     dim: int
     sc: np.ndarray          # shape (d, d, d)
     unit: np.ndarray        # shape (d,)
-    kind: str | None = None
-    trace_vector: np.ndarray | None = None   # canonical trace-like functional, if any
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -90,17 +89,11 @@ def matrix_algebra(field: PrimeField, n: int) -> Algebra:
     """M_n(k) with the elementary-matrix basis E_ab, row-major index a*n+b."""
     d = n * n
     sc = field.zeros((d, d, d))
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                sc[a * n + b, b * n + c, a * n + c] = 1
+    a, b, c = np.indices((n, n, n)).reshape(3, -1)
+    sc[a * n + b, b * n + c, a * n + c] = 1
     unit = field.zeros(d)
-    for a in range(n):
-        unit[a * n + a] = 1
-    trace = field.zeros(d)
-    for a in range(n):
-        trace[a * n + a] = 1
-    alg = Algebra(field=field, dim=d, sc=sc, unit=unit, kind="matrix", trace_vector=trace)
+    unit[np.arange(n) * (n + 1)] = 1
+    alg = Algebra(field=field, dim=d, sc=sc, unit=unit)
     alg.validate()
     return alg
 
@@ -112,8 +105,6 @@ class GradedAlgebra:
     algebra: Algebra
     group: _groups.FiniteGroup
     grading: np.ndarray          # basis index -> group element, non-decreasing
-    kind: str | None = None
-    parent: "GradedAlgebra | None" = None
     parent_indices: np.ndarray | None = None
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -143,17 +134,15 @@ class GradedAlgebra:
 
     def _validate_containment(self) -> None:
         """R_g * R_h lands inside R_{gh}, and the unit sits in R_1."""
-        sc = self.algebra.sc
         grad = self.grading
-        grp = self.group
-        for i in range(self.dim):
-            for j in range(self.dim):
-                support = np.nonzero(sc[i, j])[0]
-                target = grp.mul(int(grad[i]), int(grad[j]))
-                if support.size and (grad[support] != target).any():
-                    raise ValidationError(
-                        f"product of basis {i} and {j} leaves component {target}"
-                    )
+        i, j, k = np.nonzero(self.algebra.sc)
+        target = self.group.table[grad[i], grad[j]]
+        bad = np.flatnonzero(grad[k] != target)
+        if bad.size:
+            b = bad[0]
+            raise ValidationError(
+                f"product of basis {i[b]} and {j[b]} leaves component {target[b]}"
+            )
         unit_support = np.nonzero(self.algebra.unit)[0]
         if unit_support.size and (self.grading[unit_support] != 0).any():
             raise ValidationError("unit is not homogeneous of degree 1")
@@ -188,22 +177,15 @@ def check_fully_graded(a: GradedAlgebra) -> FullyGradedReport:
 
 
 def group_algebra(group: _groups.FiniteGroup, p: int) -> GradedAlgebra:
-    """kG with basis the group elements and grading the identity map."""
-    f = PrimeField(p)
-    n = group.order
-    sc = f.zeros((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            sc[i, j, group.mul(i, j)] = 1
-    unit = f.zeros(n)
-    unit[0] = 1
-    alg = Algebra(field=f, dim=n, sc=sc, unit=unit, kind="group")
-    alg.validate()
-    ga = GradedAlgebra(algebra=alg, group=group, grading=np.arange(n), kind="group")
-    report = check_fully_graded(ga)
-    if not report.ok:
-        raise ValidationError("group algebra failed the fully-graded check (bug)")
-    return ga
+    """kG with basis the group elements and grading the identity map: the
+    crossed product over k with trivial action and cocycle."""
+    return crossed_product(group, matrix_algebra(PrimeField(p), 1))
+
+
+def _base_products(f: PrimeField, base: Algebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x[g, h, l] * y[g, h, l] in the base algebra, for every triple at once."""
+    left = f.contract("ghli,ijk->ghljk", x, base.sc)
+    return f.contract("ghlj,ghljk->ghlk", y, left)
 
 
 def crossed_product(
@@ -221,6 +203,11 @@ def crossed_product(
     With trivial action and trivial cocycle and base = k this is the group
     algebra; a nontrivial cocycle over a 1-dim base gives a twisted group
     algebra.
+
+    The checks run on whole arrays: the automorphism checks once per
+    distinct action matrix, the unit check once per distinct cocycle value,
+    and the cocycle identity on all triples at once.  A failure names the
+    first element, pair or triple in index order.
     """
     f = base.field
     n = group.order
@@ -228,66 +215,66 @@ def crossed_product(
     if action is None:
         action = [f.eye(db) for _ in range(n)]
     action = [f.arr(m) for m in action]
-    if cocycle is None:
-        cocycle = [[base.unit.copy() for _ in range(n)] for _ in range(n)]
-    cocycle = [[f.arr(v) for v in row] for row in cocycle]
-
     if len(action) != n or any(m.shape != (db, db) for m in action):
         raise ValidationError("action must give one base automorphism matrix per group element")
-    if not np.array_equal(action[0], f.eye(db)):
+    act = np.stack(action)
+    if not np.array_equal(act[0], f.eye(db)):
         raise ValidationError("action of the identity must be the identity map")
-    for g in range(n):
-        if f.inverse(action[g]) is None:
+    _, first = np.unique(act.reshape(n, -1), axis=0, return_index=True)
+    for g in np.sort(first):
+        if f.inverse(act[g]) is None:
             raise ValidationError(f"action not automorphism: matrix for element {g} is singular")
-        if not np.array_equal(f.matmul(action[g], base.unit), base.unit):
+        if not np.array_equal(f.matmul(act[g], base.unit), base.unit):
             raise ValidationError(f"action not automorphism: element {g} moves the unit")
-        prod_of_images = f.contract(
-            "ri,sj,ijk->rsk", action[g], action[g], base.sc
-        )
-        image_of_prod = f.contract("ijm,km->ijk", base.sc, action[g])
+        prod_of_images = f.contract("ri,sj,ijk->rsk", act[g], act[g], base.sc)
         # image_of_prod[i,j,k] = action[g](b_i b_j)_k
+        image_of_prod = f.contract("ijm,km->ijk", base.sc, act[g])
         if not np.array_equal(prod_of_images, image_of_prod):
             raise ValidationError(f"action not automorphism: element {g} is not multiplicative")
 
+    if cocycle is None:
+        cocycle = np.broadcast_to(base.unit, (n, n, db))
     if len(cocycle) != n or any(len(row) != n for row in cocycle):
         raise ValidationError("cocycle must be an n x n array of base elements")
-    for g in range(n):
-        if not np.array_equal(cocycle[0][g], base.unit) or not np.array_equal(cocycle[g][0], base.unit):
+    coc = f.arr(cocycle)
+    if coc.shape != (n, n, db):
+        raise ValidationError("cocycle must be an n x n array of base elements")
+    values, which = np.unique(coc.reshape(n * n, db), axis=0, return_inverse=True)
+    is_unit = np.array([f.inverse(base.left_mult(v)) is not None for v in values])
+    not_unit = ~is_unit[which.reshape(n, n)]
+    not_normal = (coc[0] != base.unit).any(axis=1) | (coc[:, 0] != base.unit).any(axis=1)
+    bad = np.flatnonzero(not_normal | not_unit.any(axis=1))
+    if bad.size:
+        g = bad[0]
+        if not_normal[g]:
             raise ValidationError("cocycle is not normalized at the identity")
-        for h in range(n):
-            if f.inverse(base.left_mult(cocycle[g][h])) is None:
-                raise ValidationError(f"cocycle value at ({g},{h}) is not a unit")
-    for g in range(n):
-        for h in range(n):
-            for l in range(n):
-                lhs = base.multiply(
-                    f.matmul(action[g], cocycle[h][l]), cocycle[g][group.mul(h, l)]
-                )
-                rhs = base.multiply(cocycle[g][h], cocycle[group.mul(g, h)][l])
-                if not np.array_equal(lhs, rhs):
-                    raise ValidationError(
-                        f"cocycle condition violated at triple ({g},{h},{l})"
-                    )
+        raise ValidationError(
+            f"cocycle value at ({g},{np.flatnonzero(not_unit[g])[0]}) is not a unit")
+    # action[g](c[h][l]) * c[g][hl] = c[g][h] * c[gh][l] for every triple (g, h, l)
+    table = group.table
+    moved = f.contract("gij,hlj->ghli", act, coc)
+    lhs = _base_products(f, base, moved, coc[np.arange(n)[:, None, None], table])
+    rhs = _base_products(f, base, np.broadcast_to(coc[:, :, None], (n, n, n, db)), coc[table])
+    bad = (lhs != rhs).any(axis=3)
+    if bad.any():
+        g, h, l = np.argwhere(bad)[0]
+        raise ValidationError(f"cocycle condition violated at triple ({g},{h},{l})")
 
+    # (E_i ox g)(E_j ox h) = E_i * action[g](E_j) * cocycle[g][h] ox gh, where
+    # twisted[g,i,j,:] = E_i * action[g](E_j) and right[g,h] is the matrix of
+    # right multiplication by cocycle[g][h]
+    twisted = f.contract("grj,irk->gijk", act, base.sc)
+    right = f.contract("ghs,msk->ghmk", coc, base.sc)
+    blocks = f.contract("gijm,ghmk->ghijk", twisted, right)
     d = db * n
-    sc = f.zeros((d, d, d))
-    for g in range(n):
-        for h in range(n):
-            gh = group.mul(g, h)
-            # (E_i ox g)(E_j ox h) = E_i * action[g](E_j) * cocycle[g][h] ox gh
-            twisted = f.contract("rj,irk->ijk", action[g], base.sc)
-            # twisted[i,j,:] = E_i * action[g](E_j)
-            prod = f.contract("ijm,s,msk->ijk", twisted, cocycle[g][h], base.sc)
-            sc[g * db:(g + 1) * db, h * db:(h + 1) * db, gh * db:(gh + 1) * db] = prod
+    sc = f.zeros((n, db, n, db, n, db))
+    g, h = np.indices((n, n))
+    sc[g, :, h, :, table, :] = blocks
     unit = f.zeros(d)
     unit[:db] = base.unit
-    alg = Algebra(field=f, dim=d, sc=sc, unit=unit, kind=f"crossed:{base.kind}",
-                  trace_vector=None)
+    alg = Algebra(field=f, dim=d, sc=sc.reshape(d, d, d), unit=unit)
     alg.validate()
-    grading = np.repeat(np.arange(n), db)
-    ga = GradedAlgebra(algebra=alg, group=group, grading=grading,
-                       kind=f"crossed:{base.kind}")
-    ga._cache["base"] = base
+    ga = GradedAlgebra(algebra=alg, group=group, grading=np.repeat(np.arange(n), db))
     report = check_fully_graded(ga)
     if not report.ok:
         raise ValidationError(f"crossed product is not fully graded: {report.failures[:3]}")
@@ -307,14 +294,10 @@ def component_subalgebra(a: GradedAlgebra, h: _groups.Subgroup) -> GradedAlgebra
     pos = {int(e): i for i, e in enumerate(to_parent)}
     sub_sc = a.algebra.sc[np.ix_(idx, idx, idx)].copy()
     unit = a.algebra.unit[idx].copy()
-    alg = Algebra(field=a.field, dim=len(idx), sc=sub_sc, unit=unit, kind=a.algebra.kind,
-                  trace_vector=None)
+    alg = Algebra(field=a.field, dim=len(idx), sc=sub_sc, unit=unit)
     alg.validate()
     grading = np.array([pos[int(a.grading[i])] for i in idx], dtype=np.int64)
-    sub = GradedAlgebra(algebra=alg, group=local_group, grading=grading, kind=a.kind,
-                        parent=a, parent_indices=idx)
-    if a.kind and a.kind.startswith("crossed") and "base" in a._cache:
-        sub._cache["base"] = a._cache["base"]
+    sub = GradedAlgebra(algebra=alg, group=local_group, grading=grading, parent_indices=idx)
     cache[h.key] = sub
     return sub
 
@@ -328,12 +311,8 @@ class SymmetrizingForm:
     source: str
 
 
-def _gram(a: Algebra, s: np.ndarray) -> np.ndarray:
-    return a.field.contract("ijk,k->ij", a.sc, s)
-
-
 def _is_symmetric_nondegenerate(a: Algebra, s: np.ndarray):
-    gram = _gram(a, s)
+    gram = a.field.contract("ijk,k->ij", a.sc, s)
     if not np.array_equal(gram, gram.T):
         return None
     if a.field.inverse(gram) is None:
@@ -342,50 +321,39 @@ def _is_symmetric_nondegenerate(a: Algebra, s: np.ndarray):
 
 
 def symmetrizing_form(a: GradedAlgebra, seed: int = 0) -> SymmetrizingForm:
-    """Canonical symmetrizing form for the algebras in scope.
+    """A symmetrizing form of ``a`` that vanishes off the identity component.
 
-    Primary choice: compose the projection onto the identity component with
-    the coefficient-of-identity functional (group algebras) or the matrix
-    trace (matrix-ring base).  If that fails the symmetry/nondegeneracy
-    verification, fall back to solving s(ab) = s(ba) and scanning the
-    solution basis, then seeded random combinations, for a nondegenerate
-    functional.
+    The candidates are the symmetric functionals supported on R_1: the
+    kernel of the rows s . (c_ij - c_ji) = 0 restricted to R_1's
+    coordinates.  Their RREF basis, extended by zero, is scanned for the
+    first vector with an invertible Gram matrix (source ``"canonical"``),
+    then seeded random combinations of it (source ``"search"``).  On kG this
+    is the coefficient of the identity, on a crossed product over M_n with
+    trivial action the trace of the R_1 part.
+
+    Since the product of R_g and R_h lands in R_gh, the Gram matrix of a
+    form supported on R_1 pairs each R_g with R_(g^-1) only, so the form
+    restricts to a symmetrizing form, still supported on R_1, of every R_H:
+    restriction and transfer between the R_H meet compatible forms.  An
+    algebra whose only symmetrizing forms reach outside R_1 raises
+    ValidationError.
     """
     f = a.field
     d = a.dim
-    candidates = []
-    ident_idx = a.component_indices(0)
-    if a.kind == "group":
-        s = f.zeros(d)
-        s[0] = 1
-        candidates.append(("canonical", s))
-    elif a.kind and a.kind.startswith("crossed") and "base" in a._cache:
-        base = a._cache["base"]
-        if base.trace_vector is not None and len(ident_idx) == base.dim:
-            s = f.zeros(d)
-            s[ident_idx] = base.trace_vector
-            candidates.append(("canonical", s))
-    elif a.algebra.trace_vector is not None and len(ident_idx) == d:
-        # trivially graded matrix ring: the trace itself
-        candidates.append(("canonical", a.algebra.trace_vector.copy()))
-    for source, s in candidates:
-        gram = _is_symmetric_nondegenerate(a.algebra, s)
-        if gram is not None:
-            return SymmetrizingForm(vector=s, gram=gram, source=source)
-
-    # fallback: all symmetric functionals form the kernel of the rows
-    # s . (c_ij - c_ji) = 0
     sc = a.algebra.sc
-    rows = (sc - sc.transpose(1, 0, 2)).reshape(d * d, d) % f.p
+    one = a.component_indices(0)
+    rows = (sc - sc.transpose(1, 0, 2))[:, :, one].reshape(d * d, len(one)) % f.p
     space = f.kernel(rows)
-    for row in space.basis:
+    basis = f.zeros((space.dim, d))
+    basis[:, one] = space.basis
+    for row in basis:
         gram = _is_symmetric_nondegenerate(a.algebra, row)
         if gram is not None:
-            return SymmetrizingForm(vector=row.copy(), gram=gram, source="search")
+            return SymmetrizingForm(vector=row, gram=gram, source="canonical")
     rng = np.random.default_rng(seed)
     for _ in range(64):
         coeff = rng.integers(0, f.p, size=space.dim)
-        s = f.matmul(coeff[None, :], space.basis)[0]
+        s = f.matmul(coeff[None, :], basis)[0]
         gram = _is_symmetric_nondegenerate(a.algebra, s)
         if gram is not None:
             return SymmetrizingForm(vector=s, gram=gram, source="search")

@@ -45,6 +45,8 @@ from .exactfield import (PRODUCT_WORKSPACE, PrimeField, QuotientPresentation, Su
                          subspace_from_rows)
 
 DEFAULT_MEMORY_MB = 1024
+# arrays of its input's size that ``PrimeField.rref`` holds at once, at most
+RREF_COPIES = 6
 
 
 def _check_budget(byte_count: int, memory_mb: int, what: str) -> None:
@@ -85,12 +87,14 @@ class Differential:
                   *self.block_rows, *self.block_cols)
         return sum(x.nbytes for x in arrays)
 
-    @property
-    def dense_bytes(self) -> int:
-        """Largest dense array that ``kernel`` or ``image`` allocates: a
-        stacked batch of 2c x c, or a transposed c x r block."""
-        return 8 * max((len(c) * max(2 * len(c), len(r))
-                        for r, c in zip(self.block_rows, self.block_cols)), default=0)
+    def _block_bytes(self, image: bool) -> int:
+        """Most that eliminating the blocks holds besides the differential:
+        ``rref`` of the largest block's input (a stacked 2c x c batch, or
+        for ``image`` the transposed c x r block) in ``RREF_COPIES`` copies,
+        and every block's basis, at most c x c or c x r."""
+        inputs = [8 * len(c) * (len(r) if image else 2 * len(c))
+                  for r, c in zip(self.block_rows, self.block_cols)]
+        return RREF_COPIES * max(inputs, default=0) + sum(inputs) // (1 if image else 2)
 
     def _block(self, k: int):
         """Entries of block k as block-local (row, column) indices and values."""
@@ -99,7 +103,7 @@ class Differential:
                 np.searchsorted(self.block_cols[k], self.cols[part]),
                 self.vals[part])
 
-    def kernel(self) -> Subspace:
+    def kernel(self, memory_mb: int = DEFAULT_MEMORY_MB) -> Subspace:
         """RREF basis of {v : delta v = 0}.
 
         A block with c columns is fed to ``rref`` c rows at a time, each batch
@@ -107,8 +111,11 @@ class Differential:
         holds more than 2c x c; the block kernel is read off the RREF of that
         row space, which is not reduced again.
         Block kernels have disjoint supports, so their union sorted by pivot
-        is the RREF basis of the whole kernel."""
+        is the RREF basis of the whole kernel.  ``memory_mb`` bounds what
+        the call holds: the elimination, then the merge."""
         f = self.field
+        what = f"kernel of the {self.shape[0]} x {self.shape[1]} cochain differential"
+        _check_budget(self.nbytes + self._block_bytes(image=False), memory_mb, what)
         parts = []
         for k, cols in enumerate(self.block_cols):
             lr, lc, v = self._block(k)
@@ -126,12 +133,15 @@ class Differential:
                     if len(piv) == c:
                         break
             parts.append((cols, f.kernel_from_rref(basis, piv)))
-        return _merge(f, self.shape[1], parts)
+        return self._merge(self.shape[1], parts, memory_mb, what)
 
-    def image(self) -> Subspace:
+    def image(self, memory_mb: int = DEFAULT_MEMORY_MB) -> Subspace:
         """RREF basis of the column space: the row space of each transposed
-        block, merged like the block kernels."""
+        block, merged like the block kernels.  ``memory_mb`` bounds what the
+        call holds, as for ``kernel``."""
         f = self.field
+        what = f"image of the {self.shape[0]} x {self.shape[1]} cochain differential"
+        _check_budget(self.nbytes + self._block_bytes(image=True), memory_mb, what)
         parts = []
         for k, (rows, cols) in enumerate(zip(self.block_rows, self.block_cols)):
             if len(rows):
@@ -139,21 +149,28 @@ class Differential:
                 t = f.zeros((len(cols), len(rows)))
                 t[lc, lr] = v
                 parts.append((rows, subspace_from_rows(f, t)))
-        return _merge(f, self.shape[0], parts)
+        return self._merge(self.shape[0], parts, memory_mb, what)
 
-
-def _merge(f: PrimeField, dim: int, parts) -> Subspace:
-    """One RREF basis of F_p^dim from subspaces (``index``, sub) on disjoint
-    coordinate sets, where sub lives on the coordinates ``index``."""
-    pivots = np.array([index[p] for index, sub in parts for p in sub.pivots], dtype=np.int64)
-    basis = f.zeros((len(pivots), dim))
-    top = 0
-    for index, sub in parts:
-        basis[top:top + sub.dim, index] = sub.basis
-        top += sub.dim
-    order = np.argsort(pivots, kind="stable")
-    return Subspace(field=f, ambient_dim=dim, basis=basis[order],
-                    pivots=tuple(int(p) for p in pivots[order]))
+    def _merge(self, dim: int, parts, memory_mb: int, what: str) -> Subspace:
+        """One RREF basis of F_p^dim from subspaces (``index``, sub) on
+        disjoint coordinate sets, where sub lives on the coordinates
+        ``index``.  Each part's rows are written once, at their rows in pivot
+        order.  The budget counts the differential, the parts, the merged
+        basis and the index arrays of one write (twice the part's size)."""
+        pivots = np.array([index[p] for index, sub in parts for p in sub.pivots], dtype=np.int64)
+        sizes = [sub.basis.nbytes for _, sub in parts]
+        held = self.nbytes + sum(sizes) + 2 * max(sizes, default=0) + 8 * len(pivots) * dim
+        _check_budget(held, memory_mb, what)
+        order = np.argsort(pivots)
+        at = np.empty_like(order)
+        at[order] = np.arange(len(order))
+        basis = self.field.zeros((len(pivots), dim))
+        top = 0
+        for index, sub in parts:
+            basis[np.ix_(at[top:top + sub.dim], index)] = sub.basis
+            top += sub.dim
+        return Subspace(field=self.field, ambient_dim=dim, basis=basis,
+                        pivots=tuple(int(p) for p in pivots[order]))
 
 
 def _components(rows: np.ndarray, cols: np.ndarray, nrows: int, ncols: int) -> np.ndarray:
@@ -242,7 +259,7 @@ class CochainComplex:
                                     np.cumsum(np.bincount(col_block))[:-1]))
         out = Differential(field=f, shape=shape, rows=rows, cols=cols, vals=vals,
                            offsets=offsets, block_rows=block_rows, block_cols=block_cols)
-        _check_budget(out.nbytes + out.dense_bytes, memory_mb, what)
+        _check_budget(out.nbytes, memory_mb, what)
         self._deltas[n] = out
         return out
 
@@ -284,11 +301,11 @@ def cohomology(a: galg.Algebra, n: int,
         return cache[n]
     f = a.field
     cc = a._cache.setdefault("cochain", CochainComplex(a))
-    z = cc.delta(n, memory_mb).kernel()
+    z = cc.delta(n, memory_mb).kernel(memory_mb)
     if n == 0:
         b = subspace_from_rows(f, [], ambient_dim=cc.dim(0))
     else:
-        b = cc.delta(n - 1, memory_mb).image()
+        b = cc.delta(n - 1, memory_mb).image(memory_mb)
     if not z.contains_space(b):
         raise ValidationError("coboundaries are not cocycles (bug)")
     free = f._free_columns(cc.dim(n), b.pivots)

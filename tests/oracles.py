@@ -335,7 +335,7 @@ def trivially_graded(alg: galg.Algebra) -> galg.GradedAlgebra:
     """View a plain algebra as graded by the trivial group."""
     return galg.GradedAlgebra(
         algebra=alg, group=groups.cyclic(1),
-        grading=np.zeros(alg.dim, dtype=np.int64), kind=alg.kind,
+        grading=np.zeros(alg.dim, dtype=np.int64),
     )
 
 

@@ -101,6 +101,20 @@ def test_hh_budget_exceeded_exit_2(capsys):
     assert "budget" in err or "MiB" in err
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--axioms", ",", "--axioms selects no axiom"),
+    ("--memory-mb", "0", "memory budget must be positive"),
+    ("--memory-mb", "-3", "memory budget must be positive"),
+])
+def test_empty_axiom_list_or_nonpositive_budget_exit_2(flag, value, message, capsys):
+    # refused before any work, not run as zero checks or as a failed estimate
+    code, out, err = run(capsys, "verify", "--spec", str(SPECS / "c2_p2.json"),
+                         "--degree", "1", flag, value)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_verify_v4_json_deterministic(capsys):
     argv = ("verify", "--spec", str(SPECS / "c2xc2_p2.json"), "--degree", "1",
             "--format", "json", "--seed", "0")
@@ -215,6 +229,38 @@ def test_verify_report_digest(spec, degree, capsys):
                        "--degree", str(degree), "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[spec, degree]
+
+
+# sha256 of ``info --format json`` and ``hh --degree 2 --format json`` at seed
+# 0, which carry the algebra's kind label and the symmetrizing form's source;
+# pinned while both were still read off kind tags on the algebra
+INFO_HH_DIGESTS = {
+    ("c2_p2", "info"): "6ccb229f1958fc2e36042fd6ccdc2918680f2bb99ce3b56f86de73c5a6db1183",
+    ("c2xc2_p2", "info"): "68d07902949b40c501dd5a3da3e4091b2075fd54c0ab5c1a3cd371a91fa5c544",
+    ("c3_p3", "info"): "020723619d84bdc3d13a6d1d09198c63e79b97444358c75d6929721f5e64cc4e",
+    ("matrix_crossed_c2_p2", "info"):
+        "b5d70ea2421c3d80d2998b2863ac9d99f8fbb17bd09ad6e3e5f21f0c2f04e3c6",
+    ("s3_p2", "info"): "62ed7d905e6e390f0f9f89a8c8d30b617133d7bd4093be9de6d8e1a6b250e919",
+    ("s3_p3", "info"): "b6b67e707392d76096a0864eec337e81bf5afdd305f51bd78cadf455abc22ed5",
+    ("s3_p7", "info"): "eebe2935962d9ecba9c34cdd236a21c0d13c96857b960d9633041759d731174e",
+    ("c2_p2", "hh"): "bdebb870e539632c13128dbd04f3bb189d541a3c599c9b763b982b0b029b89ce",
+    ("c2xc2_p2", "hh"): "607cda4e393bc2a038ff24f3f6f45597738d6e56c0aa3c45fb4dd7e82ac74671",
+    ("c3_p3", "hh"): "dfbce9d661f97e972c2afeb6e8e52ff0f9aafe7621207d45792aaf5401debdac",
+    ("matrix_crossed_c2_p2", "hh"):
+        "5bbb1563620e6c08ef58c80ed5b58f79f35eab6fd58c9e4d91ed5e69173b66e3",
+    ("s3_p2", "hh"): "878af2e903351dc70a079b6a241aa8aa2fadbfe118934b9f29418e3db7b18853",
+    ("s3_p3", "hh"): "c66376d1f31b9b1eb821a6ea755a9a6104bea534e9532e87815a0199c95a8426",
+    ("s3_p7", "hh"): "47fda2fc39560d7ad34ed51c40055e5049404efe345ad72b2f11cb531b307719",
+}
+
+
+@pytest.mark.parametrize("spec,command", sorted(INFO_HH_DIGESTS))
+def test_info_and_hh_report_digest(spec, command, capsys):
+    extra = ("--degree", "2") if command == "hh" else ()
+    code, out, _ = run(capsys, command, "--spec", str(SPECS / f"{spec}.json"),
+                       *extra, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == INFO_HH_DIGESTS[spec, command]
 
 
 def test_explicit_cayley_table_spec(tmp_path, capsys):

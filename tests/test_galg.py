@@ -1,8 +1,11 @@
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
 import oracles
-from gradedhh import galg, groups
+from gradedhh import galg, groups, mackey
 from gradedhh.errors import SpecError, ValidationError
 from gradedhh.exactfield import PrimeField
 
@@ -164,19 +167,114 @@ def test_symmetrizing_form_crossed_product_and_fallback():
     cp = galg.crossed_product(groups.cyclic(2), galg.matrix_algebra(f, 2))
     s = galg.symmetrizing_form(cp)
     assert s.source == "canonical"
+    assert np.array_equal(s.vector, f.arr([1, 0, 0, 1, 0, 0, 0, 0]))
     assert f.inverse(s.gram) is not None
     gram = cp.field.contract("ijk,k->ij", cp.algebra.sc, s.vector)
     assert np.array_equal(gram, gram.T)
 
-    # fallback path: same algebra but with the kind tag stripped
+    # the same algebra rebuilt from its bare structure constants: the form
+    # is read off the algebra and its grading, so it is the same vector
     anon = galg.GradedAlgebra(
         algebra=galg.Algebra(field=f, dim=cp.dim, sc=cp.algebra.sc.copy(),
                              unit=cp.algebra.unit.copy()),
         group=cp.group, grading=cp.grading.copy(),
     )
     s2 = galg.symmetrizing_form(anon)
-    assert s2.source == "search"
-    assert f.inverse(s2.gram) is not None
+    assert s2.source == "canonical"
+    assert np.array_equal(s2.vector, s.vector)
+    assert np.array_equal(s2.gram, s.gram)
+
+
+def test_symmetrizing_form_search_when_no_basis_vector_is_nondegenerate():
+    # k x k, trivially graded: each coordinate functional kills one factor,
+    # their sum is the form
+    f = PrimeField(3)
+    sc = f.zeros((2, 2, 2))
+    sc[0, 0, 0] = sc[1, 1, 1] = 1
+    alg = galg.Algebra(field=f, dim=2, sc=sc, unit=f.arr([1, 1]))
+    alg.validate()
+    s = galg.symmetrizing_form(oracles.trivially_graded(alg))
+    assert s.source == "search"
+    assert s.vector.all() and f.inverse(s.gram) is not None
+
+
+SPECS = pathlib.Path(__file__).resolve().parent.parent / "specs"
+
+
+@pytest.mark.parametrize("spec", sorted(p.stem for p in SPECS.glob("*.json")))
+def test_symmetrizing_form_restricts_to_every_component_subalgebra(spec):
+    rg = galg.algebra_from_spec(json.loads((SPECS / f"{spec}.json").read_text()))
+    whole = galg.symmetrizing_form(rg)
+    assert not whole.vector[rg.grading != 0].any()
+    for h in groups.all_subgroups(rg.group):
+        sub = galg.component_subalgebra(rg, h)
+        form = galg.symmetrizing_form(sub)
+        assert form.source == "canonical"
+        assert np.array_equal(form.vector, whole.vector[sub.parent_indices])
+        assert not form.vector[sub.grading != 0].any()
+
+
+def _graded_by_quotient(a: galg.GradedAlgebra, normal: groups.Subgroup):
+    """kG with its basis reordered by the cosets of a normal subgroup and
+    graded by the quotient group, built from the structure constants alone."""
+    grp = a.group
+    cosets = sorted({tuple(sorted(grp.mul(g, x) for x in normal.elements))
+                     for g in range(grp.order)})
+    label = {g: c for c, coset in enumerate(cosets) for g in coset}
+    perm = np.array(sorted(range(grp.order), key=lambda g: (label[g], g)))
+    rep = [coset[0] for coset in cosets]
+    table = [[label[grp.mul(x, y)] for y in rep] for x in rep]
+    quotient = groups.build("table", order=len(cosets), table=table)
+    alg = galg.Algebra(field=a.field, dim=a.dim, sc=a.algebra.sc[np.ix_(perm, perm, perm)],
+                       unit=a.algebra.unit[perm])
+    return galg.GradedAlgebra(algebra=alg, group=quotient,
+                              grading=np.array([label[g] for g in perm]))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_symmetrizing_form_of_s3_graded_by_s3_mod_a3(p):
+    s3 = groups.symmetric(3)
+    a3 = next(h for h in groups.all_subgroups(s3) if h.order == 3)
+    rg = _graded_by_quotient(galg.group_algebra(s3, p), a3)
+    assert galg.check_fully_graded(rg).ok
+    form = galg.symmetrizing_form(rg)
+    assert form.source == "canonical"
+    assert np.array_equal(form.vector, np.eye(6, dtype=np.int64)[0])
+    reports = mackey.MackeySystem(rg, degree_bound=2).verify_all(degrees=range(3))
+    assert len(reports) == 60 and all(r.ok for r in reports)
+
+
+def _first_cocycle_failure(f, base, group, cocycle):
+    """The triple that the cocycle check names: the first (g, h, l), in
+    index order, with c[g][h] c[gh][l] != c[h][l] c[g][hl] (trivial action)."""
+    for g in range(group.order):
+        for h in range(group.order):
+            for l in range(group.order):
+                lhs = base.multiply(cocycle[h][l], cocycle[g][group.mul(h, l)])
+                rhs = base.multiply(cocycle[g][h], cocycle[group.mul(g, h)][l])
+                if not np.array_equal(lhs, rhs):
+                    return g, h, l
+    return None
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_crossed_product_names_the_first_failing_triple(seed):
+    f = PrimeField(5)
+    group = [groups.cyclic(4), groups.direct_product(groups.cyclic(2), groups.cyclic(2)),
+             groups.symmetric(3)][seed % 3]
+    base = galg.matrix_algebra(f, 1 + seed % 2)
+    n = group.order
+    rng = np.random.default_rng(seed)
+    # normalized, unit-valued (nonzero scalar) cocycles that break the identity
+    scalars = rng.integers(1, 5, size=(n, n))
+    scalars[0, :] = scalars[:, 0] = 1
+    cocycle = [[(int(scalars[g, h]) * base.unit) % 5 for h in range(n)] for g in range(n)]
+    expected = _first_cocycle_failure(f, base, group, cocycle)
+    assert expected is not None
+    with pytest.raises(ValidationError,
+                       match=rf"cocycle condition violated at triple \({expected[0]},"
+                             rf"{expected[1]},{expected[2]}\)$"):
+        galg.crossed_product(group, base, cocycle=cocycle)
 
 
 def test_non_symmetric_algebra_rejected():

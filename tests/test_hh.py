@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -229,7 +230,7 @@ def test_maschke_vanishing(kind, p):
 def test_cohomology_budget_error():
     rg = group_algebra("s3", 2)
     with pytest.raises(BudgetError):
-        hh.CochainComplex(rg.algebra).delta(3, 1)
+        hh.CochainComplex(rg.algebra).delta(3, 1).kernel(1)
 
 
 def test_cohomology_budget_holds_after_a_larger_budget():
@@ -242,6 +243,34 @@ def test_cohomology_budget_holds_after_a_larger_budget():
     with pytest.raises(BudgetError):
         hh.cohomology(a, 3, 1)
     assert hh.cohomology(a, 3, 1024).dim == 2
+
+
+# the budget estimates count array data; the interpreter's own objects (pivot
+# tuples, block lists, array headers) add at most a few hundred KiB
+OBJECT_SLACK = 256 * 1024
+
+
+@pytest.mark.parametrize("spec", sorted(path.stem for path in SPECS.glob("*.json")))
+def test_kernel_and_image_peaks_stay_within_their_budget_checks(spec, monkeypatch):
+    a = galg.algebra_from_spec(json.loads((SPECS / f"{spec}.json").read_text())).algebra
+    checked = []
+    honest = hh._check_budget
+    monkeypatch.setattr(hh, "_check_budget",
+                        lambda count, mb, what: (checked.append(count), honest(count, mb, what)))
+    for n, method in [(n, "kernel") for n in range(4)] + [(n, "image") for n in range(3)]:
+        getattr(hh.CochainComplex(a).delta(n), method)()      # first-call allocations
+        tracemalloc.start()
+        try:
+            d = hh.CochainComplex(a).delta(n)
+            before = tracemalloc.get_traced_memory()[0]
+            checked.clear()
+            tracemalloc.reset_peak()
+            getattr(d, method)()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # what the call added, plus the differential it holds throughout
+        assert peak - before + d.nbytes <= max(checked) + OBJECT_SLACK, (n, method)
 
 
 # -- transfer: identity anchors ----------------------------------------------
