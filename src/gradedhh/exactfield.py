@@ -149,8 +149,9 @@ class PrimeField:
     # -- element / array construction -------------------------------------
 
     def arr(self, data) -> np.ndarray:
-        """Copy ``data`` into an int64 array reduced mod p."""
-        return np.array(data, dtype=np.int64) % self.p
+        """Copy ``data`` into an int64 array reduced mod p in place."""
+        out = np.array(data, dtype=np.int64)
+        return np.remainder(out, self.p, out=out)
 
     def zeros(self, shape) -> np.ndarray:
         return np.zeros(shape, dtype=np.int64)
@@ -361,16 +362,17 @@ class PrimeField:
 
     def kernel(self, mat: np.ndarray) -> "Subspace":
         """RREF basis of the right kernel {v : mat @ v = 0}."""
-        return self.kernel_from_rref(*self.rref(mat))
+        R, pivots = self.rref(mat)
+        return self.kernel_from_rref(np.delete(R[:len(pivots)], pivots, axis=1), pivots, R.shape[1])
 
-    def kernel_from_rref(self, R: np.ndarray, pivots) -> "Subspace":
-        """RREF basis of the right kernel of a matrix, read off its RREF R
-        (only the first len(pivots) rows are read) and its pivot columns."""
-        cols = R.shape[1]
+    def kernel_from_rref(self, rest: np.ndarray, pivots, cols: int) -> "Subspace":
+        """RREF basis of the right kernel of a matrix with ``cols`` columns,
+        read off its RREF: row i of ``rest`` is the row with pivot
+        ``pivots[i]`` (in any order) on the non-pivot columns."""
         free = self._free_columns(cols, pivots)
         basis = self.zeros((len(free), cols))
         basis[np.arange(len(free)), free] = 1
-        basis[:, pivots] = (-R[:len(pivots)][:, free]).T % self.p
+        basis[:, list(pivots)] = (-rest).T % self.p
         return subspace_from_rows(self, basis, cols)
 
     def quotient(self, sub: "Subspace") -> "QuotientPresentation":
@@ -408,23 +410,14 @@ class Subspace:
     def dim(self) -> int:
         return len(self.pivots)
 
-    def reduce(self, vec: np.ndarray) -> np.ndarray:
-        """Remainder of vec after subtracting its component in the subspace."""
-        return self.reduce_rows(self.field.arr(vec)[None, :])[0]
-
     def reduce_rows(self, mat: np.ndarray) -> np.ndarray:
-        """reduce() applied to every row."""
+        """Remainder of every row after subtracting its component in the
+        subspace."""
         m = self.field.arr(mat)
         if self.dim == 0 or m.shape[0] == 0:
             return m
         coeff = m[:, list(self.pivots)]
         return (m - self.field.matmul(coeff, self.basis)) % self.field.p
-
-    def contains(self, vec: np.ndarray) -> bool:
-        return not self.reduce(vec).any()
-
-    def contains_space(self, other: "Subspace") -> bool:
-        return not self.reduce_rows(other.basis).any()
 
     def __eq__(self, other) -> bool:
         return (

@@ -26,11 +26,14 @@ per row, so it is never built dense: a ``Differential`` holds its nonzero
 entries, read off the nonzero structure constants, split into the connected
 components of its nonzero pattern.  On a homogeneous basis of a graded
 algebra every component lies inside one twist class, the conjugacy class of
-deg(out) (deg a_1...a_n)^-1.  Cocycles and coboundaries are eliminated block
-by block, and the blocks' RREF bases merge into the global RREF bases, so
-representatives and class coordinates are those of the dense elimination.
-Cochains are taken modulo the coboundaries through the non-pivot coordinates
-of the coboundaries' RREF basis.
+deg(out) (deg a_1...a_n)^-1.  The coboundaries B = im delta(n-1) are
+eliminated first; F is the set of non-pivot coordinates of their RREF basis.
+B lies in the cocycles Z = ker delta(n), and a cocycle reduced modulo B is a
+cocycle supported on F, so Z is the direct sum of B and the cocycles
+supported on F, and HH^n is represented by the kernel of delta(n) on the
+columns F: Z is never eliminated whole.  Blocks are eliminated one by one and their RREF bases merge into the
+global ones, so representatives and class coordinates are those of the dense
+elimination.
 """
 
 from __future__ import annotations
@@ -41,8 +44,8 @@ import numpy as np
 
 from . import bimod, galg
 from .errors import BudgetError, ValidationError
-from .exactfield import (PRODUCT_WORKSPACE, PrimeField, QuotientPresentation, Subspace,
-                         subspace_from_rows)
+from .exactfield import (_SLICE, PRODUCT_WORKSPACE, PrimeField, QuotientPresentation,
+                         Subspace, subspace_from_rows)
 
 DEFAULT_MEMORY_MB = 1024
 # arrays of its input's size that ``PrimeField.rref`` holds at once, at most
@@ -87,65 +90,93 @@ class Differential:
                   *self.block_rows, *self.block_cols)
         return sum(x.nbytes for x in arrays)
 
-    def _block_bytes(self, image: bool) -> int:
-        """Most that eliminating the blocks holds besides the differential:
-        ``rref`` of the largest block's input (a stacked 2c x c batch, or
-        for ``image`` the transposed c x r block) in ``RREF_COPIES`` copies,
-        and every block's basis, at most c x c or c x r."""
-        inputs = [8 * len(c) * (len(r) if image else 2 * len(c))
-                  for r, c in zip(self.block_rows, self.block_cols)]
-        return RREF_COPIES * max(inputs, default=0) + sum(inputs) // (1 if image else 2)
-
-    def _block(self, k: int):
-        """Entries of block k as block-local (row, column) indices and values."""
-        part = slice(self.offsets[k], self.offsets[k + 1])
+    def _block(self, k: int, kept=None):
+        """Entries of block k on the columns that the mask ``kept`` marks
+        (all by default): block-local row and column indices, values, columns."""
+        part = np.arange(self.offsets[k], self.offsets[k + 1])
+        cols = self.block_cols[k]
+        if kept is not None:
+            part, cols = part[kept[self.cols[part]]], cols[kept[cols]]
         return (np.searchsorted(self.block_rows[k], self.rows[part]),
-                np.searchsorted(self.block_cols[k], self.cols[part]),
-                self.vals[part])
+                np.searchsorted(cols, self.cols[part]), self.vals[part], cols)
 
-    def kernel(self, memory_mb: int = DEFAULT_MEMORY_MB) -> Subspace:
-        """RREF basis of {v : delta v = 0}.
+    def images(self, cochains: np.ndarray):
+        """delta of every row of ``cochains``, from the nonzero entries of
+        both: yields the images of consecutive chunks of rows, in order.  A
+        chunk forms at most ``_SLICE`` products and outputs, or one row."""
+        p, height = self.field.p, self.shape[0]
+        by_col = np.argsort(self.cols, kind="stable")
+        ptr = np.concatenate([[0], np.cumsum(np.bincount(self.cols, minlength=self.shape[1]))])
+        step = max(1, _SLICE // max(height, len(self.rows)))
+        for lo in range(0, len(cochains), step):
+            which, col = np.nonzero(cochains[lo:lo + step])
+            n = ptr[col + 1] - ptr[col]
+            # the entries of delta in each nonzero's column, one run each
+            entry = by_col[np.repeat(ptr[col] - np.cumsum(n) + n, n) + np.arange(n.sum())]
+            at = np.repeat(which, n) * height + self.rows[entry]
+            out = np.zeros((min(step, len(cochains) - lo), height), dtype=np.int64)
+            terms = np.repeat(cochains[lo + which, col], n) * self.vals[entry] % p
+            np.add.at(out.reshape(-1), at, terms)
+            out.reshape(-1)[at] %= p
+            yield out
 
-        A block with c columns is fed to ``rref`` c rows at a time, each batch
-        first reduced against the row space found so far, so no elimination
-        holds more than 2c x c; the block kernel is read off the RREF of that
-        row space, which is not reduced again.
+    def kernel(self, keep: np.ndarray, memory_mb: int = DEFAULT_MEMORY_MB) -> Subspace:
+        """RREF basis of the kernel of delta on the ascending columns
+        ``keep``, in F_p^len(keep).  A block with c kept columns is fed to
+        ``rref`` c rows at a time.  The row space found so far is held as its
+        pivot columns ``lead`` and its entries ``rest`` on the others; a batch
+        is reduced on those with one product, ``rref`` runs on that residual
+        alone, and its pivot rows fold back into ``rest`` with one product.
         Block kernels have disjoint supports, so their union sorted by pivot
-        is the RREF basis of the whole kernel.  ``memory_mb`` bounds what
-        the call holds: the elimination, then the merge."""
-        f = self.field
+        is the RREF basis of the kernel.  ``memory_mb`` bounds the call: the
+        differential, a c x c batch in ``RREF_COPIES`` copies and every
+        block's basis (at most c x c), then the merge."""
+        f, p = self.field, self.field.p
         what = f"kernel of the {self.shape[0]} x {self.shape[1]} cochain differential"
-        _check_budget(self.nbytes + self._block_bytes(image=False), memory_mb, what)
+        kept = np.isin(np.arange(self.shape[1]), keep)
+        sizes = [8 * np.count_nonzero(kept[c]) ** 2 for c in self.block_cols]
+        _check_budget(self.nbytes + RREF_COPIES * max(sizes, default=0) + sum(sizes), memory_mb, what)
         parts = []
-        for k, cols in enumerate(self.block_cols):
-            lr, lc, v = self._block(k)
-            c, nr = len(cols), len(self.block_rows[k])
-            basis, piv = f.zeros((0, c)), []
+        for k, nr in enumerate(map(len, self.block_rows)):
+            lr, lc, v, cols = self._block(k, kept)
+            c = len(cols)
+            if not c:
+                continue
+            lead, loose, rest = [], np.arange(c), f.zeros((0, c))
             for lo in range(0, nr, c):
                 a, b = np.searchsorted(lr, (lo, lo + c))
                 batch = f.zeros((min(c, nr - lo), c))
                 batch[lr[a:b] - lo, lc[a:b]] = v[a:b]
-                if piv:
-                    batch = (batch - f.matmul(batch[:, piv], basis)) % f.p
-                if batch.any():
-                    basis, piv = f.rref(np.concatenate([basis, batch]))
-                    basis = basis[:len(piv)]
-                    if len(piv) == c:
+                residual = batch[:, loose]
+                if lead:
+                    residual -= f.matmul(batch[:, lead], rest)
+                    residual %= p
+                del batch
+                if residual.any():
+                    new_rows, new = f.rref(residual)
+                    stay = f._free_columns(len(loose), new)
+                    new_rows = new_rows[:len(new), stay]
+                    rest = np.concatenate([(rest[:, stay] - f.matmul(rest[:, new], new_rows)) % p,
+                                           new_rows])
+                    lead += loose[new].tolist()
+                    loose = loose[stay]
+                    if not len(loose):
                         break
-            parts.append((cols, f.kernel_from_rref(basis, piv)))
-        return self._merge(self.shape[1], parts, memory_mb, what)
+            parts.append((np.searchsorted(keep, cols), f.kernel_from_rref(rest, lead, c)))
+        return self._merge(len(keep), parts, memory_mb, what)
 
     def image(self, memory_mb: int = DEFAULT_MEMORY_MB) -> Subspace:
         """RREF basis of the column space: the row space of each transposed
-        block, merged like the block kernels.  ``memory_mb`` bounds what the
-        call holds, as for ``kernel``."""
+        block, merged like the block kernels.  ``memory_mb`` bounds the call
+        as for ``kernel``, a block's c x r transpose standing for the batch."""
         f = self.field
         what = f"image of the {self.shape[0]} x {self.shape[1]} cochain differential"
-        _check_budget(self.nbytes + self._block_bytes(image=True), memory_mb, what)
+        sizes = [8 * len(r) * len(c) for r, c in zip(self.block_rows, self.block_cols)]
+        _check_budget(self.nbytes + RREF_COPIES * max(sizes, default=0) + sum(sizes), memory_mb, what)
         parts = []
-        for k, (rows, cols) in enumerate(zip(self.block_rows, self.block_cols)):
+        for k, rows in enumerate(self.block_rows):
             if len(rows):
-                lr, lc, v = self._block(k)
+                lr, lc, v, cols = self._block(k)
                 t = f.zeros((len(cols), len(rows)))
                 t[lc, lr] = v
                 parts.append((rows, subspace_from_rows(f, t)))
@@ -270,7 +301,7 @@ class HHClasses:
     inside the cocycles, in RREF-canonical form.
 
     Cochains are taken modulo the coboundaries B^n through the non-pivot
-    coordinates of B^n's RREF basis: v maps to ``_b.reduce(v)[_free]``."""
+    coordinates of B^n's RREF basis: v maps to ``_b.reduce_rows(v)[:, _free]``."""
 
     algebra: galg.Algebra
     degree: int
@@ -293,28 +324,26 @@ class HHClasses:
 
 def cohomology(a: galg.Algebra, n: int,
                memory_mb: int = DEFAULT_MEMORY_MB) -> HHClasses:
-    """HH^n with RREF-canonical complement representatives.
-
-    Degree 0 is the kernel of delta^0, i.e. the center of the algebra."""
+    """HH^n with RREF-canonical complement representatives: the RREF basis of
+    the kernel of delta(n) on the columns F that the coboundaries B leave
+    free, since the cocycles are B + (cocycles on F), a direct sum.  Degree 0
+    has B = 0 and F every column: the center."""
     cache = a._cache.setdefault("hh", {})
     if n in cache:
         return cache[n]
     f = a.field
     cc = a._cache.setdefault("cochain", CochainComplex(a))
-    z = cc.delta(n, memory_mb).kernel(memory_mb)
-    if n == 0:
-        b = subspace_from_rows(f, [], ambient_dim=cc.dim(0))
-    else:
-        b = cc.delta(n - 1, memory_mb).image(memory_mb)
-    if not z.contains_space(b):
+    b = cc.delta(n - 1, memory_mb).image(memory_mb) if n else subspace_from_rows(
+        f, [], ambient_dim=cc.dim(0))
+    delta = cc.delta(n, memory_mb)
+    if any(out.any() for out in delta.images(b.basis)):
         raise ValidationError("coboundaries are not cocycles (bug)")
     free = f._free_columns(cc.dim(n), b.pivots)
-    w = subspace_from_rows(f, b.reduce_rows(z.basis)[:, free], ambient_dim=len(free))
+    w = delta.kernel(free, memory_mb)
     reps = f.zeros((w.dim, cc.dim(n)))
     reps[:, free] = w.basis
-    for row in reps:
-        if not z.contains(row):
-            raise ValidationError("representative is not a cocycle (bug)")
+    if any(out.any() for out in delta.images(reps)):
+        raise ValidationError("representative is not a cocycle (bug)")
     out = HHClasses(algebra=a, degree=n, reps=reps, dim=w.dim, _b=b, _free=free, _w=w)
     cache[n] = out
     return out

@@ -114,10 +114,12 @@ def bar_bimodule(a: galg.Algebra, n: int) -> bimod.Bimodule:
     return m
 
 
-def as_dense(delta) -> np.ndarray:
-    """The sparse ``hh.Differential`` as a dense array."""
-    out = np.zeros(delta.shape, dtype=np.int64)
-    out[delta.rows, delta.cols] = delta.vals
+def as_dense(delta, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """The sparse ``hh.Differential`` as a dense array, or its rows lo:hi."""
+    hi = delta.shape[0] if hi is None else min(hi, delta.shape[0])
+    out = np.zeros((hi - lo, delta.shape[1]), dtype=np.int64)
+    mine = (delta.rows >= lo) & (delta.rows < hi)
+    out[delta.rows[mine] - lo, delta.cols[mine]] = delta.vals[mine]
     return out
 
 
@@ -156,7 +158,7 @@ class DenseClasses:
             b = subspace_from_rows(f, [], ambient_dim=a.dim)
         else:
             b = subspace_from_rows(f, dense_delta(a, n - 1).T, ambient_dim=a.dim ** (n + 1))
-        assert z.contains_space(b)
+        assert not z.reduce_rows(b.basis).any()
         self._bq = f.quotient(b)
         images = (f.matmul(z.basis, self._bq.projection.T) if z.dim
                   else f.zeros((0, self._bq.quotient_dim)))
@@ -167,7 +169,7 @@ class DenseClasses:
 
     def coords(self, cochain_vec: np.ndarray) -> np.ndarray:
         w = self._bq.to_quotient(cochain_vec)
-        assert not self._w.reduce(w).any(), "not a cocycle modulo coboundaries"
+        assert not self._w.reduce_rows(w[None]).any(), "not a cocycle modulo coboundaries"
         return w[list(self._w.pivots)] if self.dim else self.field.zeros(0)
 
 

@@ -1,15 +1,18 @@
 import dataclasses
+import functools
 import json
 import pathlib
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from gradedhh import bimod, galg, groups, hh
 from gradedhh.errors import BudgetError, ValidationError
-from gradedhh.exactfield import PrimeField
+from gradedhh.exactfield import PrimeField, subspace_from_rows
 
 
 def group_algebra(kind, p):
@@ -215,7 +218,6 @@ def test_hh0_equals_center_subspace():
         rg = group_algebra(kind, p)
         classes = hh.cohomology(rg.algebra, 0)
         center = oracles.center(rg.algebra)
-        from gradedhh.exactfield import subspace_from_rows
         span = subspace_from_rows(rg.field, classes.reps, ambient_dim=rg.dim)
         assert span == center
 
@@ -228,9 +230,10 @@ def test_maschke_vanishing(kind, p):
 
 
 def test_cohomology_budget_error():
-    rg = group_algebra("s3", 2)
+    a = group_algebra("s3", 2).algebra
+    keep = hh.cohomology(a, 3)._free
     with pytest.raises(BudgetError):
-        hh.CochainComplex(rg.algebra).delta(3, 1).kernel(1)
+        hh.CochainComplex(a).delta(3, 1).kernel(keep, 1)
 
 
 def test_cohomology_budget_holds_after_a_larger_budget():
@@ -258,19 +261,125 @@ def test_kernel_and_image_peaks_stay_within_their_budget_checks(spec, monkeypatc
     monkeypatch.setattr(hh, "_check_budget",
                         lambda count, mb, what: (checked.append(count), honest(count, mb, what)))
     for n, method in [(n, "kernel") for n in range(4)] + [(n, "image") for n in range(3)]:
-        getattr(hh.CochainComplex(a).delta(n), method)()      # first-call allocations
+        # a kernel keeps the columns that cohomology keeps: those the
+        # coboundaries leave free
+        args = (hh.cohomology(a, n)._free,) if method == "kernel" else ()
+        getattr(hh.CochainComplex(a).delta(n), method)(*args)      # first-call allocations
         tracemalloc.start()
         try:
             d = hh.CochainComplex(a).delta(n)
             before = tracemalloc.get_traced_memory()[0]
             checked.clear()
             tracemalloc.reset_peak()
-            getattr(d, method)()
+            getattr(d, method)(*args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # what the call added, plus the differential it holds throughout
         assert peak - before + d.nbytes <= max(checked) + OBJECT_SLACK, (n, method)
+
+
+# -- the kernel on the columns the coboundaries leave free -------------------
+
+
+SPEC_NAMES = sorted(path.stem for path in SPECS.glob("*.json"))
+
+
+@functools.lru_cache(maxsize=None)
+def _spec_algebra(spec):
+    return galg.algebra_from_spec(json.loads((SPECS / f"{spec}.json").read_text())).algebra
+
+
+@functools.lru_cache(maxsize=None)
+def _spec_delta(spec, n):
+    return hh.CochainComplex(_spec_algebra(spec)).delta(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from([(spec, n) for spec in SPEC_NAMES for n in range(3)] + [("s3_p2", 3)]),
+       seed=st.integers(0, 2**32 - 1), share=st.sampled_from([0.0, 0.3, 0.8, 0.95, 1.0]))
+def test_restricted_kernel_matches_dense_oracle(case, seed, share):
+    d = _spec_delta(*case)
+    keep = np.flatnonzero(np.random.default_rng(seed).random(d.shape[1]) < share)
+    got = d.kernel(keep)
+    want = d.field.kernel(oracles.as_dense(d)[:, keep])
+    assert got == want and np.array_equal(got.basis, want.basis)
+
+
+@pytest.mark.parametrize("spec,n", [(spec, n) for spec in SPEC_NAMES for n in (1, 2)] + [("s3_p2", 3)])
+def test_cocycles_modulo_coboundaries_are_the_kernel_on_the_free_columns(spec, n):
+    # B lies in Z, so Z = B + (Z on the columns F that B leaves free): the
+    # cocycles reduced modulo B and read on F span what cohomology keeps
+    a = _spec_algebra(spec)
+    f = a.field
+    classes = hh.cohomology(a, n)
+    z = f.kernel(oracles.dense_delta(a, n))
+    w = subspace_from_rows(f, classes._b.reduce_rows(z.basis)[:, classes._free],
+                           ambient_dim=len(classes._free))
+    assert w == classes._w
+
+
+def _dense_images(d, cochains):
+    """delta of each row of ``cochains`` from the dense oracle, a slab of
+    rows of delta at a time."""
+    slab = 2048
+    return np.concatenate([d.field.matmul(cochains, oracles.as_dense(d, lo, lo + slab).T)
+                           for lo in range(0, d.shape[0], slab)], axis=1)
+
+
+@pytest.mark.parametrize("build", [
+    *(pytest.param(functools.partial(_spec_algebra, spec), id=spec) for spec in SPEC_NAMES),
+    # products near 2**62: each must be reduced before it is summed
+    pytest.param(lambda: group_algebra("c3", 2**31 - 1).algebra, id="c3_p2147483647"),
+])
+def test_delta_images_match_dense_product(build, monkeypatch):
+    a = build()
+    f = a.field
+    rng = np.random.default_rng(11)
+    for n in range(4):
+        d = hh.CochainComplex(a).delta(n)
+        dim = d.shape[1]
+        cochains = np.stack([
+            rng.integers(0, f.p, size=dim),
+            rng.integers(0, f.p, size=dim) * (rng.random(dim) < 0.05),
+            np.zeros(dim, dtype=np.int64),
+            np.eye(dim, dtype=np.int64)[dim // 2] * (f.p - 1),
+        ])
+        want = _dense_images(d, cochains)
+        # at a small slice, one row per chunk and a few products per pass
+        for width in (hh._SLICE, 64) if n < 3 else (hh._SLICE,):
+            monkeypatch.setattr(hh, "_SLICE", width)
+            got = np.concatenate(list(d.images(cochains)))
+            assert np.array_equal(got, want), (n, width)
+        monkeypatch.undo()
+
+
+def test_cohomology_rejects_coboundaries_that_are_not_cocycles(monkeypatch):
+    a = group_algebra("s3", 2).algebra
+    dense = oracles.as_dense(hh.CochainComplex(a).delta(2))
+    bad = next(e for e in np.eye(dense.shape[1], dtype=np.int64) if (dense @ e % 2).any())
+    honest = hh.Differential.image
+
+    def image(self, memory_mb=hh.DEFAULT_MEMORY_MB):
+        b = honest(self, memory_mb)
+        return subspace_from_rows(b.field, np.vstack([b.basis, bad]), ambient_dim=b.ambient_dim)
+
+    monkeypatch.setattr(hh.Differential, "image", image)
+    with pytest.raises(ValidationError, match=r"coboundaries are not cocycles \(bug\)"):
+        hh.cohomology(a, 2)
+
+
+def test_cohomology_rejects_representatives_that_are_not_cocycles(monkeypatch):
+    a = group_algebra("s3", 2).algebra
+    dense = oracles.as_dense(hh.CochainComplex(a).delta(2))
+
+    def kernel(self, keep, memory_mb=hh.DEFAULT_MEMORY_MB):
+        j = next(j for j, col in enumerate(keep) if dense[:, col].any())
+        return subspace_from_rows(self.field, np.eye(len(keep), dtype=np.int64)[j])
+
+    monkeypatch.setattr(hh.Differential, "kernel", kernel)
+    with pytest.raises(ValidationError, match=r"representative is not a cocycle \(bug\)"):
+        hh.cohomology(a, 2)
 
 
 # -- transfer: identity anchors ----------------------------------------------
