@@ -7,6 +7,11 @@ module maps, projectivity via explicit splittings of free covers, and the
 explicit mutually inverse multiplication/unit-decomposition isomorphisms
 between a double-coset carrier and the corresponding tensor product.
 
+Carriers are cached on the graded algebra, tensor products and
+multiplication isomorphisms on their left factor, splittings and one-sided
+hom bases on their module; each cache is keyed by exactly what its entry is
+built from, hands out read-only arrays and never keeps a failure.
+
 Every construction works on whole tensors: actions are (dim algebra, dim,
 dim) arrays, and a tensor product's actions, an intertwiner system, the
 multiplication map and its inverse are slices of the structure constants
@@ -256,7 +261,7 @@ def _intertwiners(f: PrimeField, pairs, dm: int, dn: int) -> np.ndarray:
 def module_hom_basis(m: Bimodule, side: str) -> np.ndarray:
     """RREF basis, stacked as (k, dim alg, dim M), of the one-sided module
     maps M -> alg into the regular module, where alg is the algebra acting on
-    ``side``; cached on M."""
+    ``side``; cached on M, read-only."""
     key = ("module_homs", side)
     if key not in m._cache:
         if side == "left":
@@ -266,6 +271,7 @@ def module_hom_basis(m: Bimodule, side: str) -> np.ndarray:
         else:
             raise ValidationError("side must be 'left' or 'right'")
         m._cache[key] = _intertwiners(m.field, ((act, reg),), m.dim, alg.dim)
+        read_only(m._cache[key])
     return m._cache[key]
 
 
@@ -285,36 +291,34 @@ def is_projective(m: Bimodule, side: str, generator_order=None) -> SplittingResu
     The splitting is sought blockwise: each block of sigma is a one-sided
     module map M -> algebra, so sigma is a combination of the hom basis and
     pi sigma = id becomes a small inhomogeneous system with the canonical
-    (free variables 0) solution."""
+    (free variables 0) solution.  Results are cached on M, keyed by the side
+    and the generator order; their arrays are read-only."""
+    gens = np.arange(m.dim) if generator_order is None else np.array(generator_order)
+    key = ("is_projective", side, tuple(gens.tolist()))
+    if key in m._cache:
+        return m._cache[key]
     homs = module_hom_basis(m, side)
     f = m.field
     alg = m.left if side == "left" else m.right
     act = m.left_action if side == "left" else m.right_action
-    da, dm = alg.dim, m.dim
-    gens = np.arange(dm) if generator_order is None else np.asarray(generator_order)
+    da, dm, nh = alg.dim, m.dim, homs.shape[0]
     if sorted(int(x) for x in gens) != list(range(dm)):
         raise ValidationError("generator_order must be a permutation of the basis")
     # F = alg^{#gens}, basis (gen position j, algebra basis a) -> j * da + a
-    pi = f.zeros((dm, dm * da))
-    for j, gen in enumerate(gens):
-        pi[:, j * da:(j + 1) * da] = act[:, :, gen].T
-    nh = homs.shape[0]
-    if nh == 0 and dm > 0:
-        return SplittingResult(False, gens, None)
+    at_gens = act[:, :, gens]
+    pi = at_gens.transpose(1, 2, 0).reshape(dm, dm * da)
     # columns of the small system: vec(pi_j @ hom_t) over (j, t)
-    cols = f.zeros((dm * dm, dm * nh))
-    for j in range(dm):
-        pj = pi[:, j * da:(j + 1) * da]
-        for t in range(nh):
-            cols[:, j * nh + t] = f.matmul(pj, homs[t]).reshape(-1)
+    cols = f.contract("apj,taq->pqjt", at_gens, homs).reshape(dm * dm, dm * nh)
     x = f.solve(cols, f.eye(dm).reshape(-1))
-    if x is None:
-        return SplittingResult(False, gens, None)
-    coeff = x.reshape(dm, nh)
-    sigma = f.contract("jt,tak->jak", coeff, homs).reshape(dm * da, dm)
-    if not np.array_equal(f.matmul(pi, sigma), f.eye(dm)):
-        raise ValidationError("splitting verification failed (bug)")
-    return SplittingResult(True, gens, sigma)
+    sigma = None
+    if x is not None:
+        sigma = f.contract("jt,tak->jak", x.reshape(dm, nh), homs).reshape(dm * da, dm)
+        if not np.array_equal(f.matmul(pi, sigma), f.eye(dm)):
+            raise ValidationError("splitting verification failed (bug)")
+        read_only(sigma)
+    read_only(gens)
+    m._cache[key] = SplittingResult(x is not None, gens, sigma)
+    return m._cache[key]
 
 
 # -- multiplication isomorphisms for the double-coset carriers --------------
@@ -346,24 +350,22 @@ def _mult_forward(rg, tensor_module: Bimodule, pres: QuotientPresentation,
 
 
 def _psi_matrix(rg, pres: QuotientPresentation, m: Bimodule, n: Bimodule,
-                source: Bimodule, degree_for) -> np.ndarray:
+                source: Bimodule, decs) -> np.ndarray:
     """Matrix of r -> sum_i a_i ox (b_i r) into M ox N presented by pres,
-    with the unit decomposition taken at degree_for(x) where x is the
-    grading of the source basis vector: one decomposition per degree, and
-    all source basis vectors that use it pushed through at once."""
+    with decs[y] the unit decomposition for the y-th source basis vector:
+    all source basis vectors that share a decomposition pushed through at once."""
     f = rg.field
-    degrees = np.array([degree_for(int(x)) for x in rg.grading[source.parent_indices]],
-                       dtype=np.int64)
+    first = {}
+    owner = np.array([first.setdefault(id(dec), y) for y, dec in enumerate(decs)], dtype=np.int64)
     amb_cols = f.zeros((pres.ambient_dim, source.dim))
-    for t in dict.fromkeys(degrees.tolist()):
-        ys = np.flatnonzero(degrees == t)
-        dec = galg.unit_decomposition(rg, t)
-        a = np.stack([av for av, _ in dec.pairs])
+    for y0 in first.values():
+        ys = np.flatnonzero(owner == y0)
+        a = np.stack([av for av, _ in decs[y0].pairs])
         if a[:, _outside(rg, m.parent_indices)].any():
             raise ValidationError("unit decomposition leaves the left carrier")
         # br[k, y] = b_k times the y-th source basis vector
         rmul = rg.algebra.basis_right_mults[source.parent_indices[ys]]
-        br = f.contract("ki,yzi->kyz", np.stack([bv for _, bv in dec.pairs]), rmul)
+        br = f.contract("ki,yzi->kyz", np.stack([bv for _, bv in decs[y0].pairs]), rmul)
         if br[:, :, _outside(rg, n.parent_indices)].any():
             raise ValidationError("unit decomposition leaves the right carrier")
         cols = f.contract("ki,kyj->ijy", a[:, m.parent_indices], br[:, :, n.parent_indices])
@@ -384,10 +386,23 @@ class MultIso:
 
 
 def _build_mult_iso(rg, left_mod, right_mod, carrier, degree_for) -> MultIso:
+    """The multiplication isomorphism left_mod ox right_mod ~ carrier, with the
+    unit decomposition at degree_for(x) for a carrier basis vector of degree x.
+    Cached on left_mod, keyed by right_mod, the carrier and the decomposition
+    each carrier basis vector uses (held with the entry, so that their ids
+    stay theirs); the decompositions are fetched through the module attribute
+    first, so a replaced ``galg.unit_decomposition`` gives a new key.  The two
+    maps' matrices are read-only."""
     f = rg.field
+    degrees = [int(degree_for(int(x))) for x in rg.grading[carrier.parent_indices]]
+    by_degree = {t: galg.unit_decomposition(rg, t) for t in dict.fromkeys(degrees)}
+    decs = tuple(by_degree[t] for t in degrees)
+    key = ("mult_iso", id(right_mod), id(carrier), tuple(map(id, decs)))
+    if key in left_mod._cache:
+        return left_mod._cache[key][-1]
     tensor_module, tensor = tensor_over(left_mod, right_mod)
     forward = _mult_forward(rg, tensor_module, tensor, left_mod, right_mod, carrier)
-    inv_matrix = _psi_matrix(rg, tensor, left_mod, right_mod, carrier, degree_for)
+    inv_matrix = _psi_matrix(rg, tensor, left_mod, right_mod, carrier, decs)
     inverse = BimoduleMap(source=carrier, target=tensor_module, matrix=inv_matrix)
     inverse.validate()
     if not np.array_equal(
@@ -398,8 +413,11 @@ def _build_mult_iso(rg, left_mod, right_mod, carrier, degree_for) -> MultIso:
         f.matmul(inverse.matrix, forward.matrix), f.eye(tensor_module.dim)
     ):
         raise ValidationError("inverse and multiplication map do not compose to id")
-    return MultIso(tensor_module=tensor_module, tensor=tensor, carrier=carrier,
-                   forward=forward, inverse=inverse)
+    read_only(forward.matrix, inverse.matrix)
+    iso = MultIso(tensor_module=tensor_module, tensor=tensor, carrier=carrier,
+                  forward=forward, inverse=inverse)
+    left_mod._cache[key] = (right_mod, carrier, decs, iso)
+    return iso
 
 
 def mult_iso_double_coset(

@@ -348,8 +348,21 @@ def test_psi_independent_of_unit_decomposition(ex11, monkeypatch):
     def variant_decomposition(a, g, variant=0):
         return original(a, g, variant=1 if g == 1 else 0)
 
+    variant = original(ex11, 1, variant=1)
+    assert variant is not original(ex11, 1)
+    psi, used = bimod._psi_matrix, []
+
+    def recording_psi(*args):
+        used.extend(args[-1])
+        return psi(*args)
+
     monkeypatch.setattr(galg, "unit_decomposition", variant_decomposition)
+    monkeypatch.setattr(bimod, "_psi_matrix", recording_psi)
     alt = bimod.mult_iso_conjugate_chain(ex11, 1, 0, h)
+    # the base isomorphism is cached on this algebra: the variant must give a
+    # new key and reach the build, not be answered by the cached entry
+    assert alt is not base
+    assert used and all(dec is variant for dec in used)
     assert np.array_equal(base.inverse.matrix, alt.inverse.matrix)
 
 
@@ -457,11 +470,16 @@ def test_psi_rejects_a_decomposition_outside_the_carrier(ks3_p2, monkeypatch, si
     grp = ks3_p2.group
     full, triv = groups.full_subgroup(grp), groups.trivial_subgroup(grp)
     k, h = (full, triv) if k_full else (triv, full)
+    # the same instance, built unpatched first, is cached on this algebra
+    bimod.mult_iso_double_coset(ks3_p2, k, 0, h)
     original = galg.unit_decomposition
     monkeypatch.setattr(galg, "unit_decomposition",
                         lambda a, g, variant=0: original(a, forced, variant))
-    with pytest.raises(ValidationError, match=f"unit decomposition leaves the {side} carrier"):
-        bimod.mult_iso_double_coset(ks3_p2, k, 0, h)
+    # a failure is not cached: the second call raises too
+    for _ in range(2):
+        with pytest.raises(ValidationError,
+                           match=f"unit decomposition leaves the {side} carrier"):
+            bimod.mult_iso_double_coset(ks3_p2, k, 0, h)
 
 
 # -- the batched constructions against the per-element ones -------------------
@@ -546,52 +564,76 @@ def test_intertwiners_and_tensor_match_kronecker_oracle_with_zero_modules(ks3_p2
 # -- the carrier, tensor-product and unit-decomposition caches ----------------
 
 
+def _iso_arrays(iso):
+    return [iso.tensor_module.left_action, iso.tensor_module.right_action,
+            iso.tensor.projection, iso.tensor.section, iso.tensor.sub.basis,
+            iso.carrier.left_action, iso.carrier.right_action, iso.carrier.parent_indices,
+            iso.forward.matrix, iso.inverse.matrix]
+
+
 @pytest.mark.parametrize("spec", ["s3_p2", "c2xc2_p2", "matrix_crossed_c2_p2"])
 def test_lemma2_caches_equal_fresh_builds(spec, monkeypatch, capsys):
-    # every carrier and tensor product that lemma2 takes from a cache equals
-    # one built afresh on a newly loaded algebra, and the tensor product its
-    # Kronecker oracle, array for array
-    build_carrier, build_tensor = bimod.graded_carrier, bimod.tensor_over
+    # every carrier, tensor product, splitting and multiplication isomorphism
+    # that lemma2 gets, from a cache or not, equals one built afresh on a newly
+    # loaded algebra, and the tensor product its Kronecker oracle, array for array
+    built = {name: getattr(bimod, name) for name in (
+        "graded_carrier", "tensor_over", "is_projective",
+        "mult_iso_double_coset", "mult_iso_conjugate_chain")}
     carriers, tensors, calls = {}, {}, []
 
-    def carrier(rg, c, left, right):
-        out = build_carrier(rg, c, left, right)
-        carriers[id(out)] = (out, (tuple(c), left.key, right.key))
-        calls.append("carrier")
-        return out
+    def recording(name):
+        def wrapper(*args):
+            out = built[name](*args)
+            calls.append((name, args, out))
+            if name == "graded_carrier":
+                carriers[id(out)] = (out, (tuple(args[1]), args[2].key, args[3].key))
+            elif name == "tensor_over":
+                tensors[id(args[0]), id(args[1])] = (*args, out)
+            return out
+        return wrapper
 
-    def tensor(m, n):
-        out = build_tensor(m, n)
-        tensors[id(m), id(n)] = (m, n, out)
-        calls.append("tensor")
-        return out
-
-    monkeypatch.setattr(bimod, "graded_carrier", carrier)
-    monkeypatch.setattr(bimod, "tensor_over", tensor)
+    for name in built:
+        monkeypatch.setattr(bimod, name, recording(name))
     assert cli.main(["lemma2", "--spec", str(SPECS / f"{spec}.json")]) == 0
     capsys.readouterr()
-    assert len(carriers) < calls.count("carrier")
-    assert len(tensors) < calls.count("tensor")
+    counts = {name: sum(1 for c in calls if c[0] == name) for name in built}
+    assert len(carriers) < counts["graded_carrier"]
+    assert len(tensors) < counts["tensor_over"]
+    results = [c for c in calls if c[0] not in ("graded_carrier", "tensor_over")]
+    assert len({id(out) for _, _, out in results}) < len(results)
+
+    def fresh(rg, module):
+        c, left, right = carriers[id(module)][1]
+        return built["graded_carrier"](rg, c, groups.Subgroup(rg.group, left),
+                                       groups.Subgroup(rg.group, right))
 
     rg = _load(spec)
-    grp = rg.group
-
-    def fresh(module):
-        c, left, right = carriers[id(module)][1]
-        return build_carrier(rg, c, groups.Subgroup(grp, left), groups.Subgroup(grp, right))
-
     for cached, _ in carriers.values():
-        new = fresh(cached)
+        new = fresh(rg, cached)
         for name in ("left_action", "right_action", "parent_indices"):
             assert _same_bytes(getattr(cached, name), getattr(new, name))
     for m, n, (module, pres) in tensors.values():
-        fm, fn = fresh(m), fresh(n)
-        for new, new_pres in (build_tensor(fm, fn), oracles.kron_tensor_over(fm, fn)):
+        fm, fn = fresh(rg, m), fresh(rg, n)
+        for new, new_pres in (built["tensor_over"](fm, fn), oracles.kron_tensor_over(fm, fn)):
             assert _same_bytes(module.left_action, new.left_action)
             assert _same_bytes(module.right_action, new.right_action)
             for name in ("projection", "section"):
                 assert _same_bytes(getattr(pres, name), getattr(new_pres, name))
             assert _same_bytes(pres.sub.basis, new_pres.sub.basis)
+    # one newly loaded algebra per instance, so that no cache can answer
+    for name, args, out in results:
+        rg = _load(spec)
+        if name == "is_projective":
+            new = built[name](fresh(rg, args[0]), *args[1:])
+            assert new.projective == out.projective
+            assert _same_bytes(new.generated_by, out.generated_by)
+            assert (new.splitting is None and out.splitting is None
+                    or _same_bytes(new.splitting, out.splitting))
+        else:
+            new = built[name](rg, *(groups.Subgroup(rg.group, a.key)
+                                    if isinstance(a, groups.Subgroup) else a
+                                    for a in args[1:]))
+            assert all(_same_bytes(x, y) for x, y in zip(_iso_arrays(out), _iso_arrays(new)))
 
 
 def test_unit_decomposition_cache_keys_the_variant():
@@ -620,11 +662,60 @@ def test_cached_arrays_are_read_only(ks3_p2):
     g = next(x for x in range(1, 6) if x not in h.elements)
     iso = bimod.mult_iso_double_coset(ks3_p2, h, g, h)
     dec = galg.unit_decomposition(ks3_p2, g)
+    split = bimod.is_projective(iso.carrier, "right")
     arrays = [iso.carrier.left_action, iso.carrier.right_action, iso.carrier.parent_indices,
               iso.tensor_module.left_action, iso.tensor_module.right_action,
-              iso.tensor.projection, iso.tensor.section, dec.pairs[0][0], dec.pairs[0][1]]
+              iso.tensor.projection, iso.tensor.section, dec.pairs[0][0], dec.pairs[0][1],
+              iso.forward.matrix, iso.inverse.matrix, split.generated_by, split.splitting]
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr.flat[0] = 1
-    # the next instance gets the same, unchanged carrier
+    # the next instance gets the same, unchanged carrier, isomorphism and splitting
     assert bimod.truncation(ks3_p2, h, g, h) is iso.carrier
+    assert bimod.mult_iso_double_coset(ks3_p2, h, g, h) is iso
+    assert bimod.is_projective(iso.carrier, "right") is split
+
+
+def test_is_projective_keys_the_generator_order_and_caches_no_failure(ks3_p2):
+    from gradedhh.errors import ValidationError
+
+    grp = ks3_p2.group
+    h = groups.subgroup_generated(grp, [involution(grp)])
+    m = bimod.side_restricted(ks3_p2, h, h)
+    order = list(range(m.dim))[::-1]
+    plain = bimod.is_projective(m, "right")
+    reordered = bimod.is_projective(m, "right", generator_order=order)
+    assert reordered is not plain
+    assert bimod.is_projective(m, "right", generator_order=np.array(order)) is reordered
+    assert reordered.generated_by.tolist() == order
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="must be a permutation"):
+            bimod.is_projective(m, "right", generator_order=[0] * m.dim)
+        with pytest.raises(ValidationError, match="side must be"):
+            bimod.is_projective(m, "middle")
+
+
+def test_lemma2_builds_each_isomorphism_and_splitting_once_per_input(monkeypatch, capsys,
+                                                                      tmp_path):
+    # D4 over F_2: the 1,440 isomorphism instances of parts b and c need 595
+    # builds (one tensor product each), and the 200 projectivity checks of part
+    # a need 106 splittings (one hom basis each)
+    counts = {}
+
+    def counting(name):
+        fn = getattr(bimod, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("_build_mult_iso", "tensor_over", "is_projective", "module_hom_basis"):
+        monkeypatch.setattr(bimod, name, counting(name))
+    spec = tmp_path / "d4_p2.json"
+    spec.write_text(json.dumps({"field": {"p": 2}, "group": {"kind": "dihedral", "n": 4},
+                                "algebra": {"kind": "group_algebra"}}))
+    assert cli.main(["lemma2", "--spec", str(spec)]) == 0
+    capsys.readouterr()
+    assert counts == {"_build_mult_iso": 1440, "tensor_over": 595,
+                      "is_projective": 200, "module_hom_basis": 106}
