@@ -36,9 +36,6 @@ _GEMM_MIN = 2**13
 # largest slice, in entries, of an operand or product that a contraction
 # routed as a matrix product converts to float64 at once
 _SLICE = 2**20
-# bytes such a contraction holds besides its output and its small operand:
-# a float64 slice of the large operand, and the float64 and int64 product
-PRODUCT_WORKSPACE = 3 * 8 * _SLICE
 
 
 def _is_prime(n: int) -> bool:
@@ -170,11 +167,21 @@ class PrimeField:
     def _product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Exact a @ b mod p of two matrices, the one product kernel: float64
         BLAS while every sum stays below 2**53, int64 below 2**62, and past
-        that chunks of the inner dimension, each reduced mod p."""
+        that chunks of the inner dimension, each reduced mod p.  The float64
+        product is written into the int64 output a slice of rows of a at a
+        time (at most ``_SLICE`` outputs), so the two are never held whole
+        at once."""
         p = self.p
         largest = a.shape[1] * (p - 1) ** 2     # bound on every sum
         if largest < _FLOAT_SAFE:
-            out = (a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)).astype(np.int64)
+            fb = b.astype(np.float64, copy=False)
+            if a.shape[0] * b.shape[1] <= _SLICE:
+                out = (a.astype(np.float64, copy=False) @ fb).astype(np.int64)
+            else:
+                out = np.empty((a.shape[0], b.shape[1]), dtype=np.int64)
+                step = max(1, _SLICE // b.shape[1])
+                for lo in range(0, a.shape[0], step):
+                    out[lo:lo + step] = a[lo:lo + step].astype(np.float64, copy=False) @ fb
         elif largest < _INT_SAFE:
             out = a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)
         else:
@@ -321,6 +328,7 @@ class PrimeField:
                 trail = R[:, c1:]       # a view, so no trailing-size temporary
                 trail += gained
                 trail %= p
+                del gained      # before the row permutation below copies R
             R[:, c0:c1] = work[:, :w]
             rest = np.flatnonzero(~is_piv)
             R = R[np.concatenate([rest[:pr], piv_rows, rest[pr:]])]

@@ -7,8 +7,11 @@ conjugates over coset representatives, the bar resolution, from which
 the cochain differential is derived, is built from its face maps, the dense
 cochain differential and cohomology are the Kronecker-product construction
 that the sparse complex replaced, the split of HH^n(kG) over conjugacy
-classes is a table of centralizer cohomology, and the transfer matrix is
-the loop that pushed one class representative at a time.
+classes is a table of centralizer cohomology, the chain lift is the dense
+array of generator images that the lift held as nonzero entries replaced,
+the image cochains of a transfer are whole-array contractions with that
+array, and the transfer matrix is the loop that pushed one class
+representative at a time through it.
 
 The module also holds what only the tests use: the multiplication matrix
 and the center of an algebra, the conjugacy classes of a group, a test that
@@ -246,14 +249,28 @@ def twist_class_counts(rg: galg.GradedAlgebra, reps: np.ndarray, n: int) -> dict
     return counts
 
 
+def dense_transfer_cochain(data: "DenseLift", zeta: np.ndarray, n: int) -> np.ndarray:
+    """``hh.transfer_cochain`` of each row of ``zeta`` through the dense lift:
+    three contractions of whole arrays."""
+    f = data.field
+    r, da, db = data.m.dim, data.m.left.dim, data.m.right.dim
+    lift = data.dense(n)
+    l4 = lift.reshape(lift.shape[0], r, db ** n, r)
+    z = np.reshape(zeta, (-1, db, db ** n))
+    u = f.contract("gitl,sbt->glsbi", l4, z)
+    w = f.contract("glsbi,bki->glsk", u, data.m.right_action)
+    return f.contract("glsk,ckl->scg", w, data.eps_amb.reshape(da, r, r)).reshape(len(z), -1)
+
+
 def transfer_by_representative(data: hh.TransferData, n: int,
                                classes_b: hh.HHClasses, classes_a: hh.HHClasses) -> np.ndarray:
     """The transfer HH^n(B) -> HH^n(A) on class coordinates, one
     representative of HH^n(B) at a time: its image cochain through three
-    contractions of its own, then the class coordinates of that image."""
+    contractions of its own with the dense lift of ``DenseLift``, then the
+    class coordinates of that image."""
     f = data.field
     r, da, db = data.m.dim, data.m.left.dim, data.m.right.dim
-    lift = data.lift(n)
+    lift = (data if isinstance(data, DenseLift) else DenseLift.of(data)).dense(n)
     l4 = lift.reshape(lift.shape[0], r, db ** n, r)
     eps3 = data.eps_amb.reshape(da, r, r)
     cols = f.zeros((classes_a.dim, classes_b.dim))
@@ -433,19 +450,127 @@ def iso_check(m: bimod.Bimodule, n: bimod.Bimodule, seed: int = 0,
     return IsoVerdict("inconclusive", f"budget {budget} exhausted")
 
 
-# -- the chain lift by a linear solve ----------------------------------------
+# -- the dense chain lift, and the chain lift by a linear solve ---------------
 
 
-class SolvedLift(hh.TransferData):
+def _add_signed(p: int, acc: np.ndarray, sign: int, term: np.ndarray) -> None:
+    """acc <- acc + sign * term mod p in place, for entries in 0..p-1; term is
+    overwritten, so no temporary of their size is made."""
+    if sign < 0:
+        np.subtract(p, term, out=term)
+    acc += term
+    acc %= p
+
+
+def entries_of(dense: np.ndarray) -> hh.Entries:
+    """The nonzero entries of a dense matrix, in row-major order."""
+    rows, cols = np.nonzero(dense)
+    return hh.Entries(dense.shape, rows, cols, dense[rows, cols])
+
+
+def dense_of(entries: hh.Entries) -> np.ndarray:
+    out = np.zeros(entries.shape, dtype=np.int64)
+    out[entries.rows, entries.cols] = entries.vals
+    return out
+
+
+@dataclass(eq=False)
+class DenseLift(hh.TransferData):
+    """Transfer data whose chain lift is built dense, by whole-array
+    contractions: ``dense(n)`` is the (dimA^n, x_dim(n)) array of generator
+    images, and ``lift(n)`` hands its nonzero entries to ``hh``, so that
+    ``hh.transfer`` runs on it unchanged."""
+
+    _dense: list = dataclasses.field(default_factory=list, repr=False)
+
+    @classmethod
+    def of(cls, data: hh.TransferData):
+        return cls(**{fld.name: getattr(data, fld.name)
+                      for fld in dataclasses.fields(hh.TransferData)
+                      if not fld.name.startswith("_")})
+
+    def _dx_apply(self, n: int, arr: np.ndarray) -> np.ndarray:
+        """Apply the relative-bar differential X_n -> X_{n-1} to a batch of
+        vectors (rows)."""
+        f = self.field
+        r = self.m.dim
+        db = self.m.right.dim
+        batch = arr.shape[0]
+        racts = self.m.right_action
+        scb = self.m.right.sc
+        v = arr.reshape(batch, r, db, db ** (n - 1), r)
+        out = f.contract("aki,ziatl->zktl", racts, v).reshape(batch, -1)
+        for i in range(1, n):
+            vi = arr.reshape(batch, r, db ** (i - 1), db, db, db ** (n - i - 1), r)
+            term = f.contract("ijm,zkpijql->zkpmql", scb, vi).reshape(batch, -1)
+            _add_signed(f.p, out, (-1) ** i, term)
+        vlast = arr.reshape(batch, r, db ** (n - 1), db, r)
+        term = f.contract("amk,zitam->zitk", racts, vlast).reshape(batch, -1)
+        _add_signed(f.p, out, (-1) ** n, term)
+        return out
+
+    def _s_apply(self, n: int, arr: np.ndarray) -> np.ndarray:
+        """Apply the contracting homotopy X_n -> X_{n+1} to a batch of rows."""
+        f = self.field
+        r = self.m.dim
+        batch = arr.shape[0]
+        v = arr.reshape(batch, r, -1)
+        out = f.contract("jbi,zit->zjbt", self.phi, v)
+        return out.reshape(batch, -1)
+
+    def lift(self, n: int) -> hh.Entries:
+        return entries_of(self.dense(n))
+
+    def dense(self, n: int) -> np.ndarray:
+        """Generator images of the chain lift at degree n, shape
+        (dimA^n, x_dim(n)); row order is C-order over generator tuples."""
+        while len(self._dense) <= n:
+            self._dense.append(None)
+        if self._dense[n] is not None:
+            return self._dense[n]
+        f = self.field
+        a = self.m.left
+        da = a.dim
+        r = self.m.dim
+        db = self.m.right.dim
+        if n == 0:
+            out = self.eta_raw[None, :].copy()
+            self._dense[0] = out
+            return out
+        prev = self.dense(n - 1)
+        lm = self.m.left_action
+        gens_prev = da ** (n - 1)
+        # rhs = image of the bar differential of each generator under the
+        # previous lift, extended by the outer actions
+        p4 = prev.reshape(gens_prev, r, db ** (n - 1), r)
+        rhs = f.contract("aij,gjtl->agitl", lm, p4).reshape(da * gens_prev, -1)
+        for i in range(1, n):
+            pi = prev.reshape(da ** (i - 1), da, da ** (n - 1 - i), self.x_dim(n - 1))
+            term = f.contract("ijm,pmqx->pijqx", a.sc, pi).reshape(da ** n, -1)
+            _add_signed(f.p, rhs, (-1) ** i, term)
+        term = f.contract("amk,gitm->gaitk", lm, p4).reshape(da ** n, -1)
+        _add_signed(f.p, rhs, (-1) ** n, term)
+        del term
+        # solvability: rhs must die one step further down
+        if n == 1:
+            img = f.matmul(rhs, self.dualpres.projection.T)
+            if img.any():
+                raise ValidationError("Casimir unit is not central (bug)")
+        else:
+            if self._dx_apply(n - 1, rhs).any():
+                raise ValidationError("chain lift right-hand side is not a cycle (bug)")
+        x = self._s_apply(n - 1, rhs)
+        if not np.array_equal(self._dx_apply(n, x), rhs):
+            raise ValidationError("chain lift does not satisfy the chain condition")
+        self._dense[n] = x
+        return x
+
+
+class SolvedLift(DenseLift):
     """Transfer data whose chain lift solves the relative-bar differential
     instead of applying the contracting homotopy: each generator image is the
     canonical solution (free variables 0) of d_n x = rhs.  Both are chain
     lifts of the same map, so the transfers must agree on classes."""
-
-    @classmethod
-    def of(cls, data: hh.TransferData) -> "SolvedLift":
-        return cls(**{fld.name: getattr(data, fld.name)
-                      for fld in dataclasses.fields(data) if not fld.name.startswith("_")})
 
     def _s_apply(self, n: int, arr: np.ndarray) -> np.ndarray:
         dx = self._dx_apply(n + 1, self.field.eye(self.x_dim(n + 1))).T

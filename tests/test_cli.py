@@ -84,14 +84,20 @@ def test_hh_table_matrix_crossed_degree_3(capsys):
     assert lines and lines[0].split()[-4:] == ["2", "2", "2", "2"]
 
 
-def test_chain_lift_budget_counts_what_the_lift_holds(capsys):
-    # the degree-3 lift of the whole-group carrier holds its 134 MB of
-    # generator images, three arrays of its right-hand side's size and the
-    # product workspace at once: about 202 MiB
-    code, _, err = run(capsys, "verify", "--spec", str(SPECS / "matrix_crossed_c2_p2.json"),
-                       "--degree", "3", "--memory-mb", "200")
-    assert code == 2
-    assert "chain lift at degree 3" in err
+def test_d4_verifies_at_degree_3_under_a_budget_the_dense_lift_exceeded(tmp_path, capsys):
+    # a dense degree-3 lift of the whole-group carrier (512 x 32768 generator
+    # images, with three right-hand-side arrays and a product workspace)
+    # checked about 200 MiB; its nonzero entries check well under 1 MiB
+    spec = tmp_path / "d4_p2.json"
+    spec.write_text(json.dumps({
+        "field": {"p": 2},
+        "group": {"kind": "dihedral", "n": 4},
+        "algebra": {"kind": "group_algebra"},
+    }))
+    code, out, _ = run(capsys, "verify", "--spec", str(spec), "--degree", "3",
+                       "--memory-mb", "160", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["summary"] == {"total": 1400, "passed": 1400, "failed": 0}
 
 
 def test_hh_budget_exceeded_exit_2(capsys):

@@ -370,11 +370,13 @@ def test_contract_matches_python_ints(data, p, subscripts):
     assert np.array_equal(got, reference_einsum(subscripts, ops, p))
 
 
-# every two-operand contraction the package makes, and four that do not run as
-# one matrix product: a repeated letter, a letter summed from one operand
-# only, a letter both operands keep (a batch letter), and an outer product
+# every two-operand contraction the package and the oracles make, and four
+# that do not run as one matrix product: a repeated letter, a letter summed
+# from one operand only, a letter both operands keep (a batch letter), and an
+# outer product
 SRC_SUBSCRIPTS = sorted({
-    found for path in pathlib.Path(exactfield.__file__).parent.glob("*.py")
+    found for path in [*pathlib.Path(exactfield.__file__).parent.glob("*.py"),
+                       pathlib.Path(__file__).parent / "oracles.py"]
     for found in re.findall(r'contract\(\s*"([^"]+)"', path.read_text())
     if found.split("->")[0].count(",") == 1})
 EINSUM_ONLY = ["ii,ij->j", "ij,jk->k", "bij,bjk->bik", "ij,k->ijk"]

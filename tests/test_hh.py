@@ -538,6 +538,140 @@ def test_lift_methods_agree():
             assert np.array_equal(hh.transfer(d1, n), hh.transfer(d2, n))
 
 
+# -- the chain lift held as nonzero entries ----------------------------------
+
+
+def _carrier_data(rg):
+    """((K, g, H), TransferData) of every carrier of ``rg``: K and H run over
+    the subgroups and g over the minimal double-coset representatives."""
+    subs = groups.all_subgroups(rg.group)
+    forms = {h.key: galg.symmetrizing_form(galg.component_subalgebra(rg, h)).vector
+             for h in subs}
+    for k in subs:
+        for h in subs:
+            for g in groups.double_coset_reps(k, h):
+                yield (k.elements, g, h.elements), hh.transfer_data(
+                    bimod.truncation(rg, k, g, h), forms[k.key], forms[h.key])
+
+
+def _spec_graded(spec):
+    return galg.algebra_from_spec(json.loads((SPECS / f"{spec}.json").read_text()))
+
+
+@pytest.mark.parametrize("spec", SPEC_NAMES)
+def test_sparse_lift_and_transfer_match_the_dense_oracle(spec):
+    rng = np.random.default_rng(0)
+    for key, data in _carrier_data(_spec_graded(spec)):
+        dense = oracles.DenseLift.of(data)
+        p, db = data.field.p, data.m.right.dim
+        for n in range(4):
+            lift = data.lift(n)
+            assert np.array_equal(oracles.dense_of(lift), dense.dense(n)), (key, n)
+            assert lift.equals(dense.lift(n)), (key, n)
+            classes_b, classes_a = hh.cohomology(data.m.right, n), hh.cohomology(data.m.left, n)
+            # the image of any cochain, not only of a cocycle
+            zeta = np.concatenate([classes_b.reps, rng.integers(0, p, size=(2, db ** (n + 1)))])
+            assert np.array_equal(hh.transfer_cochain(data, zeta, n),
+                                  oracles.dense_transfer_cochain(dense, zeta, n)), (key, n)
+            assert np.array_equal(
+                hh.transfer(data, n),
+                oracles.transfer_by_representative(dense, n, classes_b, classes_a)), (key, n)
+
+
+@pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
+def test_sparse_lift_is_exact_at_the_edges_of_the_field_range(p):
+    # lift(n) is called directly: over F_(2^31-1) HH^n = 0 for n > 0, so
+    # transfer never asks for it.  Signs enter the tables as p - 1, so the
+    # products reach (p - 1)^2 just below 2^62 before they are reduced.
+    algebras = [(galg.group_algebra(groups.symmetric(3), p), 3),
+                (galg.crossed_product(groups.cyclic(2), galg.matrix_algebra(PrimeField(p), 2)), 2)]
+    for rg, top in algebras:
+        for key, data in _carrier_data(rg):
+            dense = oracles.DenseLift.of(data)
+            for n in range(top + 1):
+                assert np.array_equal(oracles.dense_of(data.lift(n)), dense.dense(n)), (key, n)
+
+
+def test_pairs_are_reduced_mod_p_before_they_are_summed():
+    # 64 entries of value p - 1 meet a table entry p - 1 at one position:
+    # unreduced, their products (p - 1)^2 would sum past 2^63
+    p, count = 2**31 - 1, 64
+    step = (np.zeros(count, dtype=np.int64), np.full((1, 1), p - 1), lambda src, o: (0 * src, o))
+    out = hh._contract(p, (1, 1), np.full(count, p - 1), [step], 0, 1, "test")
+    assert (out.rows.tolist(), out.cols.tolist(), out.vals.tolist()) == ([0], [0], [count])
+
+
+# the chain-lift and transfer checks count array data; the Python objects of
+# one call (generator frames, tables of index arithmetic, array headers) add a
+# few KiB
+LIFT_SLACK = 32 * 1024
+
+
+def _recorded_checks(monkeypatch) -> list:
+    """The (what, count) of every budget check ``hh`` makes from now on."""
+    checked = []
+    honest = hh._check_budget
+    monkeypatch.setattr(hh, "_check_budget", lambda count, mb, what: (
+        checked.append((what, count)), honest(count, mb, what)))
+    return checked
+
+
+def _added_peak(call) -> int:
+    """The tracemalloc peak that ``call()`` adds to what is held before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def _lift_budget_algebras():
+    return [_spec_graded(spec) for spec in SPEC_NAMES] + [group_algebra("d4", 2)]
+
+
+def test_chain_lift_peaks_stay_within_their_budget_checks(monkeypatch):
+    checked = _recorded_checks(monkeypatch)
+    for rg in _lift_budget_algebras():
+        for key, data in _carrier_data(rg):
+            data.lift(0)
+            for n in range(1, 4):
+                below = sum(x.nbytes for x in data._lifts[:n])
+                checked.clear()
+                added = _added_peak(lambda: data.lift(n))
+                counts = [count for what, count in checked if what == f"chain lift at degree {n}"]
+                # what the call added, plus the lifts below n that it holds
+                assert added + below <= max(counts) + LIFT_SLACK, (key, n)
+
+
+def test_transfer_cochain_peaks_stay_within_their_budget_check(monkeypatch):
+    checked = _recorded_checks(monkeypatch)
+    rng = np.random.default_rng(0)
+    for rg in _lift_budget_algebras():
+        for key, data in _carrier_data(rg):
+            for n in range(4):
+                data.lift(n)
+                reps = hh.cohomology(data.m.right, n).reps
+                if not len(reps):
+                    reps = rng.integers(0, rg.field.p, size=(2, data.m.right.dim ** (n + 1)))
+                checked.clear()
+                added = _added_peak(lambda: hh.transfer_cochain(data, reps, n))
+                assert [what for what, _ in checked] == [f"transfer at degree {n}"]
+                assert added <= checked[0][1] + LIFT_SLACK, (key, n)
+
+
+def test_chain_lift_over_budget_raises():
+    # the degree-4 lift of S3's whole-group carrier checks about 3.5 MiB
+    rg = group_algebra("s3", 2)
+    data = regular_data(rg)
+    data.memory_mb = 1
+    data.lift(3)
+    with pytest.raises(BudgetError, match="chain lift at degree 4"):
+        data.lift(4)
+
+
 def test_dual_basis_choice_independence():
     rg = group_algebra("v4", 2)
     grp = rg.group
