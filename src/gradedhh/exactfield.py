@@ -295,10 +295,12 @@ class PrimeField:
         rows, cols = R.shape
         pivots: list[int] = []
         pr = 0
-        for c0 in range(0, cols, block_size):
+        # the last panel takes a remainder narrower than block_size, so no
+        # input narrower than two panels gets multiplier columns
+        for c0 in range(0, max(cols - block_size, 0) + 1, block_size):
             if pr >= rows:
                 break
-            c1 = min(c0 + block_size, cols)
+            c1 = cols if c0 + 2 * block_size > cols else c0 + block_size
             w = c1 - c0
             # the panel, then (before the last panel) its multiplier columns
             work = np.zeros((rows, 2 * w if c1 < cols else w), dtype=np.int64)

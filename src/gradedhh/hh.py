@@ -34,16 +34,18 @@ row-major.  The differential is
 
 The matrix of delta(n) is d^(n+2) x d^(n+1) but has at most n+2 nonzeros
 per row, so it is never built dense: a ``Differential`` holds its nonzero
-entries, read off the nonzero structure constants, split into the connected
-components of its nonzero pattern.  On a homogeneous basis of a graded
-algebra every component lies inside one twist class, the conjugacy class of
-deg(out) (deg a_1...a_n)^-1.  The coboundaries B = im delta(n-1) are
-eliminated first; F is the set of non-pivot coordinates of their RREF basis.
-B lies in the cocycles Z = ker delta(n), and a cocycle reduced modulo B is a
-cocycle supported on F, so Z is the direct sum of B and the cocycles
-supported on F, and HH^n is represented by the kernel of delta(n) on the
-columns F: Z is never eliminated whole.  Blocks are eliminated one by one and their RREF bases merge into the
-global ones, so representatives and class coordinates are those of the dense
+entries, split into the connected components of its nonzero pattern.  They
+are built like the lift, by ``_contract``: the identity entries of C^n meet
+the structure constants once per term of the differential.  On a
+homogeneous basis of a graded algebra every component lies inside one twist
+class, the conjugacy class of deg(out) (deg a_1...a_n)^-1.  The coboundaries
+B = im delta(n-1) are eliminated first; F is the set of non-pivot
+coordinates of their RREF basis.  B lies in the cocycles Z = ker delta(n),
+and a cocycle reduced modulo B is a cocycle supported on F, so Z is the
+direct sum of B and the cocycles supported on F, and HH^n is represented by
+the kernel of delta(n) on the columns F: Z is never eliminated whole.
+Blocks are eliminated one by one and their RREF bases merge into the global
+ones, so representatives and class coordinates are those of the dense
 elimination.
 """
 
@@ -69,6 +71,93 @@ def _check_budget(byte_count: int, memory_mb: int, what: str) -> None:
             f"{what} needs about {byte_count // (1024 * 1024)} MiB, "
             f"budget is {memory_mb} MiB"
         )
+
+
+# -- sparse contraction ------------------------------------------------------
+
+
+# bytes that ``_contract`` holds per pair while it forms a step's pairs: the
+# entry and table column of the pair, its value, the row and column that
+# place it, and three temporaries of the index arithmetic
+PAIR_BYTES = 8 * 8
+# bytes that ``_contract`` holds per pair while it sums them: the row, column
+# and value of each, the keys, the sort order, the sorted keys and values,
+# and the run boundaries
+TERM_BYTES = 8 * 8
+
+
+@dataclass(frozen=True, eq=False)
+class Entries:
+    """A matrix of ``shape`` held as its nonzero entries: ``rows``, ``cols``
+    and ``vals`` (in 1..p-1), sorted by row * shape[1] + col."""
+
+    shape: tuple[int, int]
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return self.rows.nbytes + self.cols.nbytes + self.vals.nbytes
+
+    def equals(self, other: "Entries") -> bool:
+        return self.shape == other.shape and all(
+            np.array_equal(x, y) for x, y in zip((self.rows, self.cols, self.vals),
+                                                 (other.rows, other.cols, other.vals)))
+
+
+def _contract(p: int, shape: tuple[int, int], vals: np.ndarray, steps, held: int,
+              memory_mb: int, what: str) -> Entries:
+    """A sum of contractions of entries (values ``vals``) with small dense
+    tables, as the entries of a matrix of ``shape``.  Each step of ``steps``
+    is (key, table, place): entry e meets every column o with table[key[e],
+    o] != 0, and the pair has value vals[e] * table[key[e], o] mod p at the
+    (rows, cols) that place(e, o) gives.  The pairs of all steps are summed
+    mod p with one sort of the keys row * shape[1] + col and one
+    ``np.add.reduceat`` over each run of equal keys.
+
+    Exact for every p < 2^31: each product is below p^2 < 2^62 and is
+    reduced before any sum, and a run sums at most as many values below p
+    as there are pairs, far fewer than 2^32, so every sum stays below 2^63.
+    The budget is checked before each step forms its pairs (``held`` bytes,
+    the pairs so far, the table with its nonzeros, ``PAIR_BYTES`` per new
+    pair and per entry) and before the sum (``TERM_BYTES`` per pair)."""
+    if shape[0] * shape[1] >= 2**63:
+        raise BudgetError(f"{what} has {shape[0]} x {shape[1]} positions, past int64 keys")
+    terms = []
+    for key, table, place in steps:
+        k, o = np.nonzero(table)                # sorted by k
+        w = table[k, o]
+        ptr = np.searchsorted(k, np.arange(len(table) + 1))
+        count = ptr[key + 1] - ptr[key]
+        total = int(count.sum())
+        _check_budget(held + sum(x.nbytes for t in terms for x in t) + 4 * table.nbytes
+                      + PAIR_BYTES * (total + len(key)), memory_mb, what)
+        src = np.repeat(np.arange(len(key)), count)
+        at = np.repeat(ptr[key] - np.cumsum(count) + count, count)
+        at += np.arange(total)
+        val = vals[src] * w[at]
+        val %= p
+        terms.append((*place(src, o[at]), val))
+        del src, at, val
+    _check_budget(held + TERM_BYTES * sum(len(t[2]) for t in terms), memory_mb, what)
+    key = np.concatenate([rows * shape[1] + cols for rows, cols, _ in terms])
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    vals = np.concatenate([t[2] for t in terms])[order]
+    del order, terms
+    start = np.flatnonzero(np.diff(key, prepend=-1))
+    total = np.add.reduceat(vals, start)
+    total %= p
+    keep = total != 0
+    rows, cols = np.divmod(key[start[keep]], shape[1])
+    return Entries(shape, rows, cols, total[keep])
+
+
+def _splice(idx: np.ndarray, lo: int, size: int, digit: np.ndarray, width: int) -> np.ndarray:
+    """idx with its mixed-radix digit idx // lo % size, of radix ``size``,
+    replaced by ``digit`` of radix ``width``."""
+    return (idx // (lo * size) * width + digit) * lo + idx % lo
 
 
 # -- cochain complex ---------------------------------------------------------
@@ -250,45 +339,31 @@ class CochainComplex:
         if n in self._deltas:
             return self._deltas[n]
         a = self.algebra
-        f = a.field
-        d = a.dim
+        f, p, d = a.field, a.field.p, a.dim
         dn = d ** n
         shape = (d * d * dn, d * dn)
-        si, sj, sk = np.nonzero(a.sc)
-        s = a.sc[si, sj, sk]
         what = f"cochain differential at degree {n}"
-        _check_budget(3 * 8 * (n + 2) * len(s) * dn, memory_mb, what)
         # entry [(k, a_1..a_{n+1}), (m, b_1..b_n)] is the coefficient of
-        # f(b_1..b_n)_m in (delta f)(a_1..a_{n+1})_k; each term below adds one
-        # entry per nonzero b_si b_sj = s b_sk + ... and free argument tuple
-        t = np.arange(dn)
-        # left term: a_1 f(a_2, ..., a_{n+1})
-        rows = [((sk * d + si) * dn)[:, None] + t]
-        cols = [(sj * dn)[:, None] + t]
-        vals = [np.broadcast_to(s[:, None], (len(s), dn))]
-        # middle terms: f(..., a_i a_{i+1}, ...)
-        for i in range(1, n + 1):
-            tail = d ** (n - i)
-            target = np.arange(d)[:, None, None, None]
-            head = np.arange(d ** (i - 1))[None, :, None, None]
-            rest = np.arange(tail)
-            rows.append(target * (d * dn)
-                        + ((head * d + si[:, None]) * d + sj[:, None]) * tail + rest)
-            cols.append(target * dn + (head * d + sk[:, None]) * tail + rest)
-            vals.append(np.broadcast_to((-1) ** i * s[:, None], rows[-1].shape))
-        # right term: f(a_1, ..., a_n) a_{n+1}
-        rows.append((sk * (d * dn) + sj)[:, None] + t * d)
-        cols.append((si * dn)[:, None] + t)
-        vals.append(np.broadcast_to((-1) ** (n + 1) * s[:, None], (len(s), dn)))
-        key, where = np.unique(
-            np.concatenate([(r * shape[1] + c).ravel() for r, c in zip(rows, cols)]),
-            return_inverse=True)
-        total = np.zeros(len(key), dtype=np.int64)
-        np.add.at(total, where, np.concatenate([v.ravel() for v in vals]))
-        total %= f.p
-        nonzero = total != 0
-        rows, cols = np.divmod(key[nonzero], shape[1])
-        vals = total[nonzero]
+        # f(b_1..b_n)_m in (delta f)(a_1..a_{n+1})_k: each column (m, t) of the
+        # identity meets the structure constants of one term at a time
+        col = np.arange(shape[1])
+
+        def steps():
+            # left term a_1 f(a_2, ..., a_{n+1}): sc[i, m, k] at row (k, i, t)
+            yield (col // dn, a.sc.transpose(1, 2, 0).reshape(d, d * d),
+                   lambda src, o: (o * dn + src % dn, src))
+            # middle terms f(..., a_i a_{i+1}, ...): digit b_i = k splits into (i, j)
+            for i in range(1, n + 1):
+                lo = d ** (n - i)
+                yield (col // lo % d, (-1) ** i * a.sc.transpose(2, 0, 1).reshape(d, d * d) % p,
+                       lambda src, o, lo=lo: (_splice(src, lo, d, o, d * d), src))
+            # right term f(a_1, ..., a_n) a_{n+1}: sc[m, j, k] at row (k, t, j)
+            yield (col // dn, (-1) ** (n + 1) * a.sc.transpose(0, 2, 1).reshape(d, d * d) % p,
+                   lambda src, o: ((o // d * dn + src % dn) * d + o % d, src))
+
+        entries = _contract(p, shape, np.ones(shape[1], dtype=np.int64), steps(),
+                            2 * col.nbytes, memory_mb, what)
+        rows, cols, vals = entries.rows, entries.cols, entries.vals
         # blocks: order the entries by component, keeping row-major order inside
         _, col_block = np.unique(_components(rows, cols, *shape), return_inverse=True)
         block = col_block[cols]
@@ -363,90 +438,6 @@ def cohomology(a: galg.Algebra, n: int,
 # -- transfer maps -----------------------------------------------------------
 
 
-# bytes that ``_contract`` holds per pair while it forms a step's pairs: the
-# entry and table column of the pair, its value, the row and column that
-# place it, and three temporaries of the index arithmetic
-PAIR_BYTES = 8 * 8
-# bytes that ``_contract`` holds per pair while it sums them: the row, column
-# and value of each, the keys, the sort order, the sorted keys and values,
-# and the run boundaries
-TERM_BYTES = 8 * 8
-
-
-@dataclass(frozen=True, eq=False)
-class Entries:
-    """A matrix of ``shape`` held as its nonzero entries: ``rows``, ``cols``
-    and ``vals`` (in 1..p-1), sorted by row * shape[1] + col."""
-
-    shape: tuple[int, int]
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-
-    @property
-    def nbytes(self) -> int:
-        return self.rows.nbytes + self.cols.nbytes + self.vals.nbytes
-
-    def equals(self, other: "Entries") -> bool:
-        return self.shape == other.shape and all(
-            np.array_equal(x, y) for x, y in zip((self.rows, self.cols, self.vals),
-                                                 (other.rows, other.cols, other.vals)))
-
-
-def _contract(p: int, shape: tuple[int, int], vals: np.ndarray, steps, held: int,
-              memory_mb: int, what: str) -> Entries:
-    """A sum of contractions of entries (values ``vals``) with small dense
-    tables, as the entries of a matrix of ``shape``.  Each step of ``steps``
-    is (key, table, place): entry e meets every column o with table[key[e],
-    o] != 0, and the pair has value vals[e] * table[key[e], o] mod p at the
-    (rows, cols) that place(e, o) gives.  The pairs of all steps are summed
-    mod p with one sort of the keys row * shape[1] + col and one
-    ``np.add.reduceat`` over each run of equal keys.
-
-    Exact for every p < 2^31: each product is below p^2 < 2^62 and is
-    reduced before any sum, and a run sums at most as many values below p
-    as there are pairs, far fewer than 2^32, so every sum stays below 2^63.
-    The budget is checked before each step forms its pairs (``held`` bytes,
-    the pairs so far, the table with its nonzeros, ``PAIR_BYTES`` per new
-    pair and per entry) and before the sum (``TERM_BYTES`` per pair)."""
-    if shape[0] * shape[1] >= 2**63:
-        raise BudgetError(f"{what} has {shape[0]} x {shape[1]} positions, past int64 keys")
-    terms = []
-    for key, table, place in steps:
-        k, o = np.nonzero(table)                # sorted by k
-        w = table[k, o]
-        ptr = np.searchsorted(k, np.arange(len(table) + 1))
-        count = ptr[key + 1] - ptr[key]
-        total = int(count.sum())
-        _check_budget(held + sum(x.nbytes for t in terms for x in t) + 4 * table.nbytes
-                      + PAIR_BYTES * (total + len(key)), memory_mb, what)
-        src = np.repeat(np.arange(len(key)), count)
-        at = np.repeat(ptr[key] - np.cumsum(count) + count, count)
-        at += np.arange(total)
-        val = vals[src] * w[at]
-        val %= p
-        terms.append((*place(src, o[at]), val))
-        del src, at, val
-    _check_budget(held + TERM_BYTES * sum(len(t[2]) for t in terms), memory_mb, what)
-    key = np.concatenate([rows * shape[1] + cols for rows, cols, _ in terms])
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    vals = np.concatenate([t[2] for t in terms])[order]
-    del order, terms
-    start = np.flatnonzero(np.diff(key, prepend=-1))
-    total = np.add.reduceat(vals, start)
-    total %= p
-    keep = total != 0
-    rows, cols = np.divmod(key[start[keep]], shape[1])
-    return Entries(shape, rows, cols, total[keep])
-
-
-def _splice(idx: np.ndarray, lo: int, size: int, digit: np.ndarray, width: int) -> np.ndarray:
-    """idx with its mixed-radix digit idx // lo % size, of radix ``size``,
-    replaced by ``digit`` of radix ``width``."""
-    return (idx // (lo * size) * width + digit) * lo + idx % lo
-
-
 def _row_sums(p: int, rows: np.ndarray, terms: np.ndarray, nrows: int) -> np.ndarray:
     """The (nrows, ...) array whose row g is the sum mod p of the ``terms``
     at the entries of the ascending ``rows`` equal to g: the scatter-add of a
@@ -462,8 +453,6 @@ class TransferData:
     """Everything needed to push cocycles along an A-B bimodule."""
 
     m: bimod.Bimodule
-    s_a: np.ndarray
-    s_b: np.ndarray
     phi: np.ndarray              # (r, dimB, r): phi[k, :, i] = phi_k(e_i)
     eps_amb: np.ndarray          # (dimA, r*r)
     eta_raw: np.ndarray          # (r*r,) representative of eta(1) in M ox M*
@@ -607,7 +596,7 @@ def transfer_data(
     if dualpres.sub.dim and f.matmul(eps_amb, dualpres.sub.basis.T).any():
         raise ValidationError("counit does not factor through the tensor quotient")
     data = TransferData(
-        m=m, s_a=f.arr(s_a), s_b=f.arr(s_b), phi=phi,
+        m=m, phi=phi,
         eps_amb=eps_amb, eta_raw=eta_raw,
         dualpres=dualpres, dual_quotient=dual_quotient,
         memory_mb=memory_mb,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedhh import exactfield
+from gradedhh import exactfield, hh
 from gradedhh.errors import ValidationError
 from gradedhh.exactfield import PrimeField, subspace_from_rows
 
@@ -119,6 +119,23 @@ def test_rref_matches_reference_and_is_idempotent(data, block_size):
     R2, piv2 = f.rref(R, block_size=block_size)
     assert np.array_equal(R2, R)
     assert piv2 == piv
+
+
+@pytest.mark.parametrize("shape", [(4000, 300), (600, 260)])
+def test_rref_of_an_input_narrower_than_two_panels_holds_at_most_rref_copies(shape):
+    # one panel of every column: a 256-column panel with multiplier columns
+    # beside it would take a (rows x 512) work array, more than the input
+    f = PrimeField(7)
+    m = np.random.default_rng(0).integers(0, 7, size=shape)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        R, piv = f.rref(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert piv == list(range(shape[1])) and np.array_equal(R[:shape[1]], f.eye(shape[1]))
+    assert peak <= hh.RREF_COPIES * m.nbytes
 
 
 def test_kernel_identity_and_zero():

@@ -140,6 +140,19 @@ def test_sparse_complex_matches_dense_oracle_s3_degree_3():
     _matches_dense_oracle(group_algebra("s3", 2).algebra, [3])
 
 
+@pytest.mark.parametrize("kind,p,degrees", [
+    # over F_2 every sign is +1
+    ("s3", 3, [3]), ("s3", 7, [3]),
+    # a sign -1 is p - 1 near 2**31, and n + 2 terms meet at some entries
+    ("c3", 2**31 - 1, range(4)),
+], ids=["s3_p3", "s3_p7", "c3_p2147483647"])
+def test_delta_signs_and_large_p_match_the_dense_oracle(kind, p, degrees):
+    a = group_algebra(kind, p).algebra
+    for n in degrees:
+        assert np.array_equal(oracles.as_dense(hh.CochainComplex(a).delta(n)),
+                              oracles.dense_delta(a, n)), n
+
+
 def _check_centralizer_split(rg, expected):
     for n in range(4):
         got = oracles.twist_class_counts(rg, hh.cohomology(rg.algebra, n).reps, n)
@@ -260,6 +273,12 @@ def test_kernel_and_image_peaks_stay_within_their_budget_checks(spec, monkeypatc
     honest = hh._check_budget
     monkeypatch.setattr(hh, "_check_budget",
                         lambda count, mb, what: (checked.append(count), honest(count, mb, what)))
+    for n in range(4):
+        # the build: ``_contract``'s checks, then the differential it keeps
+        hh.CochainComplex(a).delta(n)                               # first-call allocations
+        checked.clear()
+        added = _added_peak(lambda: hh.CochainComplex(a).delta(n))
+        assert added <= max(checked) + OBJECT_SLACK, (n, "delta")
     for n, method in [(n, "kernel") for n in range(4)] + [(n, "image") for n in range(3)]:
         # a kernel keeps the columns that cohomology keeps: those the
         # coboundaries leave free
