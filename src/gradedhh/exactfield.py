@@ -10,8 +10,10 @@ Conventions used by the whole package:
 * the modulus satisfies ``2 <= p < 2**31`` so that single products fit in
   64-bit integers; every matrix product, including a contraction that is
   one, runs through one exact kernel: float64 BLAS while the sums stay
-  below 2**53, int64 below 2**62, and chunks of the inner dimension past
-  that.
+  below 2**53, and past that float64 BLAS on 16-bit halves of the operands,
+* ``PrimeField.rref`` has two loops: over F_2 rows are packed 64 entries to
+  a word and eliminated by XOR, and for p > 2 column panels of int64 entries
+  are reduced with one matrix product per panel.
 """
 
 from __future__ import annotations
@@ -28,6 +30,10 @@ from .errors import ValidationError
 # a float64 matmul is exact while every accumulated sum stays below 2**53
 _FLOAT_SAFE = 2**53
 _INT_SAFE = 2**62
+# inner indices per float64 product of 16-bit halves (see ``_product``): sums
+# stay below 2**53 up to 2**21 of them; 2**14 keeps the halves of a long inner
+# dimension small while each product stays long enough for BLAS
+_HALVES_CHUNK = 2**14
 # a contraction that is one matrix product runs as one when it has at least
 # this many multiply-adds; below that, one einsum call costs less than the
 # conversions around a BLAS call (half as much at 1024 multiply-adds, while
@@ -166,31 +172,29 @@ class PrimeField:
 
     def _product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Exact a @ b mod p of two matrices, the one product kernel: float64
-        BLAS while every sum stays below 2**53, int64 below 2**62, and past
-        that chunks of the inner dimension, each reduced mod p.  The float64
-        product is written into the int64 output a slice of rows of a at a
-        time (at most ``_SLICE`` outputs), so the two are never held whole
-        at once."""
+        BLAS while every sum stays below 2**53.  Past that the operands are
+        split into 16-bit halves, a = a_hi * 2**16 + a_lo with a_hi < 2**15,
+        and a @ b = (a_hi b_hi * 2**16 + a_hi b_lo + a_lo b_hi) * 2**16 +
+        a_lo b_lo: three float64 products, each summing at most 2k terms
+        below 2**31 or k terms below 2**32 for k = ``_HALVES_CHUNK`` inner
+        indices at a time, combined mod p in int64."""
         p = self.p
-        largest = a.shape[1] * (p - 1) ** 2     # bound on every sum
-        if largest < _FLOAT_SAFE:
-            fb = b.astype(np.float64, copy=False)
-            if a.shape[0] * b.shape[1] <= _SLICE:
-                out = (a.astype(np.float64, copy=False) @ fb).astype(np.int64)
-            else:
-                out = np.empty((a.shape[0], b.shape[1]), dtype=np.int64)
-                step = max(1, _SLICE // b.shape[1])
-                for lo in range(0, a.shape[0], step):
-                    out[lo:lo + step] = a[lo:lo + step].astype(np.float64, copy=False) @ fb
-        elif largest < _INT_SAFE:
-            out = a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)
-        else:
-            chunk = max(1, _INT_SAFE // (p - 1) ** 2)
-            out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-            for lo in range(0, a.shape[1], chunk):
-                out += a[:, lo:lo + chunk] @ b[lo:lo + chunk]
-                out %= p
-        out %= p
+        if a.shape[1] * (p - 1) ** 2 < _FLOAT_SAFE:
+            out = _float_product(a, b)
+            out %= p
+            return out
+        out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+        for lo in range(0, a.shape[1], _HALVES_CHUNK):
+            ak, bk = a[:, lo:lo + _HALVES_CHUNK], b[lo:lo + _HALVES_CHUNK]
+            k = ak.shape[1]
+            # [a_hi | a_lo] and [b_lo ; b_hi]
+            ha = np.concatenate([ak >> 16, ak & 0xFFFF], axis=1, dtype=np.float64)
+            hb = np.concatenate([bk & 0xFFFF, bk >> 16], dtype=np.float64)
+            part = _float_product(ha[:, :k], hb[k:]) % p
+            part = (part * 2**16 + _float_product(ha, hb)) % p
+            out += (part * 2**16 + _float_product(ha[:, k:], hb[:k])) % p
+            out %= p
+            del ha, hb      # before the next chunk's halves are made
         return out
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -274,20 +278,69 @@ class PrimeField:
     # -- elimination ---------------------------------------------------------
 
     def rref(self, mat: np.ndarray, block_size: int = 256):
-        """Reduced row echelon form, the package's one Gauss-Jordan loop.
+        """Reduced row echelon form.
 
-        Returns ``(R, pivots)`` where R is the unique RREF of ``mat`` and
-        ``pivots`` is the ascending list of pivot columns.  Elimination is
-        blocked by column panels.  Within a panel rows are reduced directly,
-        and every row operation also acts on multiplier columns beside the
-        panel: when a row becomes the panel's j-th pivot its multiplier j is
-        set to 1, so each row's multipliers record the combination of the
-        pivot rows, as they were at the panel's start, that it gained.  The
-        trailing columns then take one exact matrix product per panel: a
-        pivot row's new trailing part is its multipliers times the pivot
-        rows' start trailing parts, and any other row's is its own start
-        plus that product.
+        Returns ``(R, pivots)`` where R is the unique RREF of ``mat`` (int64,
+        its zero rows last) and ``pivots`` is the ascending list of pivot
+        columns.  There are two loops, because an F_2 entry is one bit: over
+        F_2 the rows are packed 64 entries to a word and eliminated by XOR
+        (``_rref_packed``), in a sixty-fourth of the memory and a fraction of
+        the time of int64 rows, and ``block_size`` is unused.  For p > 2 an
+        entry needs a wider word and a row operation a multiply, so the
+        loop runs on int64 column panels of ``block_size`` columns
+        (``_rref_panels``), whose trailing update is one BLAS product.
         """
+        if self.p == 2:
+            return self._rref_packed(mat)
+        return self._rref_panels(mat, block_size)
+
+    def _rref_packed(self, mat: np.ndarray):
+        """``rref`` over F_2 on rows packed 64 entries to a ``uint64`` word
+        (bit c % 64 of word c // 64 is column c).  For each column the first
+        non-pivot row that has the bit is swapped up to the next pivot row
+        and XORed into every other row that has the bit, from the pivot's
+        word onward: the words before it are zero in the pivot row."""
+        m = np.asarray(mat, dtype=np.int64)
+        if m.ndim != 2:
+            raise ValidationError("rref expects a 2-d array")
+        rows, cols = m.shape
+        bits = np.packbits(m & 1, axis=1, bitorder="little")
+        packed = np.zeros((rows, 8 * -(-cols // 64)), dtype=np.uint8)
+        packed[:, :bits.shape[1]] = bits
+        P = packed.view("<u8")
+        pivots: list[int] = []
+        pr = 0
+        for c in range(cols):
+            if pr == rows:
+                break
+            w = c >> 6
+            has = (P[:, w] & np.uint64(1 << (c & 63))) != 0
+            r = pr + int(has[pr:].argmax())
+            if not has[r]:
+                continue
+            if r != pr:     # row pr lacks the bit, so row r ends without it
+                P[[pr, r]] = P[[r, pr]]
+                has[r] = False
+            has[pr] = False
+            others = np.flatnonzero(has)
+            if others.size:
+                P[others, w:] ^= P[pr, w:]
+            pivots.append(c)
+            pr += 1
+        bits = np.unpackbits(packed, axis=1, count=cols, bitorder="little")
+        return bits.astype(np.int64), pivots
+
+    def _rref_panels(self, mat: np.ndarray, block_size: int = 256):
+        """``rref`` on int64 entries, blocked by column panels.  Within a
+        panel rows are reduced directly, and every row operation also acts on
+        multiplier columns beside the panel: when a row becomes the panel's
+        j-th pivot its multiplier j is set to 1, so each row's multipliers
+        record the combination of the pivot rows, as they were at the panel's
+        start, that it gained.  The trailing columns then take one exact
+        matrix product per panel: a pivot row's new trailing part is its
+        multipliers times the pivot rows' start trailing parts, and any other
+        row's is its own start plus that product.  Over F_2 it is the packed
+        loop's oracle in the tests."""
         p = self.p
         R = self.arr(mat)
         if R.ndim != 2:
@@ -440,6 +493,21 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of F_{self.field.p}^{self.ambient_dim})"
+
+
+def _float_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b through float64 BLAS, as int64, exact while every sum stays below
+    2**53.  The product is written into the int64 output a slice of rows of
+    a at a time (at most ``_SLICE`` outputs), so the two are never held whole
+    at once."""
+    fb = b.astype(np.float64, copy=False)
+    if a.shape[0] * b.shape[1] <= _SLICE:
+        return (a.astype(np.float64, copy=False) @ fb).astype(np.int64)
+    out = np.empty((a.shape[0], b.shape[1]), dtype=np.int64)
+    step = max(1, _SLICE // b.shape[1])
+    for lo in range(0, a.shape[0], step):
+        out[lo:lo + step] = a[lo:lo + step].astype(np.float64, copy=False) @ fb
+    return out
 
 
 def subspace_from_rows(field: PrimeField, rows, ambient_dim: int | None = None) -> Subspace:

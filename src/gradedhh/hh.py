@@ -62,6 +62,7 @@ from .exactfield import (_SLICE, PrimeField, QuotientPresentation,
 
 DEFAULT_MEMORY_MB = 1024
 # arrays of its input's size that ``PrimeField.rref`` holds at once, at most
+# (the int64 loop for p > 2; the packed F_2 loop holds under three)
 RREF_COPIES = 5
 
 

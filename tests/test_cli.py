@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gradedhh import cli, mackey
+from gradedhh.exactfield import PrimeField
 
 SPECS = pathlib.Path(__file__).resolve().parent.parent / "specs"
 
@@ -344,6 +345,24 @@ def test_failed_axiom_text_names_its_maps(monkeypatch, capsys):
     assert code == 1
     assert "  lhs = ((0, 1), 0, (0, 1)) = [[0, 1], [1, 0]]" in out
     assert "  rhs = id = [[1, 0], [0, 1]]" in out
+
+
+def test_no_f2_command_reaches_the_int64_elimination_loop(monkeypatch, capsys):
+    # over F_2 every rref runs packed; the int64 panel loop is only its oracle
+    reached = []
+    panels = PrimeField._rref_panels
+
+    def guarded(field, mat, block_size=256):
+        if field.p == 2:
+            reached.append(np.shape(mat))
+            raise AssertionError("F_2 rref reached the int64 loop")
+        return panels(field, mat, block_size)
+
+    monkeypatch.setattr(PrimeField, "_rref_panels", guarded)
+    for argv in (["verify", "--spec", str(SPECS / "c2xc2_p2.json"), "--degree", "2"],
+                 ["lemma2", "--spec", str(SPECS / "s3_p2.json")]):
+        code, _, err = run(capsys, *argv)
+        assert code == 0 and not reached, (argv, err, reached)
 
 
 def test_benchmark_tracer_targets_resolve(tmp_path):

@@ -121,6 +121,36 @@ def test_rref_matches_reference_and_is_idempotent(data, block_size):
     assert piv2 == piv
 
 
+@st.composite
+def f2_matrix_strategy(draw):
+    """An int64 matrix for the packed F_2 rref: widths on both sides of a
+    64-bit word boundary, up to 70 rows, entries small or anywhere in int64
+    (negative ones too), sparse or dense, and some rows copies of others."""
+    n_rows = draw(st.integers(0, 70))
+    n_cols = draw(st.sampled_from([0, 1, 2, 63, 64, 65, 127, 128, 129]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        m = rng.integers(-2**63, 2**63 - 1, size=(n_rows, n_cols), endpoint=True)
+    else:
+        m = rng.integers(-3, 4, size=(n_rows, n_cols))
+        m[rng.random((n_rows, n_cols)) < draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))] = 0
+    if n_rows > 1:
+        for src, dst in draw(st.lists(st.tuples(st.integers(0, n_rows - 1),
+                                                st.integers(0, n_rows - 1)), max_size=6)):
+            m[dst] = m[src]
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(f2_matrix_strategy())
+def test_packed_f2_rref_matches_the_int64_loop_and_reference(m):
+    f = PrimeField(2)
+    R, piv = f.rref(m)
+    for R_want, piv_want in (f._rref_panels(m), reference_rref(f, m)):
+        assert piv == piv_want
+        assert R.dtype == np.int64 and np.array_equal(R, R_want)
+
+
 @pytest.mark.parametrize("shape", [(4000, 300), (600, 260)])
 def test_rref_of_an_input_narrower_than_two_panels_holds_at_most_rref_copies(shape):
     # one panel of every column: a 256-column panel with multiplier columns
@@ -136,6 +166,25 @@ def test_rref_of_an_input_narrower_than_two_panels_holds_at_most_rref_copies(sha
         tracemalloc.stop()
     assert piv == list(range(shape[1])) and np.array_equal(R[:shape[1]], f.eye(shape[1]))
     assert peak <= hh.RREF_COPIES * m.nbytes
+
+
+@pytest.mark.parametrize("shape", [(4000, 300), (556, 556), (300, 2000)])
+def test_packed_f2_rref_holds_at_most_three_copies_of_its_input(shape):
+    # the int64 result and the input's low bits, besides words a
+    # sixty-fourth of the input's size
+    rng = np.random.default_rng(0)
+    k = int(0.9 * min(shape))
+    m = (rng.integers(0, 2, (shape[0], k)) @ rng.integers(0, 2, (k, shape[1]))) % 2
+    f = PrimeField(2)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        R, piv = f.rref(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(piv) <= k and not R[len(piv):].any()
+    assert peak <= 3 * m.nbytes
 
 
 def test_kernel_identity_and_zero():
@@ -270,7 +319,7 @@ def test_kronecker_multiplicative(p, seed):
 
 
 def test_large_modulus_matmul_paths():
-    # chunked path: inner * (p-1)^2 overflows 2**62
+    # halves path: inner * (p-1)^2 is past 2**53
     p = 2147483629
     f = PrimeField(p)
     a = f.arr([[p - 1, p - 2, 1], [0, 1, 2]])
@@ -282,6 +331,20 @@ def test_large_modulus_matmul_paths():
     assert np.array_equal(f.matmul(a, b), expect)
     R, piv = f.rref(a)
     assert piv == [0, 1]
+
+
+@pytest.mark.parametrize("chunk", [exactfield._HALVES_CHUNK, 2**21])
+def test_halves_product_is_exact_past_an_inner_dimension_of_2_21(chunk, monkeypatch):
+    # all but the last 5 entries are 0x7FFEFFFF, the largest low half below
+    # p: a chunk of 2**21 sums its halves' products to within 2**38 of 2**53,
+    # and one product over the whole inner dimension would pass it
+    p, n = 2**31 - 1, 2**21 + 2**18
+    rng = np.random.default_rng(0)
+    a, b = rng.integers(0, p, (1, n)), rng.integers(0, p, (n, 1))
+    a[0, :-5] = b[:-5, 0] = 0x7FFEFFFF
+    monkeypatch.setattr(exactfield, "_HALVES_CHUNK", chunk)
+    expect = sum(x * y for x, y in zip(a[0].tolist(), b[:, 0].tolist())) % p
+    assert PrimeField(p).matmul(a, b).tolist() == [[expect]]
 
 
 def test_contract_exact_past_int64():

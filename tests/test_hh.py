@@ -325,6 +325,27 @@ def test_restricted_kernel_matches_dense_oracle(case, seed, share):
     assert got == want and np.array_equal(got.basis, want.basis)
 
 
+@pytest.mark.parametrize("spec", [spec for spec in SPEC_NAMES if spec.endswith("_p2")])
+def test_every_f2_elimination_of_cohomology_matches_the_int64_loop(spec, monkeypatch):
+    # every rref that HH^n needs at n <= 3 (each kernel batch and image
+    # block of delta) gives the packed loop's result under the int64 loop
+    calls = []
+    packed = PrimeField.rref
+
+    def both(field, mat, block_size=256):
+        R, piv = packed(field, mat, block_size)
+        R_int, piv_int = field._rref_panels(mat, block_size)
+        assert piv == piv_int and np.array_equal(R, R_int)
+        calls.append(R.shape)
+        return R, piv
+
+    monkeypatch.setattr(PrimeField, "rref", both)
+    a = galg.algebra_from_spec(json.loads((SPECS / f"{spec}.json").read_text())).algebra
+    for n in range(4):
+        hh.cohomology(a, n)
+    assert calls
+
+
 @pytest.mark.parametrize("spec,n", [(spec, n) for spec in SPEC_NAMES for n in (1, 2)] + [("s3_p2", 3)])
 def test_cocycles_modulo_coboundaries_are_the_kernel_on_the_free_columns(spec, n):
     # B lies in Z, so Z = B + (Z on the columns F that B leaves free): the
