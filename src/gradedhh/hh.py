@@ -44,9 +44,10 @@ coordinates of their RREF basis.  B lies in the cocycles Z = ker delta(n),
 and a cocycle reduced modulo B is a cocycle supported on F, so Z is the
 direct sum of B and the cocycles supported on F, and HH^n is represented by
 the kernel of delta(n) on the columns F: Z is never eliminated whole.
-Blocks are eliminated one by one and their RREF bases merge into the global
-ones, so representatives and class coordinates are those of the dense
-elimination.
+Blocks are eliminated one by one.  B is kept as one RREF basis per block of
+delta(n-1), on the block's rows; these are disjoint, so reducing by each on
+its own rows is the reduction modulo B's RREF basis, and representatives
+and class coordinates are those of the dense elimination.
 """
 
 from __future__ import annotations
@@ -201,25 +202,30 @@ class Differential:
         return (np.searchsorted(self.block_rows[k], self.rows[part]),
                 np.searchsorted(cols, self.cols[part]), self.vals[part], cols)
 
-    def images(self, cochains: np.ndarray):
-        """delta of every row of ``cochains``, from the nonzero entries of
-        both: yields the images of consecutive chunks of rows, in order.  A
-        chunk forms at most ``_SLICE`` products and outputs, or one row."""
+    def images(self, parts):
+        """delta of the cochains in ``parts``, pairs (index, rows) whose rows
+        are cochains on the ascending columns ``index``, from the nonzero
+        entries of both: yields the images of consecutive chunks of each
+        part's rows, in order.  A chunk forms at most ``_SLICE`` products and
+        outputs, or one row.  delta's columns are sorted once per call, so
+        pass every part to one call."""
         p, height = self.field.p, self.shape[0]
         by_col = np.argsort(self.cols, kind="stable")
         ptr = np.concatenate([[0], np.cumsum(np.bincount(self.cols, minlength=self.shape[1]))])
         step = max(1, _SLICE // max(height, len(self.rows)))
-        for lo in range(0, len(cochains), step):
-            which, col = np.nonzero(cochains[lo:lo + step])
-            n = ptr[col + 1] - ptr[col]
-            # the entries of delta in each nonzero's column, one run each
-            entry = by_col[np.repeat(ptr[col] - np.cumsum(n) + n, n) + np.arange(n.sum())]
-            at = np.repeat(which, n) * height + self.rows[entry]
-            out = np.zeros((min(step, len(cochains) - lo), height), dtype=np.int64)
-            terms = np.repeat(cochains[lo + which, col], n) * self.vals[entry] % p
-            np.add.at(out.reshape(-1), at, terms)
-            out.reshape(-1)[at] %= p
-            yield out
+        for index, cochains in parts:
+            for lo in range(0, len(cochains), step):
+                which, j = np.nonzero(cochains[lo:lo + step])
+                col = index[j]
+                n = ptr[col + 1] - ptr[col]
+                # the entries of delta in each nonzero's column, one run each
+                entry = by_col[np.repeat(ptr[col] - np.cumsum(n) + n, n) + np.arange(n.sum())]
+                at = np.repeat(which, n) * height + self.rows[entry]
+                out = np.zeros((min(step, len(cochains) - lo), height), dtype=np.int64)
+                terms = np.repeat(cochains[lo + which, j], n) * self.vals[entry] % p
+                np.add.at(out.reshape(-1), at, terms)
+                out.reshape(-1)[at] %= p
+                yield out
 
     def kernel(self, keep: np.ndarray, memory_mb: int = DEFAULT_MEMORY_MB) -> Subspace:
         """RREF basis of the kernel of delta on the ascending columns
@@ -228,10 +234,11 @@ class Differential:
         pivot columns ``lead`` and its entries ``rest`` on the others; a batch
         is reduced on those with one product, ``rref`` runs on that residual
         alone, and its pivot rows fold back into ``rest`` with one product.
-        Block kernels have disjoint supports, so their union sorted by pivot
-        is the RREF basis of the kernel.  ``memory_mb`` bounds the call: the
-        differential, a c x c batch in ``RREF_COPIES`` copies and every
-        block's basis (at most c x c), then the merge."""
+        Block kernels have disjoint supports, so their rows written in pivot
+        order are the RREF basis of the kernel.  ``memory_mb`` bounds the
+        call: the differential, a c x c batch in ``RREF_COPIES`` copies and
+        every block's basis (at most c x c), then the block kernels, that
+        basis and the index arrays of one write."""
         f, p = self.field, self.field.p
         what = f"kernel of the {self.shape[0]} x {self.shape[1]} cochain differential"
         kept = np.isin(np.arange(self.shape[1]), keep)
@@ -264,12 +271,22 @@ class Differential:
                     if not len(loose):
                         break
             parts.append((np.searchsorted(keep, cols), f.kernel_from_rref(rest, lead, c)))
-        return self._merge(len(keep), parts, memory_mb, what)
+        pivots = np.array([index[q] for index, sub in parts for q in sub.pivots], dtype=np.int64)
+        sizes = [sub.basis.nbytes for _, sub in parts]
+        _check_budget(self.nbytes + sum(sizes) + 2 * max(sizes, default=0)
+                      + 8 * len(pivots) * len(keep), memory_mb, what)
+        basis = f.zeros((len(pivots), len(keep)))
+        at = np.split(np.argsort(np.argsort(pivots)), np.cumsum([sub.dim for _, sub in parts]))
+        for (index, sub), rows in zip(parts, at):
+            basis[np.ix_(rows, index)] = sub.basis
+        return Subspace(field=f, ambient_dim=len(keep), basis=basis,
+                        pivots=tuple(sorted(pivots.tolist())))
 
-    def image(self, memory_mb: int = DEFAULT_MEMORY_MB) -> Subspace:
-        """RREF basis of the column space: the row space of each transposed
-        block, merged like the block kernels.  ``memory_mb`` bounds the call
-        as for ``kernel``, a block's c x r transpose standing for the batch."""
+    def image(self, memory_mb: int = DEFAULT_MEMORY_MB) -> list[tuple[np.ndarray, Subspace]]:
+        """The column space as one part per block with rows, on disjoint rows:
+        (block rows, RREF basis of the transposed block's row space).
+        ``memory_mb`` bounds the call as for ``kernel``, a block's c x r
+        transpose standing for the batch."""
         f = self.field
         what = f"image of the {self.shape[0]} x {self.shape[1]} cochain differential"
         sizes = [8 * len(r) * len(c) for r, c in zip(self.block_rows, self.block_cols)]
@@ -281,28 +298,7 @@ class Differential:
                 t = f.zeros((len(cols), len(rows)))
                 t[lc, lr] = v
                 parts.append((rows, subspace_from_rows(f, t)))
-        return self._merge(self.shape[0], parts, memory_mb, what)
-
-    def _merge(self, dim: int, parts, memory_mb: int, what: str) -> Subspace:
-        """One RREF basis of F_p^dim from subspaces (``index``, sub) on
-        disjoint coordinate sets, where sub lives on the coordinates
-        ``index``.  Each part's rows are written once, at their rows in pivot
-        order.  The budget counts the differential, the parts, the merged
-        basis and the index arrays of one write (twice the part's size)."""
-        pivots = np.array([index[p] for index, sub in parts for p in sub.pivots], dtype=np.int64)
-        sizes = [sub.basis.nbytes for _, sub in parts]
-        held = self.nbytes + sum(sizes) + 2 * max(sizes, default=0) + 8 * len(pivots) * dim
-        _check_budget(held, memory_mb, what)
-        order = np.argsort(pivots)
-        at = np.empty_like(order)
-        at[order] = np.arange(len(order))
-        basis = self.field.zeros((len(pivots), dim))
-        top = 0
-        for index, sub in parts:
-            basis[np.ix_(at[top:top + sub.dim], index)] = sub.basis
-            top += sub.dim
-        return Subspace(field=self.field, ambient_dim=dim, basis=basis,
-                        pivots=tuple(int(p) for p in pivots[order]))
+        return parts
 
 
 def _components(rows: np.ndarray, cols: np.ndarray, nrows: int, ncols: int) -> np.ndarray:
@@ -387,22 +383,26 @@ class HHClasses:
     """Chosen representatives for HH^n: a complement of the coboundaries
     inside the cocycles, in RREF-canonical form.
 
-    Cochains are taken modulo the coboundaries B^n through the non-pivot
-    coordinates of B^n's RREF basis: v maps to ``_b.reduce_rows(v)[:, _free]``."""
+    ``_b`` holds the coboundaries B^n as parts (index, sub), one per block of
+    delta(n-1): the RREF basis of B^n on the coordinates ``index``.  A
+    cochain is reduced by each part on its own coordinates and read on the
+    coordinates ``_free`` that no part has as a pivot."""
 
     algebra: galg.Algebra
     degree: int
     reps: np.ndarray            # (dim, d^(n+1)) rows are representative cocycles
     dim: int
-    _b: Subspace
+    _b: list[tuple[np.ndarray, Subspace]]
     _free: np.ndarray
     _w: Subspace
 
     def coords(self, cochains: np.ndarray) -> np.ndarray:
         """Class coordinates of a cocycle, or of each row of a matrix of
         cocycles, in the representative basis."""
-        rows = np.atleast_2d(cochains)
-        w = self._b.reduce_rows(rows)[:, self._free]
+        rows = self.algebra.field.arr(np.atleast_2d(cochains))
+        for index, sub in self._b:
+            rows[:, index] = sub.reduce_rows(rows[:, index])
+        w = rows[:, self._free]
         if self._w.reduce_rows(w).any():
             raise ValidationError("cochain is not a cocycle modulo coboundaries")
         out = w[:, list(self._w.pivots)]
@@ -420,17 +420,16 @@ def cohomology(a: galg.Algebra, n: int,
         return cache[n]
     f = a.field
     cc = a._cache.setdefault("cochain", CochainComplex(a))
-    b = cc.delta(n - 1, memory_mb).image(memory_mb) if n else subspace_from_rows(
-        f, [], ambient_dim=cc.dim(0))
+    b = cc.delta(n - 1, memory_mb).image(memory_mb) if n else []
     delta = cc.delta(n, memory_mb)
-    if any(out.any() for out in delta.images(b.basis)):
+    if any(out.any() for out in delta.images((index, sub.basis) for index, sub in b)):
         raise ValidationError("coboundaries are not cocycles (bug)")
-    free = f._free_columns(cc.dim(n), b.pivots)
+    free = f._free_columns(cc.dim(n), [index[q] for index, sub in b for q in sub.pivots])
     w = delta.kernel(free, memory_mb)
+    if any(out.any() for out in delta.images([(free, w.basis)])):
+        raise ValidationError("representative is not a cocycle (bug)")
     reps = f.zeros((w.dim, cc.dim(n)))
     reps[:, free] = w.basis
-    if any(out.any() for out in delta.images(reps)):
-        raise ValidationError("representative is not a cocycle (bug)")
     out = HHClasses(algebra=a, degree=n, reps=reps, dim=w.dim, _b=b, _free=free, _w=w)
     cache[n] = out
     return out

@@ -85,6 +85,16 @@ def test_hh_table_matrix_crossed_degree_3(capsys):
     assert lines and lines[0].split()[-4:] == ["2", "2", "2", "2"]
 
 
+def test_hh_table_matrix_crossed_degree_4_within_256_mib(capsys):
+    # B^4 is held block by block, so degree 4 fits in 256 MiB; one RREF
+    # basis of B^4 over all 32768 coordinates would take about 910 MiB
+    code, out, err = run(capsys, "hh", "--spec", str(SPECS / "matrix_crossed_c2_p2.json"),
+                         "--degree", "4", "--subgroups", "1", "--memory-mb", "256")
+    assert code == 0, err
+    lines = [l for l in out.splitlines() if l.startswith("order 2")]
+    assert lines and lines[0].split()[-5:] == ["2", "2", "2", "2", "2"]
+
+
 def test_d4_verifies_at_degree_3_under_a_budget_the_dense_lift_exceeded(tmp_path, capsys):
     # a dense degree-3 lift of the whole-group carrier (512 x 32768 generator
     # images, with three right-hand-side arrays and a product workspace)

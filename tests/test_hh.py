@@ -349,12 +349,15 @@ def test_every_f2_elimination_of_cohomology_matches_the_int64_loop(spec, monkeyp
 @pytest.mark.parametrize("spec,n", [(spec, n) for spec in SPEC_NAMES for n in (1, 2)] + [("s3_p2", 3)])
 def test_cocycles_modulo_coboundaries_are_the_kernel_on_the_free_columns(spec, n):
     # B lies in Z, so Z = B + (Z on the columns F that B leaves free): the
-    # cocycles reduced modulo B and read on F span what cohomology keeps
+    # cocycles reduced modulo B and read on F span what cohomology keeps.  B
+    # and Z come from the dense oracle, not from the block parts.
     a = _spec_algebra(spec)
     f = a.field
     classes = hh.cohomology(a, n)
+    b = subspace_from_rows(f, oracles.dense_delta(a, n - 1).T)
+    assert np.array_equal(classes._free, f._free_columns(b.ambient_dim, b.pivots))
     z = f.kernel(oracles.dense_delta(a, n))
-    w = subspace_from_rows(f, classes._b.reduce_rows(z.basis)[:, classes._free],
+    w = subspace_from_rows(f, b.reduce_rows(z.basis)[:, classes._free],
                            ambient_dim=len(classes._free))
     assert w == classes._w
 
@@ -385,11 +388,24 @@ def test_delta_images_match_dense_product(build, monkeypatch):
             np.zeros(dim, dtype=np.int64),
             np.eye(dim, dtype=np.int64)[dim // 2] * (f.p - 1),
         ])
+        # more parts in the same call, each on a proper, non-contiguous
+        # column set: every other column or sparser, thinned at random
+        parts = [(np.arange(dim), cochains)]
+        for height, start, stride, share in [(3, 0, 2, 0.7), (1, 1, 3, 1.0), (0, 0, 2, 1.0),
+                                             (4, 2, 5, 0.5), (2, 0, 2, 0.0)]:
+            index = np.arange(start, dim, stride)
+            index = index[rng.random(len(index)) < share]
+            assert len(index) < dim and np.all(np.diff(index) > 1)
+            rows = rng.integers(0, f.p, size=(height, len(index)))
+            parts.append((index, rows))
+            embedded = f.zeros((height, dim))
+            embedded[:, index] = rows
+            cochains = np.concatenate([cochains, embedded])
         want = _dense_images(d, cochains)
         # at a small slice, one row per chunk and a few products per pass
         for width in (hh._SLICE, 64) if n < 3 else (hh._SLICE,):
             monkeypatch.setattr(hh, "_SLICE", width)
-            got = np.concatenate(list(d.images(cochains)))
+            got = np.concatenate(list(d.images(parts)))
             assert np.array_equal(got, want), (n, width)
         monkeypatch.undo()
 
@@ -397,12 +413,17 @@ def test_delta_images_match_dense_product(build, monkeypatch):
 def test_cohomology_rejects_coboundaries_that_are_not_cocycles(monkeypatch):
     a = group_algebra("s3", 2).algebra
     dense = oracles.as_dense(hh.CochainComplex(a).delta(2))
-    bad = next(e for e in np.eye(dense.shape[1], dtype=np.int64) if (dense @ e % 2).any())
     honest = hh.Differential.image
 
     def image(self, memory_mb=hh.DEFAULT_MEMORY_MB):
-        b = honest(self, memory_mb)
-        return subspace_from_rows(b.field, np.vstack([b.basis, bad]), ambient_dim=b.ambient_dim)
+        # one part gains a coordinate vector that delta(2) does not kill
+        parts = honest(self, memory_mb)
+        k, j = next((k, j) for k, (index, _) in enumerate(parts)
+                    for j, col in enumerate(index) if dense[:, col].any())
+        index, sub = parts[k]
+        bad = np.eye(len(index), dtype=np.int64)[j]
+        parts[k] = (index, subspace_from_rows(sub.field, np.vstack([sub.basis, bad])))
+        return parts
 
     monkeypatch.setattr(hh.Differential, "image", image)
     with pytest.raises(ValidationError, match=r"coboundaries are not cocycles \(bug\)"):
