@@ -13,7 +13,9 @@ Conventions used by the whole package:
   below 2**53, and past that float64 BLAS on 16-bit halves of the operands,
 * ``PrimeField.rref`` has two loops: over F_2 rows are packed 64 entries to
   a word and eliminated by XOR, and for p > 2 column panels of int64 entries
-  are reduced with one matrix product per panel.
+  are reduced with one matrix product per panel.  The packed loop,
+  ``packed_rref``, also runs in place on rows that a caller packed itself,
+  as the F_2 kernel of a Hochschild differential does.
 """
 
 from __future__ import annotations
@@ -170,8 +172,9 @@ class PrimeField:
 
     # -- products ----------------------------------------------------------
 
-    def _product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Exact a @ b mod p of two matrices, the one product kernel: float64
+    def _product(self, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Exact a @ b mod p of two matrices, the one product kernel, written
+        into ``out`` (see ``_float_product``; a new array if None): float64
         BLAS while every sum stays below 2**53.  Past that the operands are
         split into 16-bit halves, a = a_hi * 2**16 + a_lo with a_hi < 2**15,
         and a @ b = (a_hi b_hi * 2**16 + a_hi b_lo + a_lo b_hi) * 2**16 +
@@ -180,10 +183,12 @@ class PrimeField:
         indices at a time, combined mod p in int64."""
         p = self.p
         if a.shape[1] * (p - 1) ** 2 < _FLOAT_SAFE:
-            out = _float_product(a, b)
+            out = _float_product(a, b, out)
             out %= p
             return out
-        out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+        if out is None:
+            out = np.empty((a.shape[0], b.shape[1]), dtype=np.int64)
+        out[...] = 0
         for lo in range(0, a.shape[1], _HALVES_CHUNK):
             ak, bk = a[:, lo:lo + _HALVES_CHUNK], b[lo:lo + _HALVES_CHUNK]
             k = ak.shape[1]
@@ -192,7 +197,7 @@ class PrimeField:
             hb = np.concatenate([bk & 0xFFFF, bk >> 16], dtype=np.float64)
             part = _float_product(ha[:, :k], hb[k:]) % p
             part = (part * 2**16 + _float_product(ha, hb)) % p
-            out += (part * 2**16 + _float_product(ha[:, k:], hb[:k])) % p
+            out += ((part * 2**16 + _float_product(ha[:, k:], hb[:k])) % p).reshape(out.shape)
             out %= p
             del ha, hb      # before the next chunk's halves are made
         return out
@@ -231,7 +236,7 @@ class PrimeField:
             if floats:
                 part = np.ascontiguousarray(part, dtype=np.float64)
             rows = math.prod(into.shape[:max(nx, 1)])
-            into[...] = self._product(part.reshape(rows, inner), b).reshape(into.shape)
+            self._product(part.reshape(rows, inner), b, into)
         return out
 
     def contract(self, subscripts: str, *ops: np.ndarray) -> np.ndarray:
@@ -295,11 +300,8 @@ class PrimeField:
         return self._rref_panels(mat, block_size)
 
     def _rref_packed(self, mat: np.ndarray):
-        """``rref`` over F_2 on rows packed 64 entries to a ``uint64`` word
-        (bit c % 64 of word c // 64 is column c).  For each column the first
-        non-pivot row that has the bit is swapped up to the next pivot row
-        and XORed into every other row that has the bit, from the pivot's
-        word onward: the words before it are zero in the pivot row."""
+        """``rref`` over F_2: the rows are packed 64 entries to a word and
+        reduced in place by ``packed_rref``."""
         m = np.asarray(mat, dtype=np.int64)
         if m.ndim != 2:
             raise ValidationError("rref expects a 2-d array")
@@ -307,26 +309,7 @@ class PrimeField:
         bits = np.packbits(m & 1, axis=1, bitorder="little")
         packed = np.zeros((rows, 8 * -(-cols // 64)), dtype=np.uint8)
         packed[:, :bits.shape[1]] = bits
-        P = packed.view("<u8")
-        pivots: list[int] = []
-        pr = 0
-        for c in range(cols):
-            if pr == rows:
-                break
-            w = c >> 6
-            has = (P[:, w] & np.uint64(1 << (c & 63))) != 0
-            r = pr + int(has[pr:].argmax())
-            if not has[r]:
-                continue
-            if r != pr:     # row pr lacks the bit, so row r ends without it
-                P[[pr, r]] = P[[r, pr]]
-                has[r] = False
-            has[pr] = False
-            others = np.flatnonzero(has)
-            if others.size:
-                P[others, w:] ^= P[pr, w:]
-            pivots.append(c)
-            pr += 1
+        pivots = packed_rref(packed.view("<u8"), cols)
         bits = np.unpackbits(packed, axis=1, count=cols, bitorder="little")
         return bits.astype(np.int64), pivots
 
@@ -495,19 +478,55 @@ class Subspace:
         return f"Subspace(dim {self.dim} of F_{self.field.p}^{self.ambient_dim})"
 
 
-def _float_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b through float64 BLAS, as int64, exact while every sum stays below
-    2**53.  The product is written into the int64 output a slice of rows of
-    a at a time (at most ``_SLICE`` outputs), so the two are never held whole
-    at once."""
+def _float_product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a @ b through float64 BLAS, written into the int64 ``out``: exact while
+    every sum stays below 2**53.  ``out`` holds the product in any shape
+    whose first axis splits the rows of a evenly (a new (rows of a, columns
+    of b) array if None).  It is written a slice of that axis at a time, at
+    most ``_SLICE`` outputs or one index, so only one float64 slice of the
+    product is held beside it."""
     fb = b.astype(np.float64, copy=False)
-    if a.shape[0] * b.shape[1] <= _SLICE:
-        return (a.astype(np.float64, copy=False) @ fb).astype(np.int64)
-    out = np.empty((a.shape[0], b.shape[1]), dtype=np.int64)
-    step = max(1, _SLICE // b.shape[1])
-    for lo in range(0, a.shape[0], step):
-        out[lo:lo + step] = a[lo:lo + step].astype(np.float64, copy=False) @ fb
+    if out is None:
+        if a.shape[0] * b.shape[1] <= _SLICE:
+            return (a.astype(np.float64, copy=False) @ fb).astype(np.int64)
+        out = np.empty((a.shape[0], b.shape[1]), dtype=np.int64)
+    per = a.shape[0] // max(1, len(out))        # rows of a per index of out
+    step = max(1, _SLICE // max(1, per * b.shape[1]))
+    for lo in range(0, len(out), step):
+        into = out[lo:lo + step]
+        into[...] = (a[lo * per:(lo + step) * per].astype(np.float64, copy=False)
+                     @ fb).reshape(into.shape)
     return out
+
+
+def packed_rref(P: np.ndarray, cols: int) -> list[int]:
+    """Reduce the F_2 rows ``P``, packed 64 entries to a ``uint64`` word (bit
+    c % 64 of word c // 64 is column c, of ``cols``), to their RREF in place,
+    the pivot rows first; returns the pivot columns.  For each column the
+    first non-pivot row that has the bit is swapped up to the next pivot row
+    and XORed into every other row that has the bit, from the pivot's word
+    onward: the words before it are zero in the pivot row."""
+    rows = len(P)
+    pivots: list[int] = []
+    pr = 0
+    for c in range(cols):
+        if pr == rows:
+            break
+        w = c >> 6
+        has = (P[:, w] & np.uint64(1 << (c & 63))) != 0
+        r = pr + int(has[pr:].argmax())
+        if not has[r]:
+            continue
+        if r != pr:     # row pr lacks the bit, so row r ends without it
+            P[[pr, r]] = P[[r, pr]]
+            has[r] = False
+        has[pr] = False
+        others = np.flatnonzero(has)
+        if others.size:
+            P[others, w:] ^= P[pr, w:]
+        pivots.append(c)
+        pr += 1
+    return pivots
 
 
 def subspace_from_rows(field: PrimeField, rows, ambient_dim: int | None = None) -> Subspace:

@@ -44,10 +44,14 @@ coordinates of their RREF basis.  B lies in the cocycles Z = ker delta(n),
 and a cocycle reduced modulo B is a cocycle supported on F, so Z is the
 direct sum of B and the cocycles supported on F, and HH^n is represented by
 the kernel of delta(n) on the columns F: Z is never eliminated whole.
-Blocks are eliminated one by one.  B is kept as one RREF basis per block of
-delta(n-1), on the block's rows; these are disjoint, so reducing by each on
-its own rows is the reduction modulo B's RREF basis, and representatives
-and class coordinates are those of the dense elimination.
+Blocks are eliminated one by one, c rows at a time for c kept columns.
+Over F_2 a block's row space is held as packed RREF rows, and each batch is
+packed straight from delta's entries and reduced by XORs of held rows, so
+no int64 batch is made; for p > 2 batches are int64, reduced by products.
+B is kept as one RREF basis per block of delta(n-1), on the block's rows;
+these are disjoint, so reducing by each on its own rows is the reduction
+modulo B's RREF basis, and representatives and class coordinates are those
+of the dense elimination.
 """
 
 from __future__ import annotations
@@ -59,12 +63,19 @@ import numpy as np
 from . import bimod, galg
 from .errors import BudgetError, ValidationError
 from .exactfield import (_SLICE, PrimeField, QuotientPresentation,
-                         Subspace, subspace_from_rows)
+                         Subspace, packed_rref, subspace_from_rows)
 
 DEFAULT_MEMORY_MB = 1024
 # arrays of its input's size that ``PrimeField.rref`` holds at once, at most
 # (the int64 loop for p > 2; the packed F_2 loop holds under three)
 RREF_COPIES = 5
+# packed c-row batches of a block that the F_2 kernel holds at once, at most:
+# the held row space, a batch, its nonzero rows and one temporary of an XOR
+PACKED_COPIES = 4
+# bytes per entry of a block that the kernel holds while it eliminates the
+# block, at most: the entries' block-local rows, columns and values, over
+# F_2 their bits, and six temporaries of their lookup or of a batch's entries
+ENTRY_BYTES = 10 * 8
 
 
 def _check_budget(byte_count: int, memory_mb: int, what: str) -> None:
@@ -207,8 +218,10 @@ class Differential:
         are cochains on the ascending columns ``index``, from the nonzero
         entries of both: yields the images of consecutive chunks of each
         part's rows, in order.  A chunk forms at most ``_SLICE`` products and
-        outputs, or one row.  delta's columns are sorted once per call, so
-        pass every part to one call."""
+        outputs, or one row, and is dropped with its index arrays before the
+        next is built, so a caller that drops each chunk holds one at a time.
+        delta's columns are sorted once per call, so pass every part to one
+        call."""
         p, height = self.field.p, self.shape[0]
         by_col = np.argsort(self.cols, kind="stable")
         ptr = np.concatenate([[0], np.cumsum(np.bincount(self.cols, minlength=self.shape[1]))])
@@ -225,51 +238,53 @@ class Differential:
                 terms = np.repeat(cochains[lo + which, j], n) * self.vals[entry] % p
                 np.add.at(out.reshape(-1), at, terms)
                 out.reshape(-1)[at] %= p
+                del which, j, col, n, entry, at, terms
                 yield out
+                del out
 
     def kernel(self, keep: np.ndarray, memory_mb: int = DEFAULT_MEMORY_MB) -> Subspace:
         """RREF basis of the kernel of delta on the ascending columns
-        ``keep``, in F_p^len(keep).  A block with c kept columns is fed to
-        ``rref`` c rows at a time.  The row space found so far is held as its
-        pivot columns ``lead`` and its entries ``rest`` on the others; a batch
-        is reduced on those with one product, ``rref`` runs on that residual
-        alone, and its pivot rows fold back into ``rest`` with one product.
-        Block kernels have disjoint supports, so their rows written in pivot
-        order are the RREF basis of the kernel.  ``memory_mb`` bounds the
-        call: the differential, a c x c batch in ``RREF_COPIES`` copies and
-        every block's basis (at most c x c), then the block kernels, that
-        basis and the index arrays of one write."""
+        ``keep``, in F_p^len(keep).  A block with c kept columns is reduced
+        c rows at a time to the pivot columns ``lead`` of its row space and
+        the row space's entries ``rest`` on the others: over F_2 on packed
+        rows (``_kernel_packed``), for p > 2 on int64 batches
+        (``_kernel_batches``).  Block kernels have disjoint supports, so their
+        rows written in pivot order are the RREF basis of the kernel.
+        ``memory_mb`` bounds the call from real sizes: up front, the
+        differential and the largest block's batches (over F_2 its entries
+        and ``PACKED_COPIES`` packed batches; for p > 2 ``RREF_COPIES`` c x c
+        int64 batches and every block's basis, at most c x c); over F_2 again
+        before each block and before it unpacks; before each block kernel is
+        written; and before the kernel's basis is written."""
         f, p = self.field, self.field.p
         what = f"kernel of the {self.shape[0]} x {self.shape[1]} cochain differential"
-        kept = np.isin(np.arange(self.shape[1]), keep)
-        sizes = [8 * np.count_nonzero(kept[c]) ** 2 for c in self.block_cols]
-        _check_budget(self.nbytes + RREF_COPIES * max(sizes, default=0) + sum(sizes), memory_mb, what)
+        kept = np.zeros(self.shape[1], dtype=bool)
+        kept[keep] = True
+        widths = [np.count_nonzero(kept[c]) for c in self.block_cols]
+        packed = [ENTRY_BYTES * (hi - lo) + PACKED_COPIES * 8 * c * -(-c // 64)
+                  for lo, hi, c in zip(self.offsets.tolist(), self.offsets[1:].tolist(), widths)]
+        sizes = [8 * c ** 2 for c in widths]
+        most = max(packed, default=0) if p == 2 else RREF_COPIES * max(sizes, default=0) + sum(sizes)
+        _check_budget(self.nbytes + kept.nbytes + most, memory_mb, what)
         parts = []
         for k, nr in enumerate(map(len, self.block_rows)):
-            lr, lc, v, cols = self._block(k, kept)
-            c = len(cols)
+            c = widths[k]
             if not c:
                 continue
-            lead, loose, rest = [], np.arange(c), f.zeros((0, c))
-            for lo in range(0, nr, c):
-                a, b = np.searchsorted(lr, (lo, lo + c))
-                batch = f.zeros((min(c, nr - lo), c))
-                batch[lr[a:b] - lo, lc[a:b]] = v[a:b]
-                residual = batch[:, loose]
-                if lead:
-                    residual -= f.matmul(batch[:, lead], rest)
-                    residual %= p
-                del batch
-                if residual.any():
-                    new_rows, new = f.rref(residual)
-                    stay = f._free_columns(len(loose), new)
-                    new_rows = new_rows[:len(new), stay]
-                    rest = np.concatenate([(rest[:, stay] - f.matmul(rest[:, new], new_rows)) % p,
-                                           new_rows])
-                    lead += loose[new].tolist()
-                    loose = loose[stay]
-                    if not len(loose):
-                        break
+            held = self.nbytes + kept.nbytes + sum(i.nbytes + sub.basis.nbytes for i, sub in parts)
+            if p == 2:
+                _check_budget(held + packed[k], memory_mb, what)
+            lr, lc, v, cols = self._block(k, kept)
+            held += ENTRY_BYTES * len(lr)
+            if p == 2:
+                lead, rest = self._kernel_packed(lr, lc, v, c, nr, lambda count: _check_budget(
+                    held + count, memory_mb, what))
+            else:
+                lead, rest = self._kernel_batches(lr, lc, v, c, nr)
+            # ``kernel_from_rref``: rest and two temporaries of it, and its
+            # basis, which ``subspace_from_rows`` copies, eliminates and copies
+            _check_budget(held + 3 * rest.nbytes + (3 + RREF_COPIES) * 8 * (c - len(lead)) * c,
+                          memory_mb, what)
             parts.append((np.searchsorted(keep, cols), f.kernel_from_rref(rest, lead, c)))
         pivots = np.array([index[q] for index, sub in parts for q in sub.pivots], dtype=np.int64)
         sizes = [sub.basis.nbytes for _, sub in parts]
@@ -281,6 +296,81 @@ class Differential:
             basis[np.ix_(rows, index)] = sub.basis
         return Subspace(field=f, ambient_dim=len(keep), basis=basis,
                         pivots=tuple(sorted(pivots.tolist())))
+
+    def _kernel_batches(self, lr, lc, v, c: int, nr: int):
+        """(lead, rest) of a block for ``kernel``, from its entries
+        (block-local rows ``lr`` of ``nr``, columns ``lc`` of ``c``, values
+        ``v``) on int64 batches: a batch is reduced on ``lead`` with one
+        product, ``rref`` runs on that residual alone, and its pivot rows
+        fold back into ``rest`` with one product.  It runs for p > 2, and
+        over F_2 it is the packed loop's oracle in the tests."""
+        f, p = self.field, self.field.p
+        lead, loose, rest = [], np.arange(c), f.zeros((0, c))
+        for lo in range(0, nr, c):
+            a, b = np.searchsorted(lr, (lo, lo + c))
+            batch = f.zeros((min(c, nr - lo), c))
+            batch[lr[a:b] - lo, lc[a:b]] = v[a:b]
+            residual = batch[:, loose]
+            if lead:
+                residual -= f.matmul(batch[:, lead], rest)
+                residual %= p
+            del batch
+            if residual.any():
+                new_rows, new = f.rref(residual)
+                stay = f._free_columns(len(loose), new)
+                new_rows = new_rows[:len(new), stay]
+                rest = np.concatenate([(rest[:, stay] - f.matmul(rest[:, new], new_rows)) % p,
+                                       new_rows])
+                lead += loose[new].tolist()
+                loose = loose[stay]
+                if not len(loose):
+                    break
+        return lead, rest
+
+    def _kernel_packed(self, lr, lc, v, c: int, nr: int, check):
+        """``_kernel_batches`` over F_2 on rows packed 64 entries to a
+        ``uint64`` word.  The row space is held as RREF rows over all c
+        columns, row i with pivot lead[i].  A batch is packed from the
+        entries of odd value, each entry on a lead column XORs in that
+        column's held row, ``packed_rref`` reduces the residual in place, and
+        each new pivot row is XORed into the held rows that have its bit.
+        ``check`` is given what unpacking the held rows on the other columns
+        holds, before they are unpacked."""
+        words = -(-c // 64)
+        held = np.zeros((c, words), dtype="<u8")
+        at = np.full(c, -1)                 # held row of each lead column
+        lead: list[int] = []
+        bit = (v % 2).astype(np.uint64) << (lc & 63).astype(np.uint64)     # 0 if even
+        for lo in range(0, nr, c):
+            a, b = np.searchsorted(lr, (lo, lo + c))
+            r, col = lr[a:b] - lo, lc[a:b]
+            batch = np.zeros((min(c, nr - lo), words), dtype="<u8")
+            key = r * words + (col >> 6)     # ascending: entries are by row, then column
+            start = np.flatnonzero(np.diff(key, prepend=-1))
+            batch.reshape(-1)[key[start]] = np.bitwise_or.reduceat(bit[a:b], start)
+            on = (at[col] >= 0) & (bit[a:b] != 0)
+            r, row = r[on], at[col[on]]
+            layer = np.arange(len(r)) - np.searchsorted(r, r)   # rank within its row
+            for j in range(layer.max(initial=-1) + 1):          # at most one XOR per row
+                batch[r[layer == j]] ^= held[row[layer == j]]
+            del r, col, key, start, on, row, layer
+            batch = batch[batch.any(axis=1)]
+            new = packed_rref(batch, c)
+            for i, q in enumerate(new if lead else ()):
+                w = q >> 6          # the new row is zero before its pivot
+                has = np.flatnonzero(held[:len(lead), w] & np.uint64(1 << (q & 63)))
+                held[has, w:] ^= batch[i, w:]
+            held[len(lead):len(lead) + len(new)] = batch[:len(new)]
+            at[new] = np.arange(len(lead), len(lead) + len(new))
+            lead += new
+            del batch
+            if len(lead) == c:
+                break
+        loose = np.flatnonzero(at < 0)
+        # the packed rows, their unpacked bits, those bits on loose and as int64
+        check(held.nbytes + len(lead) * (c + 9 * len(loose)))
+        bits = np.unpackbits(held[:len(lead)].view(np.uint8), axis=1, count=c, bitorder="little")
+        return lead, bits[:, loose].astype(np.int64)
 
     def image(self, memory_mb: int = DEFAULT_MEMORY_MB) -> list[tuple[np.ndarray, Subspace]]:
         """The column space as one part per block with rows, on disjoint rows:
@@ -422,12 +512,16 @@ def cohomology(a: galg.Algebra, n: int,
     cc = a._cache.setdefault("cochain", CochainComplex(a))
     b = cc.delta(n - 1, memory_mb).image(memory_mb) if n else []
     delta = cc.delta(n, memory_mb)
-    if any(out.any() for out in delta.images((index, sub.basis) for index, sub in b)):
-        raise ValidationError("coboundaries are not cocycles (bug)")
+    for out in delta.images((index, sub.basis) for index, sub in b):
+        if out.any():
+            raise ValidationError("coboundaries are not cocycles (bug)")
+        del out         # before the next chunk is built
     free = f._free_columns(cc.dim(n), [index[q] for index, sub in b for q in sub.pivots])
     w = delta.kernel(free, memory_mb)
-    if any(out.any() for out in delta.images([(free, w.basis)])):
-        raise ValidationError("representative is not a cocycle (bug)")
+    for out in delta.images([(free, w.basis)]):
+        if out.any():
+            raise ValidationError("representative is not a cocycle (bug)")
+        del out
     reps = f.zeros((w.dim, cc.dim(n)))
     reps[:, free] = w.basis
     out = HHClasses(algebra=a, degree=n, reps=reps, dim=w.dim, _b=b, _free=free, _w=w)

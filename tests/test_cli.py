@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from gradedhh import cli, mackey
+from gradedhh import cli, hh, mackey
 from gradedhh.exactfield import PrimeField
 
 SPECS = pathlib.Path(__file__).resolve().parent.parent / "specs"
@@ -358,9 +358,11 @@ def test_failed_axiom_text_names_its_maps(monkeypatch, capsys):
 
 
 def test_no_f2_command_reaches_the_int64_elimination_loop(monkeypatch, capsys):
-    # over F_2 every rref runs packed; the int64 panel loop is only its oracle
+    # over F_2 every rref and every block kernel runs packed; the int64 panel
+    # and batch loops are only their oracles
     reached = []
     panels = PrimeField._rref_panels
+    batches = hh.Differential._kernel_batches
 
     def guarded(field, mat, block_size=256):
         if field.p == 2:
@@ -368,11 +370,28 @@ def test_no_f2_command_reaches_the_int64_elimination_loop(monkeypatch, capsys):
             raise AssertionError("F_2 rref reached the int64 loop")
         return panels(field, mat, block_size)
 
+    def guarded_kernel(self, *args):
+        if self.field.p == 2:
+            reached.append(("kernel", args[3]))
+            raise AssertionError("F_2 kernel reached the int64 batch loop")
+        return batches(self, *args)
+
     monkeypatch.setattr(PrimeField, "_rref_panels", guarded)
+    monkeypatch.setattr(hh.Differential, "_kernel_batches", guarded_kernel)
     for argv in (["verify", "--spec", str(SPECS / "c2xc2_p2.json"), "--degree", "2"],
+                 ["verify", "--spec", str(SPECS / "s3_p2.json"), "--degree", "3"],
                  ["lemma2", "--spec", str(SPECS / "s3_p2.json")]):
         code, _, err = run(capsys, *argv)
         assert code == 0 and not reached, (argv, err, reached)
+
+
+def test_s3_f2_verifies_at_degree_4_within_256_mib(capsys):
+    # the packed kernel holds a block's row space in a sixty-fourth of an
+    # int64 batch; with int64 batches the kernel of delta(4) checked 560 MiB
+    code, out, err = run(capsys, "verify", "--spec", str(SPECS / "s3_p2.json"),
+                         "--degree", "4", "--memory-mb", "256", "--format", "json")
+    assert code == 0, err
+    assert json.loads(out)["summary"] == {"total": 770, "passed": 770, "failed": 0}
 
 
 def test_benchmark_tracer_targets_resolve(tmp_path):

@@ -325,25 +325,39 @@ def test_restricted_kernel_matches_dense_oracle(case, seed, share):
     assert got == want and np.array_equal(got.basis, want.basis)
 
 
-@pytest.mark.parametrize("spec", [spec for spec in SPEC_NAMES if spec.endswith("_p2")])
+@pytest.mark.parametrize("spec", [spec for spec in SPEC_NAMES if spec.endswith("_p2")] + ["d4"])
 def test_every_f2_elimination_of_cohomology_matches_the_int64_loop(spec, monkeypatch):
-    # every rref that HH^n needs at n <= 3 (each kernel batch and image
-    # block of delta) gives the packed loop's result under the int64 loop
-    calls = []
-    packed = PrimeField.rref
+    # every elimination that HH^n needs at n <= 3 gives the packed loops'
+    # result under the int64 loops: each block kernel's packed row space
+    # (lead, rest) against the int64 batch loop, and each rref (the image
+    # blocks and the block kernels' bases) against the int64 panel loop
+    kernels, rrefs = [], []
+    packed_kernel, packed_rref = hh.Differential._kernel_packed, PrimeField.rref
 
-    def both(field, mat, block_size=256):
-        R, piv = packed(field, mat, block_size)
+    def both_kernels(self, lr, lc, v, c, nr, check):
+        lead, rest = packed_kernel(self, lr, lc, v, c, nr, check)
+        lead_int, rest_int = self._kernel_batches(lr, lc, v, c, nr)
+        assert lead == lead_int and rest.dtype == rest_int.dtype
+        assert rest.shape == rest_int.shape and rest.tobytes() == rest_int.tobytes()
+        kernels.append((c, nr))
+        return lead, rest
+
+    def both_rrefs(field, mat, block_size=256):
+        R, piv = packed_rref(field, mat, block_size)
         R_int, piv_int = field._rref_panels(mat, block_size)
         assert piv == piv_int and np.array_equal(R, R_int)
-        calls.append(R.shape)
+        rrefs.append(R.shape)
         return R, piv
 
-    monkeypatch.setattr(PrimeField, "rref", both)
-    a = galg.algebra_from_spec(json.loads((SPECS / f"{spec}.json").read_text())).algebra
+    monkeypatch.setattr(hh.Differential, "_kernel_packed", both_kernels)
+    monkeypatch.setattr(PrimeField, "rref", both_rrefs)
+    if spec == "d4":
+        a = group_algebra("d4", 2).algebra
+    else:
+        a = galg.algebra_from_spec(json.loads((SPECS / f"{spec}.json").read_text())).algebra
     for n in range(4):
         hh.cohomology(a, n)
-    assert calls
+    assert kernels and rrefs
 
 
 @pytest.mark.parametrize("spec,n", [(spec, n) for spec in SPEC_NAMES for n in (1, 2)] + [("s3_p2", 3)])
