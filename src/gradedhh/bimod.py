@@ -7,10 +7,18 @@ module maps, projectivity via explicit splittings of free covers, and the
 explicit mutually inverse multiplication/unit-decomposition isomorphisms
 between a double-coset carrier and the corresponding tensor product.
 
-Carriers are cached on the graded algebra, tensor products and
-multiplication isomorphisms on their left factor, splittings and one-sided
-hom bases on their module; each cache is keyed by exactly what its entry is
-built from, hands out read-only arrays and never keeps a failure.
+Carriers are cached on the graded algebra, keyed by the carrier and the
+two subgroups.  Everything built from a module is cached by the module's
+content: its two algebras (interned on the graded algebra by
+``galg.component_subalgebra``, so subgroups with equal structure constants
+share one) and the bytes of its two actions.  Modules of equal content share
+one cache (``_shared``) on their left algebra, so a tensor product, a
+splitting or a one-sided hom basis is built once per distinct content, not
+once per carrier; a multiplication isomorphism, which also reads the
+graded algebra at its modules' indices, is keyed by those indices too.  A
+shared entry keeps the label of the first module it was built for.  Each
+cache is keyed by exactly what its entry is built from, hands out read-only
+arrays and never keeps a failure.
 
 Every construction works on whole tensors: actions are (dim algebra, dim,
 dim) arrays, and a tensor product's actions, an intertwiner system, the
@@ -103,15 +111,39 @@ class BimoduleMap:
 
 
 def regular(a: galg.Algebra) -> Bimodule:
-    """The algebra as a bimodule over itself by multiplication."""
-    m = Bimodule(
-        left=a, right=a, dim=a.dim,
-        left_action=a.basis_left_mults.copy(),
-        right_action=a.basis_right_mults.copy(),
-        label="regular",
-    )
-    m.validate()
-    return m
+    """The algebra as a bimodule over itself by multiplication; cached on
+    the algebra, with read-only actions."""
+    if "regular" not in a._cache:
+        m = Bimodule(
+            left=a, right=a, dim=a.dim,
+            left_action=a.basis_left_mults, right_action=a.basis_right_mults,
+            label="regular",
+        )
+        m.validate()
+        a._cache["regular"] = m
+    return a._cache["regular"]
+
+
+def content(m: Bimodule) -> tuple:
+    """What every construction on M reads of it: its two algebras (held, and
+    compared by identity) and the dtype and bytes of its two actions, whose
+    shapes follow from the algebras' dimensions and ``dim``.  Computed once
+    per module."""
+    if "content" not in m._cache:
+        m._cache["content"] = (
+            m.left, m.right, m.dim,
+            m.left_action.dtype.str, m.left_action.tobytes(),
+            m.right_action.dtype.str, m.right_action.tobytes(),
+        )
+    return m._cache["content"]
+
+
+def _shared(m: Bimodule) -> dict:
+    """The cache shared by every module with M's content, held on M's left
+    algebra and found once per module."""
+    if "shared" not in m._cache:
+        m._cache["shared"] = m.left._cache.setdefault("bimodules", {}).setdefault(content(m), {})
+    return m._cache["shared"]
 
 
 def graded_carrier(
@@ -199,11 +231,11 @@ def tensor_over(m: Bimodule, n: Bimodule) -> tuple[Bimodule, QuotientPresentatio
     """Tensor product over the middle algebra, with its presentation as the
     quotient of M (x)_k N by the balancing relations
     span{m b (x) n - m (x) b n}; the ambient index of (i, j) is
-    i * dim(N) + j.  Results are cached on M, keyed by N (held with the
-    entry, so that its id stays N's); their arrays are read-only."""
-    key = ("tensor_over", id(n))
-    if key in m._cache:
-        return m._cache[key][1]
+    i * dim(N) + j.  Results are cached by the content of M and of N; their
+    arrays are read-only."""
+    cache, key = _shared(m), ("tensor_over", content(n))
+    if key in cache:
+        return cache[key]
     if not (m.right is n.left or m.right.structurally_equal(n.left)):
         raise ValidationError("inner algebras do not match")
     f = m.field
@@ -240,7 +272,7 @@ def tensor_over(m: Bimodule, n: Bimodule) -> tuple[Bimodule, QuotientPresentatio
     module.validate()
     read_only(left_action, right_action, pres.projection, pres.section,
               relations.basis)
-    m._cache[key] = (n, (module, pres))
+    cache[key] = (module, pres)
     return module, pres
 
 
@@ -261,18 +293,18 @@ def _intertwiners(f: PrimeField, pairs, dm: int, dn: int) -> np.ndarray:
 def module_hom_basis(m: Bimodule, side: str) -> np.ndarray:
     """RREF basis, stacked as (k, dim alg, dim M), of the one-sided module
     maps M -> alg into the regular module, where alg is the algebra acting on
-    ``side``; cached on M, read-only."""
-    key = ("module_homs", side)
-    if key not in m._cache:
+    ``side``; cached by M's content, read-only."""
+    cache, key = _shared(m), ("module_homs", side)
+    if key not in cache:
         if side == "left":
             alg, act, reg = m.left, m.left_action, m.left.basis_left_mults
         elif side == "right":
             alg, act, reg = m.right, m.right_action, m.right.basis_right_mults
         else:
             raise ValidationError("side must be 'left' or 'right'")
-        m._cache[key] = _intertwiners(m.field, ((act, reg),), m.dim, alg.dim)
-        read_only(m._cache[key])
-    return m._cache[key]
+        cache[key] = _intertwiners(m.field, ((act, reg),), m.dim, alg.dim)
+        read_only(cache[key])
+    return cache[key]
 
 
 @dataclass(eq=False)
@@ -291,12 +323,12 @@ def is_projective(m: Bimodule, side: str, generator_order=None) -> SplittingResu
     The splitting is sought blockwise: each block of sigma is a one-sided
     module map M -> algebra, so sigma is a combination of the hom basis and
     pi sigma = id becomes a small inhomogeneous system with the canonical
-    (free variables 0) solution.  Results are cached on M, keyed by the side
-    and the generator order; their arrays are read-only."""
+    (free variables 0) solution.  Results are cached by M's content, the
+    side and the generator order; their arrays are read-only."""
     gens = np.arange(m.dim) if generator_order is None else np.array(generator_order)
-    key = ("is_projective", side, tuple(gens.tolist()))
-    if key in m._cache:
-        return m._cache[key]
+    cache, key = _shared(m), ("is_projective", side, tuple(gens.tolist()))
+    if key in cache:
+        return cache[key]
     homs = module_hom_basis(m, side)
     f = m.field
     alg = m.left if side == "left" else m.right
@@ -317,8 +349,8 @@ def is_projective(m: Bimodule, side: str, generator_order=None) -> SplittingResu
             raise ValidationError("splitting verification failed (bug)")
         read_only(sigma)
     read_only(gens)
-    m._cache[key] = SplittingResult(x is not None, gens, sigma)
-    return m._cache[key]
+    cache[key] = SplittingResult(x is not None, gens, sigma)
+    return cache[key]
 
 
 # -- multiplication isomorphisms for the double-coset carriers --------------
@@ -388,18 +420,22 @@ class MultIso:
 def _build_mult_iso(rg, left_mod, right_mod, carrier, degree_for) -> MultIso:
     """The multiplication isomorphism left_mod ox right_mod ~ carrier, with the
     unit decomposition at degree_for(x) for a carrier basis vector of degree x.
-    Cached on left_mod, keyed by right_mod, the carrier and the decomposition
-    each carrier basis vector uses (held with the entry, so that their ids
-    stay theirs); the decompositions are fetched through the module attribute
-    first, so a replaced ``galg.unit_decomposition`` gives a new key.  The two
-    maps' matrices are read-only."""
+    Cached by the content of the three modules, the graded algebra, the
+    modules' indices in it (the multiplication and the decomposition are read
+    off its structure constants there) and the decomposition each carrier
+    basis vector uses (held in the key, compared by identity); the
+    decompositions are fetched through the module attribute first, so a
+    replaced ``galg.unit_decomposition`` gives a new key.  The two maps'
+    matrices are read-only."""
     f = rg.field
     degrees = [int(degree_for(int(x))) for x in rg.grading[carrier.parent_indices]]
     by_degree = {t: galg.unit_decomposition(rg, t) for t in dict.fromkeys(degrees)}
     decs = tuple(by_degree[t] for t in degrees)
-    key = ("mult_iso", id(right_mod), id(carrier), tuple(map(id, decs)))
-    if key in left_mod._cache:
-        return left_mod._cache[key][-1]
+    cache = _shared(left_mod)
+    key = ("mult_iso", rg, content(right_mod), content(carrier),
+           *(mod.parent_indices.tobytes() for mod in (left_mod, right_mod, carrier)), decs)
+    if key in cache:
+        return cache[key]
     tensor_module, tensor = tensor_over(left_mod, right_mod)
     forward = _mult_forward(rg, tensor_module, tensor, left_mod, right_mod, carrier)
     inv_matrix = _psi_matrix(rg, tensor, left_mod, right_mod, carrier, decs)
@@ -416,7 +452,7 @@ def _build_mult_iso(rg, left_mod, right_mod, carrier, degree_for) -> MultIso:
     read_only(forward.matrix, inverse.matrix)
     iso = MultIso(tensor_module=tensor_module, tensor=tensor, carrier=carrier,
                   forward=forward, inverse=inverse)
-    left_mod._cache[key] = (right_mod, carrier, decs, iso)
+    cache[key] = iso
     return iso
 
 

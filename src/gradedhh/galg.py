@@ -51,16 +51,20 @@ class Algebra:
 
     @property
     def basis_left_mults(self) -> np.ndarray:
-        """L[i] = matrix of left multiplication by b_i; L[i][k, j] = sc[i, j, k]."""
+        """L[i] = matrix of left multiplication by b_i; L[i][k, j] = sc[i, j, k];
+        cached, read-only."""
         if "lmul" not in self._cache:
             self._cache["lmul"] = np.ascontiguousarray(self.sc.transpose(0, 2, 1))
+            read_only(self._cache["lmul"])
         return self._cache["lmul"]
 
     @property
     def basis_right_mults(self) -> np.ndarray:
-        """R[j] = matrix of right multiplication by b_j; R[j][k, i] = sc[i, j, k]."""
+        """R[j] = matrix of right multiplication by b_j; R[j][k, i] = sc[i, j, k];
+        cached, read-only."""
         if "rmul" not in self._cache:
             self._cache["rmul"] = np.ascontiguousarray(self.sc.transpose(1, 2, 0))
+            read_only(self._cache["rmul"])
         return self._cache["rmul"]
 
     def validate(self) -> None:
@@ -286,7 +290,15 @@ def crossed_product(
 
 def component_subalgebra(a: GradedAlgebra, h: _groups.Subgroup) -> GradedAlgebra:
     """R_H: the sum of the components over a subgroup, as a graded algebra
-    over the subgroup relabelled to 0..|H|-1.  Results are cached on ``a``."""
+    over the subgroup relabelled to 0..|H|-1.  Results are cached on ``a``,
+    keyed by the subgroup.
+
+    The ungraded algebra is interned on ``a`` by its dimension and the bytes
+    of its structure constants and unit: subgroups whose R_H have equal
+    structure constants (the order-2 subgroups of a dihedral group algebra,
+    say) share one read-only ``Algebra``, validated once, and with it every
+    cache that hangs on it (the cochain complex, HH^n, the regular bimodule
+    and the bimodule caches keyed by content)."""
     if h.group is not a.group:
         raise ValidationError("subgroup belongs to a different group")
     cache = a._cache.setdefault("subalgebras", {})
@@ -295,10 +307,16 @@ def component_subalgebra(a: GradedAlgebra, h: _groups.Subgroup) -> GradedAlgebra
     idx = a.indices_for(h.elements)
     local_group, to_parent = h.as_group()
     pos = {int(e): i for i, e in enumerate(to_parent)}
-    sub_sc = a.algebra.sc[np.ix_(idx, idx, idx)].copy()
-    unit = a.algebra.unit[idx].copy()
-    alg = Algebra(field=a.field, dim=len(idx), sc=sub_sc, unit=unit)
-    alg.validate()
+    sub_sc = a.algebra.sc[np.ix_(idx, idx, idx)]
+    unit = a.algebra.unit[idx]
+    interned = a._cache.setdefault("algebras", {})
+    content = (len(idx), sub_sc.tobytes(), unit.tobytes())
+    alg = interned.get(content)
+    if alg is None:
+        alg = Algebra(field=a.field, dim=len(idx), sc=sub_sc, unit=unit)
+        alg.validate()
+        read_only(sub_sc, unit)
+        interned[content] = alg
     grading = np.array([pos[int(a.grading[i])] for i in idx], dtype=np.int64)
     sub = GradedAlgebra(algebra=alg, group=local_group, grading=grading, parent_indices=idx)
     cache[h.key] = sub

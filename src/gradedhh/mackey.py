@@ -12,10 +12,15 @@ R_K - R_H bimodule),
 
 Each axiom instance is therefore data: identities between sums of words of
 carrier keys (K, g, H), all evaluated by one routine.  All comparisons
-happen on cohomology-class coordinates at a fixed degree; caches keep one
-symmetrizing form and one HH basis per subalgebra, and one TransferData and
-one transfer matrix per degree for each carrier.  A carrier is the set KgH,
-not the element g, so every g in one double coset shares them.
+happen on cohomology-class coordinates at a fixed degree.  Caches keep one
+symmetrizing form per subgroup and one HH basis per distinct subalgebra
+(``galg.component_subalgebra`` interns R_H by its structure constants), and
+one TransferData and one transfer matrix per degree for each distinct
+carrier.  A carrier is the set KgH, not the element g, so every g in one
+double coset shares them; and carriers whose modules have equal content
+(``bimod.content``: the same interned algebras and byte-equal actions) and
+whose two symmetrizing forms are byte-equal share them too, since the
+transfer on class coordinates is read off exactly those.
 """
 
 from __future__ import annotations
@@ -43,8 +48,10 @@ class SubalgebraData:
 
 @dataclass(eq=False)
 class Carrier:
-    """The transfer along one double-coset carrier: its TransferData and its
-    transfer matrix at each degree computed so far."""
+    """The transfer along one double-coset carrier, or along every carrier
+    of its content and forms: its TransferData (built on the first such
+    carrier's module) and its transfer matrix at each degree computed so
+    far."""
 
     data: hh.TransferData
     maps: dict[int, np.ndarray]
@@ -109,9 +116,12 @@ class MackeySystem:
                 f"algebra is not fully graded: first failure {report.failures[0]}"
             )
         self._subs: dict[tuple, SubalgebraData] = {}
-        # keyed by (K, KgH, H); the two caches below by (K, g, H[, n]), filled
-        # from the carrier so that a hit needs no double coset
+        # keyed by (K, KgH, H), each entry shared through _by_content, which
+        # is keyed by the carrier module's content and the bytes of the two
+        # form vectors; the two caches below by (K, g, H[, n]), filled from
+        # the carrier so that a hit needs no double coset
         self._carriers: dict[tuple, Carrier] = {}
+        self._by_content: dict[tuple, Carrier] = {}
         self._transfers: dict[tuple, hh.TransferData] = {}
         self._maps: dict[tuple, np.ndarray] = {}
 
@@ -134,10 +144,12 @@ class MackeySystem:
         key = (k.key, _groups.double_coset(k, g, h), h.key)
         if key not in self._carriers:
             module = bimod.truncation(self.rg, k, g, h)
-            dk, dh = self.sub_data(k), self.sub_data(h)
-            self._carriers[key] = Carrier(hh.transfer_data(
-                module, dk.form.vector, dh.form.vector, memory_mb=self.memory_mb
-            ), {})
+            s_a, s_b = self.sub_data(k).form.vector, self.sub_data(h).form.vector
+            content = (bimod.content(module), s_a.tobytes(), s_b.tobytes())
+            if content not in self._by_content:
+                self._by_content[content] = Carrier(hh.transfer_data(
+                    module, s_a, s_b, memory_mb=self.memory_mb), {})
+            self._carriers[key] = self._by_content[content]
         return self._carriers[key]
 
     def transfer_for(self, k: _groups.Subgroup, g: int, h: _groups.Subgroup) -> hh.TransferData:

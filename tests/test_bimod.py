@@ -42,6 +42,12 @@ def test_regular_bimodules_validate():
     assert bimod.regular(c2.algebra).dim == 2
     ks3 = galg.group_algebra(s3(), 7)
     bimod.regular(ks3.algebra).validate()
+    # built and validated once per algebra, with read-only actions
+    reg = bimod.regular(ks3.algebra)
+    assert bimod.regular(ks3.algebra) is reg
+    for arr in (reg.left_action, reg.right_action):
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = 1
 
 
 def test_side_restricted(ks3_p2):
@@ -698,8 +704,9 @@ def test_is_projective_keys_the_generator_order_and_caches_no_failure(ks3_p2):
 def test_lemma2_builds_each_isomorphism_and_splitting_once_per_input(monkeypatch, capsys,
                                                                       tmp_path):
     # D4 over F_2: the 1,440 isomorphism instances of parts b and c need 595
-    # builds (one tensor product each), and the 200 projectivity checks of part
-    # a need 106 splittings (one hom basis each)
+    # builds (one tensor_over call each), of 68 distinct tensor products (one
+    # relation space each); the 200 projectivity checks of part a need 52
+    # splittings (one hom basis each), one per distinct module content
     counts = {}
 
     def counting(name):
@@ -710,12 +717,41 @@ def test_lemma2_builds_each_isomorphism_and_splitting_once_per_input(monkeypatch
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("_build_mult_iso", "tensor_over", "is_projective", "module_hom_basis"):
+    for name in ("_build_mult_iso", "tensor_over", "is_projective", "module_hom_basis",
+                 "subspace_from_rows"):
         monkeypatch.setattr(bimod, name, counting(name))
     spec = tmp_path / "d4_p2.json"
     spec.write_text(json.dumps({"field": {"p": 2}, "group": {"kind": "dihedral", "n": 4},
                                 "algebra": {"kind": "group_algebra"}}))
     assert cli.main(["lemma2", "--spec", str(spec)]) == 0
     capsys.readouterr()
-    assert counts == {"_build_mult_iso": 1440, "tensor_over": 595,
-                      "is_projective": 200, "module_hom_basis": 106}
+    assert counts == {"_build_mult_iso": 1440, "tensor_over": 595, "subspace_from_rows": 68,
+                      "is_projective": 200, "module_hom_basis": 52}
+
+
+def test_mult_isos_of_equal_content_at_other_indices_are_built_apart(monkeypatch):
+    # F_3C2 twisted by t * t = 2: over the trivial subgroup every component
+    # R_x is the 1-dimensional module k, so all the modules below have equal
+    # content, but R_g ox R_h -> R_gh multiplies by the structure constant at
+    # their indices: 2 at g = h = t and 1 otherwise
+    f3 = PrimeField(3)
+    coc = [[f3.arr([1]), f3.arr([1])], [f3.arr([1]), f3.arr([2])]]
+    tw = galg.crossed_product(groups.cyclic(2), galg.matrix_algebra(f3, 1), cocycle=coc)
+    triv = groups.trivial_subgroup(tw.group)
+    builds = []
+    forward = bimod._mult_forward
+    monkeypatch.setattr(bimod, "_mult_forward",
+                        lambda *args: builds.append(args) or forward(*args))
+    isos = {(g, h): bimod.mult_iso_conjugate_chain(tw, g, h, triv)
+            for g in range(2) for h in range(2)}
+    mods = [m for iso in isos.values() for m in (iso.carrier, iso.tensor_module)]
+    assert len({bimod.content(m) for m in mods}) == 1
+    assert len(builds) == 4 and len({id(iso) for iso in isos.values()}) == 4
+    for (g, h), iso in isos.items():
+        assert iso.carrier.parent_indices.tolist() == [tw.group.mul(g, h)]
+        assert iso.forward.matrix.tolist() == [[2 if g == h == 1 else 1]]
+        assert iso.inverse.matrix.tolist() == [[2 if g == h == 1 else 1]]
+    # a second round is answered from the cache
+    for (g, h), iso in isos.items():
+        assert bimod.mult_iso_conjugate_chain(tw, g, h, triv) is iso
+    assert len(builds) == 4

@@ -214,6 +214,28 @@ def test_symmetrizing_form_restricts_to_every_component_subalgebra(spec):
         assert not form.vector[sub.grading != 0].any()
 
 
+@pytest.mark.parametrize("spec", sorted(p.stem for p in SPECS.glob("*.json")) + ["d4_p2"])
+def test_subgroups_share_an_algebra_exactly_when_its_bytes_are_equal(spec):
+    if spec == "d4_p2":
+        rg = galg.group_algebra(groups.dihedral(4), 2)
+    else:
+        rg = galg.algebra_from_spec(json.loads((SPECS / f"{spec}.json").read_text()))
+    subs = [galg.component_subalgebra(rg, h) for h in groups.all_subgroups(rg.group)]
+    for i, a in enumerate(subs):
+        for b in subs[:i]:
+            equal = (a.algebra.sc.tobytes() == b.algebra.sc.tobytes()
+                     and a.algebra.unit.tobytes() == b.algebra.unit.tobytes())
+            assert (a.algebra is b.algebra) == equal, (a.parent_indices, b.parent_indices)
+        # each R_H's structure constants are its slice of R_G's, and read-only
+        assert np.array_equal(a.algebra.sc, rg.algebra.sc[np.ix_(*[a.parent_indices] * 3)])
+        with pytest.raises(ValueError, match="read-only"):
+            a.algebra.sc.flat[0] = 1
+    if spec == "d4_p2":
+        # the five order-2 subgroups give one F_2C2 and the two Klein
+        # four-groups one F_2(C2 x C2): five algebras for ten subgroups
+        assert len(subs) == 10 and len({id(a.algebra) for a in subs}) == 5
+
+
 def _graded_by_quotient(a: galg.GradedAlgebra, normal: groups.Subgroup):
     """kG with its basis reordered by the cosets of a normal subgroup and
     graded by the quotient group, built from the structure constants alone."""

@@ -298,6 +298,22 @@ def test_kernel_and_image_peaks_stay_within_their_budget_checks(spec, monkeypatc
         assert peak - before + d.nbytes <= max(checked) + OBJECT_SLACK, (n, method)
 
 
+@pytest.mark.parametrize("spec", sorted(p.stem for p in SPECS.glob("*.json")) + ["d4_p2"])
+def test_shared_subalgebras_have_the_cohomology_of_a_fresh_copy(spec):
+    # subgroups with equal structure constants share one Algebra and so one
+    # HH^n; its representatives equal those of an unshared copy
+    if spec == "d4_p2":
+        rg = galg.group_algebra(groups.dihedral(4), 2)
+    else:
+        rg = galg.algebra_from_spec(json.loads((SPECS / f"{spec}.json").read_text()))
+    for h in groups.all_subgroups(rg.group):
+        a = galg.component_subalgebra(rg, h).algebra
+        fresh = galg.Algebra(field=a.field, dim=a.dim, sc=a.sc.copy(), unit=a.unit.copy())
+        for n in range(3):
+            got, want = hh.cohomology(a, n), hh.cohomology(fresh, n)
+            assert got.dim == want.dim and np.array_equal(got.reps, want.reps), (h, n)
+
+
 # -- the kernel on the columns the coboundaries leave free -------------------
 
 

@@ -241,7 +241,7 @@ def test_failed_axiom_names_its_maps(monkeypatch):
     assert set(report.to_json()) == {"axiom", "instance", "degree", "verdict", "lhs", "rhs"}
 
 
-# -- one transfer per double-coset carrier, checked against fresh builds -----
+# -- one transfer per distinct carrier, checked against fresh builds ---------
 
 SPECS = pathlib.Path(__file__).resolve().parent.parent / "specs"
 GROUP_ALGEBRA_SPECS = sorted(
@@ -249,13 +249,20 @@ GROUP_ALGEBRA_SPECS = sorted(
     if json.loads(path.read_text())["algebra"]["kind"] == "group_algebra")
 
 
+def _bytes(*arrays):
+    return tuple((a.dtype.str, a.shape, a.tobytes()) for a in arrays)
+
+
 def _check_carriers(rg, degrees):
     """For every (K, g, H) with K, H subgroups and g any element: map_along at
     each degree equals the per-representative oracle on a TransferData
-    built fresh from the (K, g, H) truncation, and two elements share one
-    TransferData exactly when they give the same double coset."""
+    built fresh from the (K, g, H) truncation.  Elements of one double coset
+    share one TransferData, and two triples that share one give the same
+    carrier KgH over the same K and H, or carriers whose algebras, actions
+    and symmetrizing forms are byte-equal."""
     sys = system(rg, degree_bound=max(degrees))
     subs = groups.all_subgroups(rg.group)
+    by_carrier, by_data = {}, {}
     for k in subs:
         for h in subs:
             dk, dh = sys.sub_data(k), sys.sub_data(h)
@@ -266,10 +273,18 @@ def _check_carriers(rg, degrees):
                     expect = oracles.transfer_by_representative(
                         fresh, n, dh.classes(n, sys.memory_mb), dk.classes(n, sys.memory_mb))
                     assert np.array_equal(sys.map_along(k, g, h, n), expect), (k, g, h, n)
-                coset = groups.double_coset(k, g, h)
-                for g2 in range(g):
-                    shared = sys.transfer_for(k, g, h) is sys.transfer_for(k, g2, h)
-                    assert shared == (groups.double_coset(k, g2, h) == coset), (k, g, g2, h)
+                data = sys.transfer_for(k, g, h)
+                by_carrier.setdefault((k.key, groups.double_coset(k, g, h), h.key),
+                                      set()).add(id(data))
+                m = bimod.truncation(rg, k, g, h)
+                content = _bytes(m.left.sc, m.left.unit, m.right.sc, m.right.unit,
+                                 m.left_action, m.right_action, dk.form.vector, dh.form.vector)
+                by_data.setdefault(id(data), set()).add(content)
+    assert all(len(ids) == 1 for ids in by_carrier.values())
+    assert all(len(contents) == 1 for contents in by_data.values())
+    # and no two TransferData were built for the same content
+    assert len(set().union(*by_data.values())) == len(by_data)
+    return len(by_carrier), len(by_data)
 
 
 @pytest.mark.parametrize("spec", GROUP_ALGEBRA_SPECS)
@@ -279,9 +294,68 @@ def test_carrier_transfers_match_fresh_per_representative_oracle(spec):
 
 
 def test_carrier_transfers_match_fresh_per_representative_oracle_d4():
-    _check_carriers(galg.group_algebra(groups.dihedral(4), 2), range(3))
+    # 195 carriers (K, KgH, H), of 78 distinct contents
+    assert _check_carriers(galg.group_algebra(groups.dihedral(4), 2), range(3)) == (195, 78)
 
 
 def test_carrier_transfers_match_fresh_per_representative_oracle_s3_degree_3():
     # degrees 0..2 are covered by the s3_p2 spec above
     _check_carriers(galg.group_algebra(groups.symmetric(3), 2), (3,))
+
+
+def test_carriers_with_equal_actions_but_other_forms_get_their_own_transfer(monkeypatch):
+    # C2 x C2 over F_3: the three order-2 subgroups share one algebra F_3C2,
+    # so their carriers (H, 1, H) are regular modules of equal content.  With
+    # the form of one of them doubled (still symmetrizing over F_3), its
+    # carrier gets its own TransferData and its own transfer matrices.
+    rg = galg.group_algebra(groups.direct_product(groups.cyclic(2), groups.cyclic(2)), 3)
+    subs = [s for s in groups.all_subgroups(rg.group) if s.order == 2]
+    doubled = subs[0]
+    form = galg.symmetrizing_form
+
+    def patched(a, seed=0):
+        out = form(a, seed=seed)
+        if a is galg.component_subalgebra(rg, doubled):
+            vector = 2 * out.vector % 3
+            out = galg.SymmetrizingForm(vector=vector, gram=2 * out.gram % 3, source=out.source)
+        return out
+
+    monkeypatch.setattr(galg, "symmetrizing_form", patched)
+    sys = system(rg)
+    modules = [bimod.truncation(rg, h, 0, h) for h in subs]
+    assert len({bimod.content(m) for m in modules}) == 1
+    data = [sys.transfer_for(h, 0, h) for h in subs]
+    assert data[0] is not data[1] and data[1] is data[2]
+    for h in subs:
+        for n in range(3):
+            mat = sys.map_along(h, 0, h, n)
+            assert np.array_equal(mat, np.eye(len(mat), dtype=np.int64)), (h, n)
+    assert sys._carrier(subs[0], 0, subs[0]).maps is not sys._carrier(subs[1], 0, subs[1]).maps
+
+
+def test_d4_verify_builds_each_transfer_and_cohomology_once_per_content(monkeypatch, capsys,
+                                                                         tmp_path):
+    # D4 over F_2 at degree 2: the 83 carriers that verify reaches have 40
+    # distinct contents and forms, and its 10 subgroups x 3 degrees have 15
+    # distinct algebra-degree pairs
+    from gradedhh import cli
+
+    counts = {"transfer_data": 0, "cohomology": 0}
+    transfer_data, cohomology = hh.transfer_data, hh.cohomology
+
+    def counting_transfer_data(*args, **kwargs):
+        counts["transfer_data"] += 1
+        return transfer_data(*args, **kwargs)
+
+    def counting_cohomology(a, n, *args, **kwargs):
+        counts["cohomology"] += n not in a._cache.get("hh", {})
+        return cohomology(a, n, *args, **kwargs)
+
+    monkeypatch.setattr(hh, "transfer_data", counting_transfer_data)
+    monkeypatch.setattr(hh, "cohomology", counting_cohomology)
+    spec = tmp_path / "d4_p2.json"
+    spec.write_text(json.dumps({"field": {"p": 2}, "group": {"kind": "dihedral", "n": 4},
+                                "algebra": {"kind": "group_algebra"}}))
+    assert cli.main(["verify", "--spec", str(spec), "--degree", "2"]) == 0
+    capsys.readouterr()
+    assert counts == {"transfer_data": 40, "cohomology": 15}
