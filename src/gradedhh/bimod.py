@@ -8,17 +8,17 @@ explicit mutually inverse multiplication/unit-decomposition isomorphisms
 between a double-coset carrier and the corresponding tensor product.
 
 Carriers are cached on the graded algebra, keyed by the carrier and the
-two subgroups.  Everything built from a module is cached by the module's
-content: its two algebras (interned on the graded algebra by
+two subgroups.  Everything built from a module alone is cached by the
+module's content: its two algebras (interned on the graded algebra by
 ``galg.component_subalgebra``, so subgroups with equal structure constants
 share one) and the bytes of its two actions.  Modules of equal content share
 one cache (``_shared``) on their left algebra, so a tensor product, a
 splitting or a one-sided hom basis is built once per distinct content, not
-once per carrier; a multiplication isomorphism, which also reads the
-graded algebra at its modules' indices, is keyed by those indices too.  A
-shared entry keeps the label of the first module it was built for.  Each
-cache is keyed by exactly what its entry is built from, hands out read-only
-arrays and never keeps a failure.
+once per carrier.  A shared entry keeps the label of the first module it was
+built for.  A multiplication isomorphism also reads the graded algebra at
+its modules' indices, so it is cached on its left module, by the other two
+modules.  Each cache is keyed by exactly what its entry is built from,
+hands out read-only arrays and never keeps a failure.
 
 Every construction works on whole tensors: actions are (dim algebra, dim,
 dim) arrays, and a tensor product's actions, an intertwiner system, the
@@ -420,10 +420,11 @@ class MultIso:
 def _build_mult_iso(rg, left_mod, right_mod, carrier, degree_for) -> MultIso:
     """The multiplication isomorphism left_mod ox right_mod ~ carrier, with the
     unit decomposition at degree_for(x) for a carrier basis vector of degree x.
-    Cached by the content of the three modules, the graded algebra, the
-    modules' indices in it (the multiplication and the decomposition are read
-    off its structure constants there) and the decomposition each carrier
-    basis vector uses (held in the key, compared by identity); the
+    Cached on left_mod, keyed by right_mod, carrier and the decomposition
+    each carrier basis vector uses, all compared by identity.  The modules
+    come from ``graded_carrier``, one per carrier and subgroups on ``rg``, so
+    they fix the graded algebra and the indices at which the multiplication
+    and the decomposition are read off its structure constants.  The
     decompositions are fetched through the module attribute first, so a
     replaced ``galg.unit_decomposition`` gives a new key.  The two maps'
     matrices are read-only."""
@@ -431,9 +432,8 @@ def _build_mult_iso(rg, left_mod, right_mod, carrier, degree_for) -> MultIso:
     degrees = [int(degree_for(int(x))) for x in rg.grading[carrier.parent_indices]]
     by_degree = {t: galg.unit_decomposition(rg, t) for t in dict.fromkeys(degrees)}
     decs = tuple(by_degree[t] for t in degrees)
-    cache = _shared(left_mod)
-    key = ("mult_iso", rg, content(right_mod), content(carrier),
-           *(mod.parent_indices.tobytes() for mod in (left_mod, right_mod, carrier)), decs)
+    cache = left_mod._cache.setdefault("mult_isos", {})
+    key = (right_mod, carrier, decs)
     if key in cache:
         return cache[key]
     tensor_module, tensor = tensor_over(left_mod, right_mod)

@@ -445,11 +445,12 @@ def algebra_from_spec(spec: dict) -> GradedAlgebra:
                 {"kind": "crossed_product", "base": {"kind": "matrix", "n": 2},
                  "action": [...], "cocycle": [[...]]}}
 
-    Structural problems (missing keys, unknown kinds, a modulus or size that
-    is not a JSON integer, a modulus that is not prime, misshapen
-    crossed-product fields, a group above the order bound, a crossed product
-    above the dimension bound) raise SpecError; mathematical ones (a table
-    that is not a group, a bad action or cocycle) raise ValidationError.
+    Structural problems (missing keys, unknown kinds, a modulus, size or
+    array entry that is not a JSON integer, a modulus that is not prime,
+    misshapen crossed-product fields, a group above the order bound, a
+    crossed product above the dimension bound) raise SpecError; mathematical
+    ones (a table that is not a group, a bad action or cocycle) raise
+    ValidationError.
     """
     try:
         f = PrimeField(_groups.spec_int(spec["field"]["p"]))
@@ -479,7 +480,7 @@ def algebra_from_spec(spec: dict) -> GradedAlgebra:
         fields = {}
         for key, shape in (("action", (n, db, db)), ("cocycle", (n, n, db))):
             if aspec.get(key) is not None:
-                fields[key] = np.array(aspec[key], dtype=np.int64)
+                fields[key] = _groups.spec_array(aspec[key])
                 if fields[key].shape != shape:
                     raise ValueError(f"{key} must have shape {shape}, got {fields[key].shape}")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

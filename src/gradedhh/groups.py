@@ -156,6 +156,19 @@ def spec_int(value) -> int:
     return value
 
 
+def spec_array(value) -> np.ndarray:
+    """A spec's array field as int64: nested lists whose every entry must be
+    a JSON integer (``spec_int``), so that no float or boolean is truncated."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, list):
+            stack.extend(item)
+        else:
+            spec_int(item)
+    return np.array(value, dtype=np.int64)
+
+
 def build(kind: str, **params) -> FiniteGroup:
     """Build a group by kind: cyclic, dihedral, symmetric, product, table.
 
@@ -171,10 +184,10 @@ def build(kind: str, **params) -> FiniteGroup:
             specs = [dict(f) for f in params["factors"]]
             kinds = [f.pop("kind") for f in specs]
         elif kind == "table":
-            table = np.array(params["table"], dtype=np.int64)
+            table = spec_array(params["table"])
         else:
             raise SpecError(f"unknown group kind {kind!r}")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SpecError(f"malformed {kind} group spec: {type(exc).__name__}: {exc}") from exc
     if kind in ("cyclic", "dihedral", "symmetric"):
         return {"cyclic": cyclic, "dihedral": dihedral, "symmetric": symmetric}[kind](n)

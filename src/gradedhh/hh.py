@@ -63,7 +63,7 @@ import numpy as np
 from . import bimod, galg
 from .errors import BudgetError, ValidationError
 from .exactfield import (_SLICE, PrimeField, QuotientPresentation,
-                         Subspace, packed_rref, subspace_from_rows)
+                         Subspace, packed_rref, read_only, subspace_from_rows)
 
 DEFAULT_MEMORY_MB = 1024
 # arrays of its input's size that ``PrimeField.rref`` holds at once, at most
@@ -544,7 +544,8 @@ def _row_sums(p: int, rows: np.ndarray, terms: np.ndarray, nrows: int) -> np.nda
 
 @dataclass(eq=False)
 class TransferData:
-    """Everything needed to push cocycles along an A-B bimodule."""
+    """Everything needed to push cocycles along an A-B bimodule, and the
+    chain lift and transfer matrix at each degree computed so far."""
 
     m: bimod.Bimodule
     phi: np.ndarray              # (r, dimB, r): phi[k, :, i] = phi_k(e_i)
@@ -554,6 +555,7 @@ class TransferData:
     dual_quotient: bimod.Bimodule
     memory_mb: int = DEFAULT_MEMORY_MB
     _lifts: list = field(default_factory=list, repr=False)
+    _matrices: dict = field(default_factory=dict, repr=False)
 
     # ---- X_n = M ox B^(ox n) ox M* ---------------------------------------
 
@@ -739,21 +741,19 @@ def transfer_cochain(data: TransferData, zeta: np.ndarray, n: int) -> np.ndarray
     return out[0] if np.ndim(zeta) == 1 else out
 
 
-def transfer(
-    data: TransferData,
-    n: int,
-    classes_b: HHClasses | None = None,
-    classes_a: HHClasses | None = None,
-    memory_mb: int = DEFAULT_MEMORY_MB,
-) -> np.ndarray:
-    """Matrix of the transfer HH^n(B) -> HH^n(A) on class coordinates: all
-    representatives of HH^n(B) pushed along at once, and the class
-    coordinates of every image taken in one pass."""
-    if classes_b is None:
-        classes_b = cohomology(data.m.right, n, memory_mb)
-    if classes_a is None:
-        classes_a = cohomology(data.m.left, n, memory_mb)
-    if classes_b.dim == 0:
-        return data.field.zeros((classes_a.dim, 0))
-    images = transfer_cochain(data, classes_b.reps, n)
-    return np.ascontiguousarray(classes_a.coords(images).T)
+def transfer(data: TransferData, n: int) -> np.ndarray:
+    """Matrix of the transfer HH^n(B) -> HH^n(A) on the class coordinates of
+    ``cohomology`` at the budget of ``data``: all representatives of HH^n(B)
+    pushed along at once, and the class coordinates of every image taken in
+    one pass.  Built once per degree and kept on ``data``, read-only."""
+    if n not in data._matrices:
+        classes_b = cohomology(data.m.right, n, data.memory_mb)
+        classes_a = cohomology(data.m.left, n, data.memory_mb)
+        if classes_b.dim == 0:
+            mat = data.field.zeros((classes_a.dim, 0))
+        else:
+            images = transfer_cochain(data, classes_b.reps, n)
+            mat = np.ascontiguousarray(classes_a.coords(images).T)
+        read_only(mat)
+        data._matrices[n] = mat
+    return data._matrices[n]

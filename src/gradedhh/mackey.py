@@ -15,12 +15,12 @@ carrier keys (K, g, H), all evaluated by one routine.  All comparisons
 happen on cohomology-class coordinates at a fixed degree.  Caches keep one
 symmetrizing form per subgroup and one HH basis per distinct subalgebra
 (``galg.component_subalgebra`` interns R_H by its structure constants), and
-one TransferData and one transfer matrix per degree for each distinct
-carrier.  A carrier is the set KgH, not the element g, so every g in one
-double coset shares them; and carriers whose modules have equal content
+one TransferData for each distinct carrier, which keeps its transfer matrix
+per degree (``hh.transfer``).  Carriers whose modules have equal content
 (``bimod.content``: the same interned algebras and byte-equal actions) and
-whose two symmetrizing forms are byte-equal share them too, since the
-transfer on class coordinates is read off exactly those.
+whose two symmetrizing forms are byte-equal share one, since the transfer on
+class coordinates is read off exactly those; every g in one double coset
+gives the same module, the carrier KgH, and so shares it too.
 """
 
 from __future__ import annotations
@@ -44,17 +44,6 @@ class SubalgebraData:
 
     def classes(self, n: int, memory_mb: int) -> hh.HHClasses:
         return hh.cohomology(self.algebra.algebra, n, memory_mb)
-
-
-@dataclass(eq=False)
-class Carrier:
-    """The transfer along one double-coset carrier, or along every carrier
-    of its content and forms: its TransferData (built on the first such
-    carrier's module) and its transfer matrix at each degree computed so
-    far."""
-
-    data: hh.TransferData
-    maps: dict[int, np.ndarray]
 
 
 @dataclass(eq=False)
@@ -116,12 +105,10 @@ class MackeySystem:
                 f"algebra is not fully graded: first failure {report.failures[0]}"
             )
         self._subs: dict[tuple, SubalgebraData] = {}
-        # keyed by (K, KgH, H), each entry shared through _by_content, which
-        # is keyed by the carrier module's content and the bytes of the two
-        # form vectors; the two caches below by (K, g, H[, n]), filled from
-        # the carrier so that a hit needs no double coset
-        self._carriers: dict[tuple, Carrier] = {}
-        self._by_content: dict[tuple, Carrier] = {}
+        # keyed by the carrier module's content and the bytes of the two form
+        # vectors; the two caches below by (K, g, H[, n]), so that a hit
+        # needs no double coset
+        self._by_content: dict[tuple, hh.TransferData] = {}
         self._transfers: dict[tuple, hh.TransferData] = {}
         self._maps: dict[tuple, np.ndarray] = {}
 
@@ -140,22 +127,16 @@ class MackeySystem:
     def full(self) -> _groups.Subgroup:
         return _groups.full_subgroup(self.group)
 
-    def _carrier(self, k: _groups.Subgroup, g: int, h: _groups.Subgroup) -> Carrier:
-        key = (k.key, _groups.double_coset(k, g, h), h.key)
-        if key not in self._carriers:
+    def transfer_for(self, k: _groups.Subgroup, g: int, h: _groups.Subgroup) -> hh.TransferData:
+        key = (k.key, g, h.key)
+        if key not in self._transfers:
             module = bimod.truncation(self.rg, k, g, h)
             s_a, s_b = self.sub_data(k).form.vector, self.sub_data(h).form.vector
             content = (bimod.content(module), s_a.tobytes(), s_b.tobytes())
             if content not in self._by_content:
-                self._by_content[content] = Carrier(hh.transfer_data(
-                    module, s_a, s_b, memory_mb=self.memory_mb), {})
-            self._carriers[key] = self._by_content[content]
-        return self._carriers[key]
-
-    def transfer_for(self, k: _groups.Subgroup, g: int, h: _groups.Subgroup) -> hh.TransferData:
-        key = (k.key, g, h.key)
-        if key not in self._transfers:
-            self._transfers[key] = self._carrier(k, g, h).data
+                self._by_content[content] = hh.transfer_data(
+                    module, s_a, s_b, memory_mb=self.memory_mb)
+            self._transfers[key] = self._by_content[content]
         return self._transfers[key]
 
     def map_along(self, k: _groups.Subgroup, g: int, h: _groups.Subgroup, n: int) -> np.ndarray:
@@ -164,16 +145,7 @@ class MackeySystem:
         if key not in self._maps:
             if n > self.degree_bound:
                 raise ValidationError(f"degree {n} exceeds the bound {self.degree_bound}")
-            data = self.transfer_for(k, g, h)
-            maps = self._carrier(k, g, h).maps
-            if n not in maps:
-                maps[n] = hh.transfer(
-                    data, n,
-                    classes_b=self.sub_data(h).classes(n, self.memory_mb),
-                    classes_a=self.sub_data(k).classes(n, self.memory_mb),
-                    memory_mb=self.memory_mb,
-                )
-            self._maps[key] = maps[n]
+            self._maps[key] = hh.transfer(self.transfer_for(k, g, h), n)
         return self._maps[key]
 
     # -- the three structure maps ---------------------------------------------

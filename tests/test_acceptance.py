@@ -230,7 +230,7 @@ def test_criterion_6_quantitative_regressions():
         )
         classes_h = hh.cohomology(sub.algebra, 0)
         classes_g = hh.cohomology(rg.algebra, 0)
-        pipeline = hh.transfer(data, 0, classes_h, classes_g)
+        pipeline = hh.transfer(data, 0)
         oracle = oracles.relative_trace_matrix(rg, h, classes_h.reps, classes_g)
         if not np.array_equal(pipeline, oracle):
             problems.append(("relative trace", name, p))

@@ -298,6 +298,8 @@ def spec_with(group=None, algebra=None, p=2):
 
 
 CROSSED = {"kind": "crossed_product", "base": {"kind": "matrix", "n": 2}}
+UNIT = [1, 0, 0, 1]                         # the unit of M_2(k)
+EYE = np.eye(4, dtype=int).tolist()         # the identity automorphism of M_2(k)
 
 
 @pytest.mark.parametrize("spec,extra", [
@@ -322,12 +324,21 @@ CROSSED = {"kind": "crossed_product", "base": {"kind": "matrix", "n": 2}}
     (spec_with(p=True), ()),
     (spec_with({"kind": "cyclic", "n": 2.5}), ()),
     (spec_with(algebra={**CROSSED, "base": {"kind": "matrix", "n": "2"}}), ()),
+    # entries that an int64 conversion would truncate to a valid group or
+    # algebra, or could not hold
+    (spec_with({"kind": "table", "table": [[0.5, 1], [1, 0]]}), ()),
+    (spec_with({"kind": "table", "table": [[0, True], [1, 0]]}), ()),
+    (spec_with({"kind": "table", "table": [[0, 2**70], [1, 0]]}), ()),
+    (spec_with(algebra={**CROSSED, "action": [EYE, [[1.7, 0, 0, 0]] + EYE[1:]]}), ()),
+    (spec_with(algebra={**CROSSED, "cocycle": [[UNIT, UNIT], [UNIT, [2.5, 0, 0, 2]]]}, p=3), ()),
 ], ids=["missing-n", "factors-not-a-list", "factor-missing-n", "ragged-table",
         "subgroups-not-a-number", "subgroups-out-of-range", "n-below-1",
         "order-over-bound", "table-over-bound", "p-not-prime", "base-not-an-object",
         "base-missing-n", "action-not-a-list", "action-wrong-shape",
         "cocycle-not-a-list", "base-n-over-bound", "not-utf-8", "p-not-an-integer",
-        "p-a-boolean", "n-not-an-integer", "base-n-a-string"])
+        "p-a-boolean", "n-not-an-integer", "base-n-a-string", "table-entry-a-float",
+        "table-entry-a-boolean", "table-entry-over-int64", "action-entry-a-float",
+        "cocycle-entry-a-float"])
 def test_malformed_input_exit_2(tmp_path, cli_process, spec, extra):
     # a real process, so that an uncaught exception shows as its traceback
     path = tmp_path / "spec.json"

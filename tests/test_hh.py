@@ -154,7 +154,7 @@ def test_delta_signs_and_large_p_match_the_dense_oracle(kind, p, degrees):
 
 
 def _check_centralizer_split(rg, expected):
-    for n in range(4):
+    for n in range(len(next(iter(expected.values())))):
         got = oracles.twist_class_counts(rg, hh.cohomology(rg.algebra, n).reps, n)
         assert got.keys() == expected.keys()
         for g, dims in expected.items():
@@ -165,10 +165,13 @@ def _check_centralizer_split(rg, expected):
 
 @pytest.mark.parametrize("kind,p", sorted(oracles.CENTRALIZER_HH))
 def test_hh_splits_by_centralizer(kind, p):
+    # up to degree 4 for S3/F_2 and C2 x C2/F_2; S3/F_3 and D4/F_2 stop at
+    # degree 3, since their HH^4 takes seconds of tier-1 time
     expected = oracles.CENTRALIZER_HH[kind, p]
     rg = group_algebra(kind, p)
     for g, dims in expected.items():
-        assert oracles.group_cohomology_dims(oracles.centralizer(rg.group, g), p, 3) == list(dims), g
+        top = len(dims) - 1
+        assert oracles.group_cohomology_dims(oracles.centralizer(rg.group, g), p, top) == list(dims), g
     _check_centralizer_split(rg, expected)
 
 
@@ -521,7 +524,7 @@ def test_transfer_up_degree0_is_relative_trace(kind, p, sub_gens):
     data = hh.transfer_data(n_mod, s_g.vector, s_h.vector)
     classes_h = hh.cohomology(sub.algebra, 0)
     classes_g = hh.cohomology(rg.algebra, 0)
-    pipeline = hh.transfer(data, 0, classes_h, classes_g)
+    pipeline = hh.transfer(data, 0)
     oracle = oracles.relative_trace_matrix(rg, h, classes_h.reps, classes_g)
     assert np.array_equal(pipeline, oracle)
 

@@ -330,7 +330,8 @@ def test_carriers_with_equal_actions_but_other_forms_get_their_own_transfer(monk
         for n in range(3):
             mat = sys.map_along(h, 0, h, n)
             assert np.array_equal(mat, np.eye(len(mat), dtype=np.int64)), (h, n)
-    assert sys._carrier(subs[0], 0, subs[0]).maps is not sys._carrier(subs[1], 0, subs[1]).maps
+    for n in range(3):
+        assert hh.transfer(data[0], n) is not hh.transfer(data[1], n)
 
 
 def test_d4_verify_builds_each_transfer_and_cohomology_once_per_content(monkeypatch, capsys,
@@ -359,3 +360,34 @@ def test_d4_verify_builds_each_transfer_and_cohomology_once_per_content(monkeypa
     assert cli.main(["verify", "--spec", str(spec), "--degree", "2"]) == 0
     capsys.readouterr()
     assert counts == {"transfer_data": 40, "cohomology": 15}
+
+
+def test_d4_verify_pushes_each_transfer_once_per_data_and_degree(monkeypatch, capsys, tmp_path):
+    # D4 over F_2 at degree 2: hh.transfer keeps its matrix on the
+    # TransferData, so every repeat of a (data, n) gets the same read-only
+    # array, and the 40 TransferData push representatives 110 times
+    from gradedhh import cli
+
+    seen, calls, pushes = {}, [], []
+    transfer, transfer_cochain = hh.transfer, hh.transfer_cochain
+
+    def recording(data, n):
+        mat = transfer(data, n)
+        calls.append((data, n))
+        assert not mat.flags.writeable
+        assert seen.setdefault((data, n), mat) is mat
+        return mat
+
+    def counting(data, zeta, n):
+        pushes.append(n)
+        return transfer_cochain(data, zeta, n)
+
+    monkeypatch.setattr(hh, "transfer", recording)
+    monkeypatch.setattr(hh, "transfer_cochain", counting)
+    spec = tmp_path / "d4_p2.json"
+    spec.write_text(json.dumps({"field": {"p": 2}, "group": {"kind": "dihedral", "n": 4},
+                                "algebra": {"kind": "group_algebra"}}))
+    assert cli.main(["verify", "--spec", str(spec), "--degree", "2"]) == 0
+    capsys.readouterr()
+    assert len(calls) > len(seen)
+    assert len(pushes) == 110

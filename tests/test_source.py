@@ -34,3 +34,50 @@ def test_every_function_under_src_is_referenced_under_src():
     unreferenced = {name for name in defined
                     if not referenced[name] and not (name.startswith("__") and name.endswith("__"))}
     assert unreferenced == set(UNREFERENCED)
+
+
+# the module that owns each key of the ``_cache`` mappings on algebras,
+# graded algebras and bimodules
+CACHE_OWNERS = {
+    "bimod": {"regular", "content", "shared", "bimodules", "carriers", "mult_isos"},
+    "galg": {"lmul", "rmul", "subalgebras", "algebras", "unit_decompositions"},
+    "hh": {"hh", "cochain"},
+}
+
+
+def _cache_keys(tree):
+    """String constants used as keys of a ``._cache`` mapping: subscripts,
+    ``setdefault`` and ``get`` calls, and ``in`` / ``not in`` tests."""
+
+    def is_cache(node):
+        return isinstance(node, ast.Attribute) and node.attr == "_cache"
+
+    def text(node):
+        return node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else None
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and is_cache(node.value):
+            yield text(node.slice)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in ("setdefault", "get") and is_cache(node.func.value)
+              and node.args):
+            yield text(node.args[0])
+        elif (isinstance(node, ast.Compare) and len(node.ops) == 1
+              and isinstance(node.ops[0], (ast.In, ast.NotIn)) and is_cache(node.comparators[0])):
+            yield text(node.left)
+
+
+def test_every_cache_key_has_one_owning_module():
+    # two modules writing one key of the same mapping would overwrite each
+    # other's entries
+    owners = collections.defaultdict(set)
+    for path in sorted(SRC.rglob("*.py")):
+        for key in _cache_keys(ast.parse(path.read_text(), str(path))):
+            assert key is not None, f"{path.name}: a _cache key that is not a string constant"
+            owners[key].add(path.stem)
+    shared = {key: mods for key, mods in owners.items() if len(mods) > 1}
+    assert not shared
+    found = collections.defaultdict(set)
+    for key, (mod,) in owners.items():
+        found[mod].add(key)
+    assert found == CACHE_OWNERS
