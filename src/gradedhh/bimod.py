@@ -25,6 +25,12 @@ dim) arrays, and a tensor product's actions, an intertwiner system, the
 multiplication map and its inverse are slices of the structure constants
 and ``PrimeField.contract`` calls on those arrays, never one basis element
 or one basis vector at a time.
+
+Every identity that quantifies over an acting algebra is checked or solved
+on its generators (``galg.generators``: 2 of kD4's 8 basis elements, 3 of
+kS4's 24), with the same outcome as on the whole basis, for the reason each
+site's docstring gives; so every basis, presentation and splitting is
+unchanged.
 """
 
 from __future__ import annotations
@@ -61,6 +67,13 @@ class Bimodule:
         return self.left.field
 
     def validate(self) -> None:
+        """Check the shapes and the units, then L(e_s e_j) = L_s L_j and
+        R(e_s e_j) = R_j R_s for s in the generators S (``galg.generators``)
+        and every j, and L_s R_t = R_t L_s on S_A x S_B.  Each is equivalent
+        to its whole-basis form, and they run in its order: with L(1) = I,
+        L(s x) = L_s L(x) gives L(w x) = L(w) L(x) for every word w in S, and
+        words span A (likewise for R); then L(A) and R(B) are spanned by
+        products of the L_s and of the R_t, which commute."""
         f = self.field
         d = self.dim
         L, R = self.left_action, self.right_action
@@ -70,16 +83,18 @@ class Bimodule:
             raise ValidationError("left unit does not act as the identity")
         if not np.array_equal(f.contract("j,jpq->pq", self.right.unit, R), f.eye(d)):
             raise ValidationError("right unit does not act as the identity")
-        lhs = f.contract("ipq,jqr->ijpr", L, L)
-        rhs = f.contract("ijk,kpr->ijpr", self.left.sc, L)
-        if not np.array_equal(lhs, rhs):
-            raise ValidationError("left action is not an algebra map")
-        lhs = f.contract("jpq,iqr->ijpr", R, R)
-        rhs = f.contract("ijk,kpr->ijpr", self.right.sc, R)
-        if not np.array_equal(lhs, rhs):
-            raise ValidationError("right action is not a right representation")
-        lhs = f.contract("ipq,jqr->ijpr", L, R)
-        rhs = f.contract("jpq,iqr->ijpr", R, L)
+        sa, sb = galg.generators(self.left), galg.generators(self.right)
+        # one generator at a time: d_A * dim^2 entries per side
+        for s in sa:
+            if not np.array_equal(f.contract("pq,jqr->jpr", L[s], L),
+                                  f.contract("jk,kpr->jpr", self.left.sc[s], L)):
+                raise ValidationError("left action is not an algebra map")
+        for s in sb:
+            if not np.array_equal(f.contract("jpq,qr->jpr", R, R[s]),
+                                  f.contract("jk,kpr->jpr", self.right.sc[s], R)):
+                raise ValidationError("right action is not a right representation")
+        lhs = f.contract("spq,tqr->stpr", L[sa], R[sb])
+        rhs = f.contract("tpq,sqr->stpr", R[sb], L[sa])
         if not np.array_equal(lhs, rhs):
             raise ValidationError("left and right actions do not commute")
 
@@ -96,16 +111,25 @@ class BimoduleMap:
     matrix: np.ndarray
 
     def validate(self) -> None:
+        """Check the shape, that source and target are over the same two
+        algebras, and that the map commutes with the action of each
+        algebra's generators (``galg.generators`` of the source's algebras):
+        the a with m L_src(a) = L_tgt(a) m form a subalgebra, so commuting
+        with S is commuting with every basis element."""
         f = self.source.field
         m = self.matrix
-        if m.shape != (self.target.dim, self.source.dim):
+        src, tgt = self.source, self.target
+        if m.shape != (tgt.dim, src.dim):
             raise ValidationError("bimodule map has the wrong shape")
-        for name, src_act, tgt_act in (
-            ("left", self.source.left_action, self.target.left_action),
-            ("right", self.source.right_action, self.target.right_action),
+        if not all(x is y or x.structurally_equal(y)
+                   for x, y in ((src.left, tgt.left), (src.right, tgt.right))):
+            raise ValidationError("source and target are over different algebras")
+        for name, gens, src_act, tgt_act in (
+            ("left", galg.generators(src.left), src.left_action, tgt.left_action),
+            ("right", galg.generators(src.right), src.right_action, tgt.right_action),
         ):
-            lhs = f.contract("pq,aqr->apr", m, src_act)
-            rhs = f.contract("apq,qr->apr", tgt_act, m)
+            lhs = f.contract("pq,aqr->apr", m, src_act[gens])
+            rhs = f.contract("apq,qr->apr", tgt_act[gens], m)
             if not np.array_equal(lhs, rhs):
                 raise ValidationError(f"map does not commute with the {name} action")
 
@@ -228,36 +252,42 @@ def dual(m: Bimodule) -> Bimodule:
 
 
 def tensor_over(m: Bimodule, n: Bimodule) -> tuple[Bimodule, QuotientPresentation]:
-    """Tensor product over the middle algebra, with its presentation as the
+    """Tensor product over the middle algebra B, with its presentation as the
     quotient of M (x)_k N by the balancing relations
-    span{m b (x) n - m (x) b n}; the ambient index of (i, j) is
-    i * dim(N) + j.  Results are cached by the content of M and of N; their
-    arrays are read-only."""
+    r(b, x, y) = x b (x) y - x (x) b y; the ambient index of (i, j) is
+    i * dim(N) + j.  The relations for b in the generators S_B
+    (``galg.generators``) span them all, since r(b1 b2, x, y) =
+    r(b2, x b1, y) + r(b1, x, b2 y); their stability is checked under the
+    generators of the outer algebras, since the elements whose action keeps
+    a subspace form a subalgebra.  Results are cached by the content of M
+    and of N; their arrays are read-only."""
     cache, key = _shared(m), ("tensor_over", content(n))
     if key in cache:
         return cache[key]
     if not (m.right is n.left or m.right.structurally_equal(n.left)):
         raise ValidationError("inner algebras do not match")
     f = m.field
-    dm, dn, db = m.dim, n.dim, m.right.dim
+    dm, dn = m.dim, n.dim
+    sb = galg.generators(m.right)
     eye_m, eye_n = f.eye(dm), f.eye(dn)
-    # relation (b, i, j): (e_i . b) ox e_j - e_i ox (b . e_j)
+    # relation (s, i, j): (e_i . b_s) ox e_j - e_i ox (b_s . e_j)
     rel = (
-        f.contract("bki,jl->bijkl", m.right_action, eye_n)
-        - f.contract("ik,blj->bijkl", eye_m, n.left_action)
+        f.contract("bki,jl->bijkl", m.right_action[sb], eye_n)
+        - f.contract("ik,blj->bijkl", eye_m, n.left_action[sb])
     ) % f.p
-    relations = subspace_from_rows(f, rel.reshape(db * dm * dn, dm * dn),
+    relations = subspace_from_rows(f, rel.reshape(len(sb) * dm * dn, dm * dn),
                                    ambient_dim=dm * dn)
     pres = f.quotient(relations)
     q = pres.quotient_dim
     proj = pres.projection.reshape(q, dm, dn)
     sect = pres.section.reshape(dm, dn, q)
-    # the outer actions a ox 1 and 1 ox c on M ox_k N, applied to the
-    # relations and to the section
+    # the outer actions a ox 1 and 1 ox c of the generators on M ox_k N,
+    # applied to the relations
     if relations.dim:
         basis = relations.basis.reshape(relations.dim, dm, dn)
-        for moved in (f.contract("aik,skj->asij", m.left_action, basis),
-                      f.contract("cjl,sil->csij", n.right_action, basis)):
+        gens_a, gens_c = galg.generators(m.left), galg.generators(n.right)
+        for moved in (f.contract("aik,skj->asij", m.left_action[gens_a], basis),
+                      f.contract("cjl,sil->csij", n.right_action[gens_c], basis)):
             if relations.reduce_rows(moved.reshape(-1, dm * dn)).any():
                 raise ValidationError("relations not stable under outer action")
     left_action = f.contract("qij,aijr->aqr", proj,
@@ -279,7 +309,8 @@ def tensor_over(m: Bimodule, n: Bimodule) -> tuple[Bimodule, QuotientPresentatio
 def _intertwiners(f: PrimeField, pairs, dm: int, dn: int) -> np.ndarray:
     """RREF basis, stacked as (k, dn, dm) matrices, of the linear maps
     X: F^dm -> F^dn with X src = tgt X for every pair of actions in
-    ``pairs``; X is vectorized row-major."""
+    ``pairs``; X is vectorized row-major.  Actions of a generating set of
+    the algebra suffice: the elements that X intertwines form a subalgebra."""
     # row (a, r, s) of the system is entry (r, s) of X src_a - tgt_a X
     system = np.concatenate([
         f.contract("ru,avs->arsuv", f.eye(dn), src_act)
@@ -293,7 +324,8 @@ def _intertwiners(f: PrimeField, pairs, dm: int, dn: int) -> np.ndarray:
 def module_hom_basis(m: Bimodule, side: str) -> np.ndarray:
     """RREF basis, stacked as (k, dim alg, dim M), of the one-sided module
     maps M -> alg into the regular module, where alg is the algebra acting on
-    ``side``; cached by M's content, read-only."""
+    ``side``: the maps that intertwine the actions of ``galg.generators`` of
+    alg, which is the same space.  Cached by M's content, read-only."""
     cache, key = _shared(m), ("module_homs", side)
     if key not in cache:
         if side == "left":
@@ -302,7 +334,8 @@ def module_hom_basis(m: Bimodule, side: str) -> np.ndarray:
             alg, act, reg = m.right, m.right_action, m.right.basis_right_mults
         else:
             raise ValidationError("side must be 'left' or 'right'")
-        cache[key] = _intertwiners(m.field, ((act, reg),), m.dim, alg.dim)
+        gens = galg.generators(alg)
+        cache[key] = _intertwiners(m.field, ((act[gens], reg[gens]),), m.dim, alg.dim)
         read_only(cache[key])
     return cache[key]
 

@@ -8,7 +8,8 @@ group-element-major order so every graded component is a contiguous index
 slice.  The one constructor is the crossed product over a full matrix ring;
 a group algebra, or a twisted one, is the crossed product over a 1x1
 matrix base.  The symmetrizing form is read off the structure constants
-and the grading alone.
+and the grading alone.  ``generators`` picks basis elements whose words span
+an algebra, on which ``bimod`` checks every identity over it.
 """
 
 from __future__ import annotations
@@ -90,6 +91,33 @@ class Algebra:
             and np.array_equal(self.sc, other.sc)
             and np.array_equal(self.unit, other.unit)
         )
+
+
+def generators(a: Algebra) -> np.ndarray:
+    """Basis indices S whose words span ``a``, ascending; cached on ``a``,
+    read-only.  Picked greedily: the lowest basis index outside the span,
+    then the span of the unit closed under left multiplication by the chosen
+    elements, by exact RREF, until it is all of ``a``.  So the spanning is
+    proved at run time, and a subalgebra that holds S is all of ``a``."""
+    if "generators" not in a._cache:
+        f, d = a.field, a.dim
+        chosen: list[int] = []
+        span, pivots = f.rref(a.unit[None, :])
+        while len(pivots) < d:
+            # e_i lies in the span iff it is the pivot row of column i
+            inside = np.zeros(d, dtype=bool)
+            inside[pivots] = np.count_nonzero(span[:len(pivots)], axis=1) == 1
+            chosen.append(int(np.flatnonzero(~inside)[0]))
+            while True:
+                held = span[:len(pivots)]
+                moved = f.contract("rj,skj->srk", held, a.basis_left_mults[chosen])
+                span, grown = f.rref(np.concatenate([held, moved.reshape(-1, d)]))
+                if len(grown) == len(pivots):
+                    break
+                pivots = grown
+        a._cache["generators"] = np.array(chosen, dtype=np.int64)
+        read_only(a._cache["generators"])
+    return a._cache["generators"]
 
 
 def matrix_algebra(field: PrimeField, n: int) -> Algebra:

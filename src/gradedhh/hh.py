@@ -458,7 +458,9 @@ class CochainComplex:
         rows, cols, vals = rows[order], cols[order], vals[order]
         ends = np.cumsum(np.bincount(block, minlength=col_block.max() + 1))
         offsets = np.concatenate([[0], ends])
-        block_rows = tuple(np.unique(rows[lo:hi]) for lo, hi in zip(offsets, ends))
+        # a block's rows ascend, so its distinct rows are where they step
+        block_rows = tuple(r[np.diff(r, prepend=-1) != 0]
+                           for r in (rows[lo:hi] for lo, hi in zip(offsets, ends)))
         block_cols = tuple(np.split(np.argsort(col_block, kind="stable"),
                                     np.cumsum(np.bincount(col_block))[:-1]))
         out = Differential(field=f, shape=shape, rows=rows, cols=cols, vals=vals,

@@ -17,9 +17,12 @@ The module also holds what only the tests use: the multiplication matrix
 and the center of an algebra, the conjugacy classes of a group, a test that
 a bimodule map is invertible, the composition and direct-sum checks of
 transfers, hom spaces and a three-valued isomorphism test for bimodules,
-the trivial grading, a chain lift by linear solve, and the per-element
-Kronecker and per-vector constructions that the batched tensor product,
-multiplication map and unit-decomposition inverse of ``bimod`` replaced.
+the trivial grading, a chain lift by linear solve, the whole-basis forms
+of the bimodule identities that ``bimod`` checks and solves on generators
+(both ``validate`` methods, the balancing relations and the one-sided hom
+basis), and the per-element Kronecker and per-vector constructions that the
+batched tensor product, multiplication map and unit-decomposition inverse
+of ``bimod`` replaced.
 """
 
 from __future__ import annotations
@@ -579,6 +582,74 @@ class SolvedLift(DenseLift):
         return sol.T.copy()
 
 
+# -- the bimodule identities on the whole basis of the acting algebra ---------
+
+
+def validate_bimodule(m: bimod.Bimodule) -> None:
+    """``Bimodule.validate`` with every identity checked on the whole basis of
+    each algebra: d_A^2 * dim^2 entries per side of each identity."""
+    f = m.field
+    d = m.dim
+    L, R = m.left_action, m.right_action
+    if L.shape != (m.left.dim, d, d) or R.shape != (m.right.dim, d, d):
+        raise ValidationError("action tensor shapes inconsistent")
+    if not np.array_equal(f.contract("i,ipq->pq", m.left.unit, L), f.eye(d)):
+        raise ValidationError("left unit does not act as the identity")
+    if not np.array_equal(f.contract("j,jpq->pq", m.right.unit, R), f.eye(d)):
+        raise ValidationError("right unit does not act as the identity")
+    lhs = f.contract("ipq,jqr->ijpr", L, L)
+    rhs = f.contract("ijk,kpr->ijpr", m.left.sc, L)
+    if not np.array_equal(lhs, rhs):
+        raise ValidationError("left action is not an algebra map")
+    lhs = f.contract("jpq,iqr->ijpr", R, R)
+    rhs = f.contract("ijk,kpr->ijpr", m.right.sc, R)
+    if not np.array_equal(lhs, rhs):
+        raise ValidationError("right action is not a right representation")
+    lhs = f.contract("ipq,jqr->ijpr", L, R)
+    rhs = f.contract("jpq,iqr->ijpr", R, L)
+    if not np.array_equal(lhs, rhs):
+        raise ValidationError("left and right actions do not commute")
+
+
+def validate_bimodule_map(fmap: bimod.BimoduleMap) -> None:
+    """``BimoduleMap.validate`` with commutation checked against the action of
+    every basis element of both algebras."""
+    f = fmap.source.field
+    m = fmap.matrix
+    if m.shape != (fmap.target.dim, fmap.source.dim):
+        raise ValidationError("bimodule map has the wrong shape")
+    for name, src_act, tgt_act in (
+        ("left", fmap.source.left_action, fmap.target.left_action),
+        ("right", fmap.source.right_action, fmap.target.right_action),
+    ):
+        lhs = f.contract("pq,aqr->apr", m, src_act)
+        rhs = f.contract("apq,qr->apr", tgt_act, m)
+        if not np.array_equal(lhs, rhs):
+            raise ValidationError(f"map does not commute with the {name} action")
+
+
+def balancing_relations(m: bimod.Bimodule, n: bimod.Bimodule):
+    """The relation space of ``bimod.tensor_over`` spanned by one relation
+    block per basis element of the middle algebra."""
+    f = m.field
+    dm, dn, db = m.dim, n.dim, m.right.dim
+    rel = (
+        f.contract("bki,jl->bijkl", m.right_action, f.eye(dn))
+        - f.contract("ik,blj->bijkl", f.eye(dm), n.left_action)
+    ) % f.p
+    return subspace_from_rows(f, rel.reshape(db * dm * dn, dm * dn), ambient_dim=dm * dn)
+
+
+def module_hom_basis(m: bimod.Bimodule, side: str) -> np.ndarray:
+    """``bimod.module_hom_basis`` from the intertwiner system of every basis
+    element of the acting algebra."""
+    if side == "left":
+        alg, act, reg = m.left, m.left_action, m.left.basis_left_mults
+    else:
+        alg, act, reg = m.right, m.right_action, m.right.basis_right_mults
+    return bimod._intertwiners(m.field, ((act, reg),), m.dim, alg.dim)
+
+
 # -- bimodule constructions one basis element or vector at a time -------------
 
 
@@ -598,14 +669,8 @@ def kron_tensor_over(m: bimod.Bimodule, n: bimod.Bimodule):
     """``bimod.tensor_over`` with each outer action induced separately from
     its Kronecker matrix on M ox_k N."""
     f = m.field
-    dm, dn, db = m.dim, n.dim, m.right.dim
-    eye_m, eye_n = f.eye(dm), f.eye(dn)
-    rel = (
-        f.contract("bki,jl->bijkl", m.right_action, eye_n)
-        - f.contract("ik,blj->bijkl", eye_m, n.left_action)
-    ) % f.p
-    relations = subspace_from_rows(f, rel.reshape(db * dm * dn, dm * dn),
-                                   ambient_dim=dm * dn)
+    eye_m, eye_n = f.eye(m.dim), f.eye(n.dim)
+    relations = balancing_relations(m, n)
     pres = f.quotient(relations)
     proj, sect = pres.projection, pres.section
 
@@ -627,7 +692,7 @@ def kron_tensor_over(m: bimod.Bimodule, n: bimod.Bimodule):
         left_action=induced(left_ops), right_action=induced(right_ops),
         label=f"({m.label})ox({n.label})",
     )
-    module.validate()
+    validate_bimodule(module)
     return module, pres
 
 

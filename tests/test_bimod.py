@@ -755,3 +755,134 @@ def test_mult_isos_of_equal_content_at_other_indices_are_built_apart(monkeypatch
     for (g, h), iso in isos.items():
         assert bimod.mult_iso_conjugate_chain(tw, g, h, triv) is iso
     assert len(builds) == 4
+
+
+# -- the generator checks against the whole-basis oracles ---------------------
+
+
+def _d4_spec(tmp_path):
+    spec = tmp_path / "d4_p2.json"
+    spec.write_text(json.dumps({"field": {"p": 2}, "group": {"kind": "dihedral", "n": 4},
+                                "algebra": {"kind": "group_algebra"}}))
+    return spec
+
+
+@pytest.mark.parametrize("run", [
+    *(("lemma2", spec) for spec in sorted(p.stem for p in SPECS.glob("*.json"))),
+    ("lemma2", "d4_p2"), ("verify", "d4_p2"),
+], ids="-".join)
+def test_generator_checks_agree_with_whole_basis_oracles(run, monkeypatch, capsys, tmp_path):
+    # every module and map validated, every tensor product and every hom
+    # basis built by the run passes the whole-basis check or equals the
+    # whole-basis construction
+    command, spec = run
+    modules, maps, tensors, homs = {}, {}, {}, {}
+    validate_module, validate_map = bimod.Bimodule.validate, bimod.BimoduleMap.validate
+    tensor_over, module_hom_basis = bimod.tensor_over, bimod.module_hom_basis
+
+    def recording_module(self):
+        validate_module(self)
+        modules[id(self)] = self
+
+    def recording_map(self):
+        validate_map(self)
+        maps[id(self)] = self
+
+    def recording_tensor(m, n):
+        out = tensor_over(m, n)
+        tensors[id(m), id(n)] = (m, n, out[1])
+        return out
+
+    def recording_homs(m, side):
+        out = module_hom_basis(m, side)
+        homs[id(m), side] = (m, side, out)
+        return out
+
+    monkeypatch.setattr(bimod.Bimodule, "validate", recording_module)
+    monkeypatch.setattr(bimod.BimoduleMap, "validate", recording_map)
+    monkeypatch.setattr(bimod, "tensor_over", recording_tensor)
+    monkeypatch.setattr(bimod, "module_hom_basis", recording_homs)
+    path = _d4_spec(tmp_path) if spec == "d4_p2" else SPECS / f"{spec}.json"
+    args = ["--degree", "2"] if command == "verify" else []
+    assert cli.main([command, "--spec", str(path), *args]) == 0
+    capsys.readouterr()
+    assert modules and maps and tensors and homs
+    for m in modules.values():
+        oracles.validate_bimodule(m)
+    for fmap in maps.values():
+        oracles.validate_bimodule_map(fmap)
+    for m, n, pres in tensors.values():
+        assert pres.sub == oracles.balancing_relations(m, n)
+    for m, side, basis in homs.values():
+        assert _same_bytes(basis, oracles.module_hom_basis(m, side))
+
+
+def _algebra(spec):
+    return galg.group_algebra(groups.dihedral(4), 2) if spec == "d4_p2" else _load(spec)
+
+
+def _verdict(check, obj):
+    """The message ``check(obj)`` rejects with, or None if it accepts."""
+    from gradedhh.errors import ValidationError
+
+    try:
+        check(obj)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("spec", ["d4_p2", "s3_p3", "matrix_crossed_c2_p2"])
+def test_perturbing_a_non_generator_fails_both_checks_alike(spec):
+    rg = _algebra(spec)
+    full = groups.full_subgroup(rg.group)
+    m = bimod.side_restricted(rg, full, full)
+    f = rg.field
+    for side, message in (("left", "left action is not an algebra map"),
+                          ("right", "right action is not a right representation")):
+        alg = m.left if side == "left" else m.right
+        # off the generators and off the unit's support, so both unit checks pass
+        outside = np.setdiff1d(np.arange(alg.dim), np.concatenate(
+            [galg.generators(alg), np.flatnonzero(alg.unit)]))
+        assert outside.size
+        for j in (outside[0], outside[-1]):
+            bad = bimod.Bimodule(left=m.left, right=m.right, dim=m.dim,
+                                 left_action=m.left_action.copy(),
+                                 right_action=m.right_action.copy())
+            act = bad.left_action if side == "left" else bad.right_action
+            act[j, 0, -1] = (act[j, 0, -1] + 1) % f.p
+            assert (_verdict(bimod.Bimodule.validate, bad)
+                    == _verdict(oracles.validate_bimodule, bad) == message)
+
+
+@pytest.mark.parametrize("spec", ["d4_p2", "s3_p3", "matrix_crossed_c2_p2"])
+def test_perturbing_one_map_entry_fails_both_checks_alike(spec):
+    rg = _algebra(spec)
+    subs = groups.all_subgroups(rg.group)
+    f = rg.field
+    rejected = []
+    for k in subs:
+        for h in subs:
+            iso = bimod.mult_iso_double_coset(rg, k, 0, h)
+            for fmap in (iso.forward, iso.inverse):
+                for r, c in ((0, 0), (fmap.matrix.shape[0] - 1, fmap.matrix.shape[1] - 1)):
+                    matrix = fmap.matrix.copy()
+                    matrix[r, c] = (matrix[r, c] + 1) % f.p
+                    bad = bimod.BimoduleMap(fmap.source, fmap.target, matrix)
+                    verdict = _verdict(bimod.BimoduleMap.validate, bad)
+                    assert verdict == _verdict(oracles.validate_bimodule_map, bad)
+                    rejected.append(verdict is not None)
+    # a perturbed map between one-dimensional modules can still be a map
+    assert len(rejected) == 4 * len(subs) ** 2 and sum(rejected) > len(rejected) // 2
+
+
+def test_bimodule_map_needs_the_same_two_algebras(ks3_p2):
+    from gradedhh.errors import ValidationError
+
+    grp = ks3_p2.group
+    full, triv = groups.full_subgroup(grp), groups.trivial_subgroup(grp)
+    m = bimod.side_restricted(ks3_p2, full, full)
+    n = bimod.side_restricted(ks3_p2, full, triv)
+    with pytest.raises(ValidationError, match="over different algebras"):
+        bimod.BimoduleMap(m, n, ks3_p2.field.eye(m.dim)).validate()
+    bimod.BimoduleMap(m, m, ks3_p2.field.eye(m.dim)).validate()

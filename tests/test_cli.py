@@ -423,3 +423,31 @@ def test_benchmark_tracer_targets_resolve(tmp_path):
         assert counters.get(name, 0) > 0, name
     spans = [trace["names"][span[0]] for span in trace["spans"]]
     assert 0 < spans.count("hh.transfer_data") <= counters["mackey.transfer_for.miss"]
+
+
+def test_verify_and_hh_leave_numpy_ma_unimported():
+    # numpy 2 imports numpy.ma lazily, on the first np.unique(x) without
+    # options; no run of the package needs it
+    import os
+
+    import gradedhh
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
+        str(pathlib.Path(gradedhh.__file__).resolve().parent.parent),
+        os.environ.get("PYTHONPATH")))))
+
+    def loaded(code):
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env,
+                             text=True, timeout=600, check=True).stdout.split()
+        return out[-1] == "True", out
+
+    if loaded("import sys, numpy; print('numpy.ma' in sys.modules)")[0]:
+        pytest.skip("import numpy alone loads numpy.ma here (numpy 1.x)")
+    for argv in (["verify", "--degree", "3"], ["hh", "--degree", "3"]):
+        code = ("import contextlib, io, sys\n"
+                "from gradedhh import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    code = cli.main({argv + ['--spec', str(SPECS / 's3_p2.json')]!r})\n"
+                "print(code, 'numpy.ma' in sys.modules)")
+        is_loaded, out = loaded(code)
+        assert out[-2] == "0" and not is_loaded, (argv, out)

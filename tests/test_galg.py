@@ -363,3 +363,87 @@ def test_algebra_from_spec():
             "field": {"p": 2}, "group": {"kind": "nope", "n": 2},
             "algebra": {"kind": "group_algebra"},
         })
+
+
+# -- generating sets ----------------------------------------------------------
+
+
+def _words_span(a: galg.Algebra, gens) -> int:
+    """Dimension of the span of all words in the basis elements ``gens``,
+    grown by right multiplication from the unit."""
+    f = a.field
+    basis = f.eye(a.dim)[list(gens)]
+    span = a.unit[None, :]
+    while True:
+        words = [span] + [np.array([a.multiply(w, b) for w in span]) for b in basis]
+        reduced, pivots = f.rref(np.concatenate(words))
+        if len(pivots) == len(span):
+            return len(pivots)
+        span = reduced[:len(pivots)]
+
+
+def _relabelled(group: groups.FiniteGroup, seed: int) -> groups.FiniteGroup:
+    """The group with its elements renamed by a seeded permutation that
+    fixes the identity, passed as a Cayley table."""
+    perm = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(group.order - 1)])
+    table = np.empty_like(group.table)
+    table[perm[:, None], perm[None, :]] = perm[group.table]
+    return groups.build("table", order=group.order, table=table.tolist())
+
+
+V4 = groups.direct_product(groups.cyclic(2), groups.cyclic(2))
+
+
+@pytest.mark.parametrize("group,p,size", [
+    (groups.cyclic(1), 2, 0), (groups.cyclic(2), 2, 1), (groups.cyclic(3), 3, 1),
+    (groups.cyclic(5), 7, 1), (V4, 2, 2), (groups.symmetric(3), 2, 2),
+    (groups.symmetric(3), 3, 2), (groups.dihedral(4), 2, 2),
+])
+def test_generators_of_group_algebras_span(group, p, size):
+    a = galg.group_algebra(group, p).algebra
+    gens = galg.generators(a)
+    assert len(gens) == size
+    assert _words_span(a, gens) == a.dim
+    # the greedy choice: each generator lies outside the words in the earlier ones
+    for k in range(len(gens)):
+        assert _words_span(a, gens[:k]) < a.dim
+    # cached and read-only
+    assert galg.generators(a) is gens
+    with pytest.raises(ValueError, match="read-only"):
+        gens[0] = 0
+    # deterministic: a fresh build picks the same indices
+    assert galg.generators(galg.group_algebra(group, p).algebra).tolist() == gens.tolist()
+
+
+def test_generators_of_matrix_algebras_and_crossed_products():
+    f = PrimeField(2)
+    m2 = galg.matrix_algebra(f, 2)
+    # E_00 and E_01 give the upper triangular matrices, E_10 the rest
+    assert galg.generators(m2).tolist() == [0, 1, 2]
+    assert _words_span(m2, galg.generators(m2)) == 4
+    assert galg.generators(galg.matrix_algebra(f, 1)).tolist() == []
+    spec = pathlib.Path(__file__).resolve().parents[1] / "specs" / "matrix_crossed_c2_p2.json"
+    cp = galg.algebra_from_spec(json.loads(spec.read_text()))
+    gens = galg.generators(cp.algebra)
+    assert _words_span(cp.algebra, gens) == cp.dim == 8
+    assert len(gens) < cp.dim
+
+
+@pytest.mark.parametrize("group", [groups.symmetric(3), groups.dihedral(4), V4])
+@pytest.mark.parametrize("seed", [1, 3])
+def test_generators_span_on_relabelled_tables(group, seed):
+    a = galg.group_algebra(_relabelled(group, seed), 2).algebra
+    assert _words_span(a, galg.generators(a)) == a.dim
+
+
+def test_generators_use_no_subspace_builder(monkeypatch):
+    # the lemma2 count test pins the calls of subspace_from_rows
+    from gradedhh import bimod, exactfield
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("generators built a Subspace")
+
+    monkeypatch.setattr(bimod, "subspace_from_rows", refuse)
+    monkeypatch.setattr(exactfield, "subspace_from_rows", refuse)
+    a = galg.group_algebra(groups.dihedral(4), 2).algebra
+    assert galg.generators(a).tolist() == [1, 4]

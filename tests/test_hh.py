@@ -801,3 +801,17 @@ def test_transfer_nonprojective_rejected():
     )
     with pytest.raises(ValidationError, match="projective"):
         hh.transfer_data(triv, galg.symmetrizing_form(c2).vector, f.arr([1]))
+
+
+def test_s4_transfer_data_of_the_largest_carrier_fits_in_512_mib():
+    # S4 over F_2: the (G, 1, trivial) carrier's transfer data validates the
+    # 576-dimensional M ox_k M* and solves its hom spaces on the generators of
+    # kS4; on the whole basis the module check alone formed 24^2 * 576^2
+    # int64 entries per side (about 4.6 GB of peak)
+    rg = galg.group_algebra(groups.symmetric(4), 2)
+    full, triv = groups.full_subgroup(rg.group), groups.trivial_subgroup(rg.group)
+    m = bimod.truncation(rg, full, 0, triv)
+    s_a, s_b = (galg.symmetrizing_form(galg.component_subalgebra(rg, h)).vector
+                for h in (full, triv))
+    peak = _added_peak(lambda: hh.transfer_data(m, s_a, s_b))
+    assert peak <= 512 * 2**20, peak / 2**20
