@@ -11,14 +11,16 @@ Carriers are cached on the graded algebra, keyed by the carrier and the
 two subgroups.  Everything built from a module alone is cached by the
 module's content: its two algebras (interned on the graded algebra by
 ``galg.component_subalgebra``, so subgroups with equal structure constants
-share one) and the bytes of its two actions.  Modules of equal content share
-one cache (``_shared``) on their left algebra, so a tensor product, a
-splitting or a one-sided hom basis is built once per distinct content, not
-once per carrier.  A shared entry keeps the label of the first module it was
-built for.  A multiplication isomorphism also reads the graded algebra at
-its modules' indices, so it is cached on its left module, by the other two
-modules.  Each cache is keyed by exactly what its entry is built from,
-hands out read-only arrays and never keeps a failure.
+share one) and its two actions, interned as one token per distinct content
+(``content``).  Modules of equal content share one cache (``_shared``), so
+a carrier's validation, a tensor product, a splitting or a one-sided hom
+basis is made once per distinct content, not once per carrier.  A shared
+entry keeps the label of the first module it was built for.  A
+multiplication isomorphism also reads the graded algebra at its modules'
+indices, so it is cached on its left module, by the other two modules, and
+verified once per distinct contents and matrices.  Each cache is keyed by
+exactly what its entry is built from, hands out read-only arrays and never
+keeps a failure.
 
 Every construction works on whole tensors: actions are (dim algebra, dim,
 dim) arrays, and a tensor product's actions, an intertwiner system, the
@@ -35,6 +37,7 @@ unchanged.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,26 +151,35 @@ def regular(a: galg.Algebra) -> Bimodule:
     return a._cache["regular"]
 
 
-def content(m: Bimodule) -> tuple:
-    """What every construction on M reads of it: its two algebras (held, and
-    compared by identity) and the dtype and bytes of its two actions, whose
-    shapes follow from the algebras' dimensions and ``dim``.  Computed once
-    per module."""
+def _crc(a: np.ndarray) -> int:
+    return zlib.crc32(np.ascontiguousarray(a))
+
+
+def content(m: Bimodule) -> Bimodule:
+    """The token of what every construction on M reads of it (its two
+    algebras by identity, ``dim``, and its two actions): the first module
+    seen with that content, compared by identity.  It is found in a bucket
+    on M's left algebra keyed by the right algebra, ``dim``, both dtypes and
+    the crc32 of both actions, and confirmed with ``np.array_equal``, so no
+    action is copied and a crc collision only lengthens a bucket.  Marks M's
+    actions read-only; computed once per module."""
     if "content" not in m._cache:
-        m._cache["content"] = (
-            m.left, m.right, m.dim,
-            m.left_action.dtype.str, m.left_action.tobytes(),
-            m.right_action.dtype.str, m.right_action.tobytes(),
-        )
+        L, R = m.left_action, m.right_action
+        read_only(L, R)
+        key = (m.right, m.dim, L.dtype.str, R.dtype.str, _crc(L), _crc(R))
+        bucket = m.left._cache.setdefault("contents", {}).setdefault(key, [])
+        token = next((t for t in bucket if np.array_equal(t.left_action, L)
+                      and np.array_equal(t.right_action, R)), m)
+        if token is m:
+            bucket.append(m)
+        m._cache["content"] = token
     return m._cache["content"]
 
 
 def _shared(m: Bimodule) -> dict:
-    """The cache shared by every module with M's content, held on M's left
-    algebra and found once per module."""
-    if "shared" not in m._cache:
-        m._cache["shared"] = m.left._cache.setdefault("bimodules", {}).setdefault(content(m), {})
-    return m._cache["shared"]
+    """The cache shared by every module with M's content, held by its token.
+    Its keys are tuples led by a tag naming the entry's kind."""
+    return content(m)._cache.setdefault("shared", {})
 
 
 def graded_carrier(
@@ -208,8 +220,11 @@ def graded_carrier(
         right_action=rg.algebra.basis_right_mults[np.ix_(ri, idx, idx)],
         label=f"carrier {key[0]} over {key[1]}-{key[2]}", parent_indices=idx,
     )
-    m.validate()
-    read_only(m.left_action, m.right_action, idx)
+    shared, valid = _shared(m), ("validate",)
+    if valid not in shared:
+        m.validate()
+        shared[valid] = True
+    read_only(idx)
     cache[key] = m
     return m
 
@@ -259,8 +274,12 @@ def tensor_over(m: Bimodule, n: Bimodule) -> tuple[Bimodule, QuotientPresentatio
     (``galg.generators``) span them all, since r(b1 b2, x, y) =
     r(b2, x b1, y) + r(b1, x, b2 y); their stability is checked under the
     generators of the outer algebras, since the elements whose action keeps
-    a subspace form a subalgebra.  Results are cached by the content of M
-    and of N; their arrays are read-only."""
+    a subspace form a subalgebra.  The quotient is not validated: for
+    bimodules M and N (checked where they are built), a ox 1 and 1 ox c are
+    commuting representations on M ox_k N that keep the relations, so
+    proj (a ox 1) sect and proj (1 ox c) sect are the induced ones on the
+    quotient.  Results are cached by the content of M and of N; their
+    arrays are read-only."""
     cache, key = _shared(m), ("tensor_over", content(n))
     if key in cache:
         return cache[key]
@@ -299,7 +318,6 @@ def tensor_over(m: Bimodule, n: Bimodule) -> tuple[Bimodule, QuotientPresentatio
         left_action=left_action, right_action=right_action,
         label=f"({m.label})ox({n.label})",
     )
-    module.validate()
     read_only(left_action, right_action, pres.projection, pres.section,
               relations.basis)
     cache[key] = (module, pres)
@@ -398,7 +416,7 @@ def _outside(rg, indices: np.ndarray) -> np.ndarray:
 
 def _mult_forward(rg, tensor_module: Bimodule, pres: QuotientPresentation,
                   m: Bimodule, n: Bimodule, target: Bimodule) -> BimoduleMap:
-    """Multiplication map (M ox N presented by pres) -> target carrier."""
+    """Multiplication map (M ox N presented by pres) -> target carrier, unvalidated."""
     f = rg.field
     prods = rg.algebra.sc[np.ix_(m.parent_indices, n.parent_indices)]
     if prods[:, :, _outside(rg, target.parent_indices)].any():
@@ -406,36 +424,27 @@ def _mult_forward(rg, tensor_module: Bimodule, pres: QuotientPresentation,
     amb = prods[:, :, target.parent_indices].reshape(pres.ambient_dim, target.dim).T
     if pres.sub.dim and f.matmul(amb, pres.sub.basis.T).any():
         raise ValidationError("multiplication does not kill the balancing relations")
-    fwd = BimoduleMap(
-        source=tensor_module, target=target,
-        matrix=f.matmul(amb, pres.section),
-    )
-    fwd.validate()
-    return fwd
+    return BimoduleMap(source=tensor_module, target=target, matrix=f.matmul(amb, pres.section))
 
 
 def _psi_matrix(rg, pres: QuotientPresentation, m: Bimodule, n: Bimodule,
                 source: Bimodule, decs) -> np.ndarray:
     """Matrix of r -> sum_i a_i ox (b_i r) into M ox N presented by pres,
     with decs[y] the unit decomposition for the y-th source basis vector:
-    all source basis vectors that share a decomposition pushed through at once."""
+    one gather over every (source basis vector, decomposition pair)."""
     f = rg.field
-    first = {}
-    owner = np.array([first.setdefault(id(dec), y) for y, dec in enumerate(decs)], dtype=np.int64)
-    amb_cols = f.zeros((pres.ambient_dim, source.dim))
-    for y0 in first.values():
-        ys = np.flatnonzero(owner == y0)
-        a = np.stack([av for av, _ in decs[y0].pairs])
-        if a[:, _outside(rg, m.parent_indices)].any():
-            raise ValidationError("unit decomposition leaves the left carrier")
-        # br[k, y] = b_k times the y-th source basis vector
-        rmul = rg.algebra.basis_right_mults[source.parent_indices[ys]]
-        br = f.contract("ki,yzi->kyz", np.stack([bv for _, bv in decs[y0].pairs]), rmul)
-        if br[:, :, _outside(rg, n.parent_indices)].any():
-            raise ValidationError("unit decomposition leaves the right carrier")
-        cols = f.contract("ki,kyj->ijy", a[:, m.parent_indices], br[:, :, n.parent_indices])
-        amb_cols[:, ys] = cols.reshape(pres.ambient_dim, len(ys))
-    return f.matmul(pres.projection, amb_cols)
+    ys = [y for y, dec in enumerate(decs) for _ in dec.pairs]
+    a = np.stack([av for dec in decs for av, _ in dec.pairs])
+    if a[:, _outside(rg, m.parent_indices)].any():
+        raise ValidationError("unit decomposition leaves the left carrier")
+    # br[k] = b_k times the source basis vector of pair k
+    rmul = rg.algebra.basis_right_mults[source.parent_indices[ys]]
+    br = f.contract("ki,kzi->kz", np.stack([bv for dec in decs for _, bv in dec.pairs]), rmul)
+    if br[:, _outside(rg, n.parent_indices)].any():
+        raise ValidationError("unit decomposition leaves the right carrier")
+    cols = f.contract("ki,kj,ky->ijy", a[:, m.parent_indices], br[:, n.parent_indices],
+                      f.eye(source.dim)[ys])
+    return f.matmul(pres.projection, cols.reshape(pres.ambient_dim, source.dim))
 
 
 @dataclass(eq=False)
@@ -459,8 +468,11 @@ def _build_mult_iso(rg, left_mod, right_mod, carrier, degree_for) -> MultIso:
     they fix the graded algebra and the indices at which the multiplication
     and the decomposition are read off its structure constants.  The
     decompositions are fetched through the module attribute first, so a
-    replaced ``galg.unit_decomposition`` gives a new key.  The two maps'
-    matrices are read-only."""
+    replaced ``galg.unit_decomposition`` gives a new key.  That both
+    matrices are mutually inverse bimodule maps depends only on the three
+    contents and the matrices, so it is verified once per distinct such
+    tuple, found on ``_shared(left_mod)`` by crc32 and confirmed by
+    ``np.array_equal``; a hit reuses the verified read-only matrices."""
     f = rg.field
     degrees = [int(degree_for(int(x))) for x in rg.grading[carrier.parent_indices]]
     by_degree = {t: galg.unit_decomposition(rg, t) for t in dict.fromkeys(degrees)}
@@ -471,18 +483,24 @@ def _build_mult_iso(rg, left_mod, right_mod, carrier, degree_for) -> MultIso:
         return cache[key]
     tensor_module, tensor = tensor_over(left_mod, right_mod)
     forward = _mult_forward(rg, tensor_module, tensor, left_mod, right_mod, carrier)
-    inv_matrix = _psi_matrix(rg, tensor, left_mod, right_mod, carrier, decs)
-    inverse = BimoduleMap(source=carrier, target=tensor_module, matrix=inv_matrix)
-    inverse.validate()
-    if not np.array_equal(
-        f.matmul(forward.matrix, inverse.matrix), f.eye(carrier.dim)
-    ):
-        raise ValidationError("multiplication map and its inverse do not compose to id")
-    if not np.array_equal(
-        f.matmul(inverse.matrix, forward.matrix), f.eye(tensor_module.dim)
-    ):
-        raise ValidationError("inverse and multiplication map do not compose to id")
-    read_only(forward.matrix, inverse.matrix)
+    inverse = BimoduleMap(source=carrier, target=tensor_module,
+                          matrix=_psi_matrix(rg, tensor, left_mod, right_mod, carrier, decs))
+    verified, vkey = _shared(left_mod), ("mult_iso", content(right_mod), content(carrier),
+                                         _crc(forward.matrix), _crc(inverse.matrix))
+    for fwd, inv in verified.get(vkey, ()):
+        if np.array_equal(fwd, forward.matrix) and np.array_equal(inv, inverse.matrix):
+            forward.matrix, inverse.matrix = fwd, inv
+            break
+    else:
+        forward.validate()
+        inverse.validate()
+        if not np.array_equal(f.matmul(forward.matrix, inverse.matrix), f.eye(carrier.dim)):
+            raise ValidationError("multiplication map and its inverse do not compose to id")
+        if not np.array_equal(f.matmul(inverse.matrix, forward.matrix),
+                              f.eye(tensor_module.dim)):
+            raise ValidationError("inverse and multiplication map do not compose to id")
+        read_only(forward.matrix, inverse.matrix)
+        verified.setdefault(vkey, []).append((forward.matrix, inverse.matrix))
     iso = MultIso(tensor_module=tensor_module, tensor=tensor, carrier=carrier,
                   forward=forward, inverse=inverse)
     cache[key] = iso

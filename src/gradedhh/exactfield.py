@@ -505,17 +505,20 @@ def packed_rref(P: np.ndarray, cols: int) -> list[int]:
     the pivot rows first; returns the pivot columns.  For each column the
     first non-pivot row that has the bit is swapped up to the next pivot row
     and XORed into every other row that has the bit, from the pivot's word
-    onward: the words before it are zero in the pivot row."""
+    onward: the words before it are zero in the pivot row.  The non-pivot
+    rows are zero before column c, so when none has c the next column to
+    try is the lowest bit of the OR of their words at c's word, or the
+    next word."""
     rows = len(P)
     pivots: list[int] = []
-    pr = 0
-    for c in range(cols):
-        if pr == rows:
-            break
+    pr = c = 0
+    while pr < rows and c < cols:
         w = c >> 6
         has = (P[:, w] & np.uint64(1 << (c & 63))) != 0
         r = pr + int(has[pr:].argmax())
         if not has[r]:
+            word = int(np.bitwise_or.reduce(P[pr:, w]))
+            c = (w << 6) | ((word & -word).bit_length() - 1) if word else (w + 1) << 6
             continue
         if r != pr:     # row pr lacks the bit, so row r ends without it
             P[[pr, r]] = P[[r, pr]]
@@ -526,6 +529,7 @@ def packed_rref(P: np.ndarray, cols: int) -> list[int]:
             P[others, w:] ^= P[pr, w:]
         pivots.append(c)
         pr += 1
+        c += 1
     return pivots
 
 

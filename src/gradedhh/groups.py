@@ -33,11 +33,17 @@ class FiniteGroup:
     # the one Subgroup per element tuple (see ``subgroup``)
     _subgroups: dict = field(default_factory=dict, repr=False)
 
+    def __post_init__(self):
+        # list copies of the read-only arrays, for mul and inv: ~10x faster
+        self.table.setflags(write=False)
+        self.inverse.setflags(write=False)
+        self._products, self._inverses = self.table.tolist(), self.inverse.tolist()
+
     def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
+        return self._products[a][b]
 
     def inv(self, a: int) -> int:
-        return int(self.inverse[a])
+        return self._inverses[a]
 
     def conj(self, g: int, x: int) -> int:
         """g x g^-1."""

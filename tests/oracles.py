@@ -20,9 +20,10 @@ transfers, hom spaces and a three-valued isomorphism test for bimodules,
 the trivial grading, a chain lift by linear solve, the whole-basis forms
 of the bimodule identities that ``bimod`` checks and solves on generators
 (both ``validate`` methods, the balancing relations and the one-sided hom
-basis), and the per-element Kronecker and per-vector constructions that the
+basis), the per-element Kronecker and per-vector constructions that the
 batched tensor product, multiplication map and unit-decomposition inverse
-of ``bimod`` replaced.
+of ``bimod`` replaced, and the per-decomposition loop that the inverse's
+one gather replaced.
 """
 
 from __future__ import annotations
@@ -744,4 +745,27 @@ def per_vector_psi_matrix(rg, pres, m: bimod.Bimodule, n: bimod.Bimodule,
                 rightv[npos[int(pidx)]] = br[pidx]
             col = (col + np.outer(left, rightv).reshape(-1)) % f.p
         amb_cols[:, y] = col
+    return f.matmul(pres.projection, amb_cols)
+
+
+def per_decomposition_psi_matrix(rg, pres, m: bimod.Bimodule, n: bimod.Bimodule,
+                                 source: bimod.Bimodule, decs) -> np.ndarray:
+    """``bimod._psi_matrix`` with the source basis vectors that share a
+    decomposition pushed through together, one decomposition at a time."""
+    f = rg.field
+    first = {}
+    owner = np.array([first.setdefault(id(dec), y) for y, dec in enumerate(decs)], dtype=np.int64)
+    amb_cols = f.zeros((pres.ambient_dim, source.dim))
+    for y0 in first.values():
+        ys = np.flatnonzero(owner == y0)
+        a = np.stack([av for av, _ in decs[y0].pairs])
+        if a[:, bimod._outside(rg, m.parent_indices)].any():
+            raise ValidationError("unit decomposition leaves the left carrier")
+        # br[k, y] = b_k times the y-th source basis vector
+        rmul = rg.algebra.basis_right_mults[source.parent_indices[ys]]
+        br = f.contract("ki,yzi->kyz", np.stack([bv for _, bv in decs[y0].pairs]), rmul)
+        if br[:, :, bimod._outside(rg, n.parent_indices)].any():
+            raise ValidationError("unit decomposition leaves the right carrier")
+        cols = f.contract("ki,kyj->ijy", a[:, m.parent_indices], br[:, :, n.parent_indices])
+        amb_cols[:, ys] = cols.reshape(pres.ambient_dim, len(ys))
     return f.matmul(pres.projection, amb_cols)

@@ -1,5 +1,7 @@
+import collections
 import json
 import pathlib
+import zlib
 
 import numpy as np
 import pytest
@@ -529,6 +531,10 @@ def test_mult_iso_matches_per_element_oracle(spec, monkeypatch):
                            oracles.loop_mult_forward(rg, pres, left_mod, right_mod, carrier))
         assert _same_bytes(iso.inverse.matrix, oracles.per_vector_psi_matrix(
             rg, pres, left_mod, right_mod, carrier, degree_for))
+        decs = [galg.unit_decomposition(rg, degree_for(int(x)))
+                for x in rg.grading[carrier.parent_indices]]
+        assert _same_bytes(iso.inverse.matrix, oracles.per_decomposition_psi_matrix(
+            rg, pres, left_mod, right_mod, carrier, decs))
     if spec == "matrix_crossed_c2_p2":
         # components of dimension 4: one decomposition serves four vectors
         assert all(len(rg.component_indices(x)) == 4 for x in range(grp.order))
@@ -577,7 +583,7 @@ def _iso_arrays(iso):
             iso.forward.matrix, iso.inverse.matrix]
 
 
-@pytest.mark.parametrize("spec", ["s3_p2", "c2xc2_p2", "matrix_crossed_c2_p2"])
+@pytest.mark.parametrize("spec", ["s3_p2", "s3_p3", "c2xc2_p2", "matrix_crossed_c2_p2"])
 def test_lemma2_caches_equal_fresh_builds(spec, monkeypatch, capsys):
     # every carrier, tensor product, splitting and multiplication isomorphism
     # that lemma2 gets, from a cache or not, equals one built afresh on a newly
@@ -705,28 +711,33 @@ def test_lemma2_builds_each_isomorphism_and_splitting_once_per_input(monkeypatch
                                                                       tmp_path):
     # D4 over F_2: the 1,440 isomorphism instances of parts b and c need 595
     # builds (one tensor_over call each), of 68 distinct tensor products (one
-    # relation space each); the 200 projectivity checks of part a need 52
+    # relation space each), and 171 distinct pairs of matrices (two map
+    # validations each); the 195 carriers have 78 distinct contents (one
+    # module validation each); the 200 projectivity checks of part a need 52
     # splittings (one hom basis each), one per distinct module content
     counts = {}
 
-    def counting(name):
-        fn = getattr(bimod, name)
+    def counting(owner, name, label):
+        fn = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
-            counts[name] = counts.get(name, 0) + 1
+            counts[label] = counts.get(label, 0) + 1
             return fn(*args, **kwargs)
-        return wrapper
+        monkeypatch.setattr(owner, name, wrapper)
 
     for name in ("_build_mult_iso", "tensor_over", "is_projective", "module_hom_basis",
                  "subspace_from_rows"):
-        monkeypatch.setattr(bimod, name, counting(name))
+        counting(bimod, name, name)
+    for cls in (bimod.Bimodule, bimod.BimoduleMap):
+        counting(cls, "validate", f"{cls.__name__}.validate")
     spec = tmp_path / "d4_p2.json"
     spec.write_text(json.dumps({"field": {"p": 2}, "group": {"kind": "dihedral", "n": 4},
                                 "algebra": {"kind": "group_algebra"}}))
     assert cli.main(["lemma2", "--spec", str(spec)]) == 0
     capsys.readouterr()
     assert counts == {"_build_mult_iso": 1440, "tensor_over": 595, "subspace_from_rows": 68,
-                      "is_projective": 200, "module_hom_basis": 52}
+                      "is_projective": 200, "module_hom_basis": 52,
+                      "Bimodule.validate": 78, "BimoduleMap.validate": 342}
 
 
 def test_mult_isos_of_equal_content_at_other_indices_are_built_apart(monkeypatch):
@@ -757,6 +768,62 @@ def test_mult_isos_of_equal_content_at_other_indices_are_built_apart(monkeypatch
     assert len(builds) == 4
 
 
+@pytest.mark.parametrize("spec", ["s3_p2", "s3_p3"])
+def test_crc_collisions_keep_contents_and_isomorphisms_apart(spec, capsys):
+    # with every crc32 equal, a content bucket holds every module over the
+    # same algebras and of the same dim, so only np.array_equal tells
+    # contents and verified matrices apart: the run must give the same
+    # report after the same validations, and one token per exact content
+    runs = []
+    for collide in (False, True):
+        taken, counts = [], collections.Counter()
+        with pytest.MonkeyPatch.context() as mp:
+            if collide:
+                mp.setattr(zlib, "crc32", lambda *args: 0)
+            content = bimod.content
+            mp.setattr(bimod, "content", lambda m: taken.append(m) or content(m))
+            for cls in (bimod.Bimodule, bimod.BimoduleMap):
+                def counted(self, validate=cls.validate, name=cls.__name__):
+                    counts[name] += 1
+                    validate(self)
+                mp.setattr(cls, "validate", counted)
+            assert cli.main(["lemma2", "--spec", str(SPECS / f"{spec}.json"),
+                             "--format", "json"]) == 0
+        runs.append((capsys.readouterr().out, counts, taken))
+    (report, counts, _), (collided, collided_counts, taken) = runs
+    assert collided == report and collided_counts == counts
+    tokens = collections.defaultdict(set)
+    for m in taken:
+        exact = (m.left, m.right, m.dim, m.left_action.dtype.str, m.left_action.tobytes(),
+                 m.right_action.dtype.str, m.right_action.tobytes())
+        tokens[exact].add(bimod.content(m))
+    assert all(len(t) == 1 for t in tokens.values())
+    assert len(set().union(*tokens.values())) == len(tokens) > 1
+    buckets = [b for m in taken for b in m.left._cache["contents"].values()]
+    assert max(map(len, buckets)) > 1
+
+
+def test_one_content_with_other_matrices_is_verified_apart_under_crc_collision(monkeypatch):
+    # the twisted F_3C2 of the built-apart test: four isomorphisms on one
+    # content with matrices [[1]] (three) and [[2]] (one), so two verified
+    # pairs, even when every crc32 is equal
+    monkeypatch.setattr(zlib, "crc32", lambda *args: 0)
+    f3 = PrimeField(3)
+    coc = [[f3.arr([1]), f3.arr([1])], [f3.arr([1]), f3.arr([2])]]
+    tw = galg.crossed_product(groups.cyclic(2), galg.matrix_algebra(f3, 1), cocycle=coc)
+    triv = groups.trivial_subgroup(tw.group)
+    checked = []
+    validate = bimod.BimoduleMap.validate
+    monkeypatch.setattr(bimod.BimoduleMap, "validate",
+                        lambda self: checked.append(self.matrix.tolist()) or validate(self))
+    for g in range(2):
+        for h in range(2):
+            iso = bimod.mult_iso_conjugate_chain(tw, g, h, triv)
+            assert iso.forward.matrix.tolist() == [[2 if g == h == 1 else 1]]
+            assert iso.inverse.matrix.tolist() == [[2 if g == h == 1 else 1]]
+    assert sorted(checked) == [[[1]], [[1]], [[2]], [[2]]]
+
+
 # -- the generator checks against the whole-basis oracles ---------------------
 
 
@@ -768,13 +835,14 @@ def _d4_spec(tmp_path):
 
 
 @pytest.mark.parametrize("run", [
-    *(("lemma2", spec) for spec in sorted(p.stem for p in SPECS.glob("*.json"))),
-    ("lemma2", "d4_p2"), ("verify", "d4_p2"),
+    (command, spec) for command in ("lemma2", "verify")
+    for spec in [*sorted(p.stem for p in SPECS.glob("*.json")), "d4_p2"]
 ], ids="-".join)
 def test_generator_checks_agree_with_whole_basis_oracles(run, monkeypatch, capsys, tmp_path):
     # every module and map validated, every tensor product and every hom
     # basis built by the run passes the whole-basis check or equals the
-    # whole-basis construction
+    # whole-basis construction; so does every tensor module, which
+    # tensor_over does not validate
     command, spec = run
     modules, maps, tensors, homs = {}, {}, {}, {}
     validate_module, validate_map = bimod.Bimodule.validate, bimod.BimoduleMap.validate
@@ -790,7 +858,7 @@ def test_generator_checks_agree_with_whole_basis_oracles(run, monkeypatch, capsy
 
     def recording_tensor(m, n):
         out = tensor_over(m, n)
-        tensors[id(m), id(n)] = (m, n, out[1])
+        tensors[id(m), id(n)] = (m, n, out)
         return out
 
     def recording_homs(m, side):
@@ -811,8 +879,9 @@ def test_generator_checks_agree_with_whole_basis_oracles(run, monkeypatch, capsy
         oracles.validate_bimodule(m)
     for fmap in maps.values():
         oracles.validate_bimodule_map(fmap)
-    for m, n, pres in tensors.values():
+    for m, n, (module, pres) in tensors.values():
         assert pres.sub == oracles.balancing_relations(m, n)
+        oracles.validate_bimodule(module)
     for m, side, basis in homs.values():
         assert _same_bytes(basis, oracles.module_hom_basis(m, side))
 

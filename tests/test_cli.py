@@ -451,3 +451,23 @@ def test_verify_and_hh_leave_numpy_ma_unimported():
                 "print(code, 'numpy.ma' in sys.modules)")
         is_loaded, out = loaded(code)
         assert out[-2] == "0" and not is_loaded, (argv, out)
+
+
+def test_lemma2_leaves_hashlib_unimported():
+    # the content caches key by zlib.crc32; loading hashlib's OpenSSL module
+    # costs about 3.5 MB of resident memory per run
+    import os
+
+    import gradedhh
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
+        str(pathlib.Path(gradedhh.__file__).resolve().parent.parent),
+        os.environ.get("PYTHONPATH")))))
+    code = ("import contextlib, io, sys\n"
+            "from gradedhh import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = cli.main(['lemma2', '--spec', {str(SPECS / 's3_p2.json')!r}])\n"
+            "print(code, '_hashlib' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env,
+                         text=True, timeout=600, check=True).stdout.split()
+    assert out[-2:] == ["0", "False"], out

@@ -125,9 +125,10 @@ def test_rref_matches_reference_and_is_idempotent(data, block_size):
 def f2_matrix_strategy(draw):
     """An int64 matrix for the packed F_2 rref: widths on both sides of a
     64-bit word boundary, up to 70 rows, entries small or anywhere in int64
-    (negative ones too), sparse or dense, and some rows copies of others."""
+    (negative ones too), sparse or dense, some rows copies of others, and
+    runs of zero columns, which may span words."""
     n_rows = draw(st.integers(0, 70))
-    n_cols = draw(st.sampled_from([0, 1, 2, 63, 64, 65, 127, 128, 129]))
+    n_cols = draw(st.sampled_from([0, 1, 2, 63, 64, 65, 127, 128, 129, 200]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         m = rng.integers(-2**63, 2**63 - 1, size=(n_rows, n_cols), endpoint=True)
@@ -138,6 +139,9 @@ def f2_matrix_strategy(draw):
         for src, dst in draw(st.lists(st.tuples(st.integers(0, n_rows - 1),
                                                 st.integers(0, n_rows - 1)), max_size=6)):
             m[dst] = m[src]
+    for _ in range(draw(st.integers(0, 3))):
+        lo, hi = sorted(draw(st.lists(st.integers(0, n_cols), min_size=2, max_size=2)))
+        m[:, lo:hi] = 0
     return m
 
 

@@ -39,7 +39,7 @@ def test_every_function_under_src_is_referenced_under_src():
 # the module that owns each key of the ``_cache`` mappings on algebras,
 # graded algebras and bimodules
 CACHE_OWNERS = {
-    "bimod": {"regular", "content", "shared", "bimodules", "carriers", "mult_isos"},
+    "bimod": {"regular", "content", "shared", "contents", "carriers", "mult_isos"},
     "galg": {"lmul", "rmul", "subalgebras", "algebras", "unit_decompositions", "generators"},
     "hh": {"hh", "cochain"},
 }
@@ -81,6 +81,41 @@ def test_every_cache_key_has_one_owning_module():
     for key, (mod,) in owners.items():
         found[mod].add(key)
     assert found == CACHE_OWNERS
+
+
+# the tag that leads every key of a ``bimod._shared`` cache, and the one
+# function that writes entries under it
+SHARED_TAGS = {"validate": "graded_carrier", "tensor_over": "tensor_over",
+               "module_homs": "module_hom_basis", "is_projective": "is_projective",
+               "mult_iso": "_build_mult_iso"}
+
+
+def test_every_shared_cache_tag_has_one_owning_function():
+    # entries of different kinds share one dict per module content, so two
+    # functions using one tag would read each other's entries
+    tree = ast.parse((SRC / "gradedhh" / "bimod.py").read_text())
+
+    def is_shared_call(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "_shared")
+
+    owners, scanned, calls = collections.defaultdict(set), set(), set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef) or fn.name == "_shared":
+            continue
+        for node in ast.walk(fn):
+            if is_shared_call(node):
+                calls.add(id(node))
+            # cache, key = _shared(m), ("tag", ...)
+            if (isinstance(node, ast.Tuple) and len(node.elts) == 2
+                    and is_shared_call(node.elts[0]) and isinstance(node.elts[1], ast.Tuple)):
+                tag = node.elts[1].elts[0]
+                assert isinstance(tag, ast.Constant) and isinstance(tag.value, str)
+                owners[tag.value].add(fn.name)
+                scanned.add(id(node.elts[0]))
+    # every lookup is one the scan reads
+    assert calls == scanned
+    assert owners == {tag: {fn} for tag, fn in SHARED_TAGS.items()}
 
 
 def test_no_option_less_unique_under_src():
