@@ -44,7 +44,8 @@ import numpy as np
 
 from . import galg, groups as _groups
 from .errors import ValidationError
-from .exactfield import PrimeField, QuotientPresentation, read_only, subspace_from_rows
+from .exactfield import (PrimeField, QuotientPresentation, Subspace, read_only,
+                         subspace_from_rows)
 
 
 @dataclass(eq=False)
@@ -135,20 +136,6 @@ class BimoduleMap:
             rhs = f.contract("apq,qr->apr", tgt_act[gens], m)
             if not np.array_equal(lhs, rhs):
                 raise ValidationError(f"map does not commute with the {name} action")
-
-
-def regular(a: galg.Algebra) -> Bimodule:
-    """The algebra as a bimodule over itself by multiplication; cached on
-    the algebra, with read-only actions."""
-    if "regular" not in a._cache:
-        m = Bimodule(
-            left=a, right=a, dim=a.dim,
-            left_action=a.basis_left_mults, right_action=a.basis_right_mults,
-            label="regular",
-        )
-        m.validate()
-        a._cache["regular"] = m
-    return a._cache["regular"]
 
 
 def _crc(a: np.ndarray) -> int:
@@ -266,40 +253,26 @@ def dual(m: Bimodule) -> Bimodule:
     return out
 
 
-def tensor_over(m: Bimodule, n: Bimodule) -> tuple[Bimodule, QuotientPresentation]:
-    """Tensor product over the middle algebra B, with its presentation as the
-    quotient of M (x)_k N by the balancing relations
-    r(b, x, y) = x b (x) y - x (x) b y; the ambient index of (i, j) is
+def balancing_relations(m: Bimodule, n: Bimodule) -> Subspace:
+    """The balancing relations r(b, x, y) = x b (x) y - x (x) b y of M (x)_B N,
+    as an RREF subspace of M (x)_k N; the ambient index of (i, j) is
     i * dim(N) + j.  The relations for b in the generators S_B
     (``galg.generators``) span them all, since r(b1 b2, x, y) =
     r(b2, x b1, y) + r(b1, x, b2 y); their stability is checked under the
     generators of the outer algebras, since the elements whose action keeps
-    a subspace form a subalgebra.  The quotient is not validated: for
-    bimodules M and N (checked where they are built), a ox 1 and 1 ox c are
-    commuting representations on M ox_k N that keep the relations, so
-    proj (a ox 1) sect and proj (1 ox c) sect are the induced ones on the
-    quotient.  Results are cached by the content of M and of N; their
-    arrays are read-only."""
-    cache, key = _shared(m), ("tensor_over", content(n))
-    if key in cache:
-        return cache[key]
+    a subspace form a subalgebra.  Not cached; the basis is read-only."""
     if not (m.right is n.left or m.right.structurally_equal(n.left)):
         raise ValidationError("inner algebras do not match")
     f = m.field
     dm, dn = m.dim, n.dim
     sb = galg.generators(m.right)
-    eye_m, eye_n = f.eye(dm), f.eye(dn)
     # relation (s, i, j): (e_i . b_s) ox e_j - e_i ox (b_s . e_j)
     rel = (
-        f.contract("bki,jl->bijkl", m.right_action[sb], eye_n)
-        - f.contract("ik,blj->bijkl", eye_m, n.left_action[sb])
+        f.contract("bki,jl->bijkl", m.right_action[sb], f.eye(dn))
+        - f.contract("ik,blj->bijkl", f.eye(dm), n.left_action[sb])
     ) % f.p
     relations = subspace_from_rows(f, rel.reshape(len(sb) * dm * dn, dm * dn),
                                    ambient_dim=dm * dn)
-    pres = f.quotient(relations)
-    q = pres.quotient_dim
-    proj = pres.projection.reshape(q, dm, dn)
-    sect = pres.section.reshape(dm, dn, q)
     # the outer actions a ox 1 and 1 ox c of the generators on M ox_k N,
     # applied to the relations
     if relations.dim:
@@ -309,6 +282,28 @@ def tensor_over(m: Bimodule, n: Bimodule) -> tuple[Bimodule, QuotientPresentatio
                       f.contract("cjl,sil->csij", n.right_action[gens_c], basis)):
             if relations.reduce_rows(moved.reshape(-1, dm * dn)).any():
                 raise ValidationError("relations not stable under outer action")
+    read_only(relations.basis)
+    return relations
+
+
+def tensor_over(m: Bimodule, n: Bimodule) -> tuple[Bimodule, QuotientPresentation]:
+    """Tensor product over the middle algebra B, with its presentation as the
+    quotient of M (x)_k N by ``balancing_relations``.  The quotient is not
+    validated: for bimodules M and N (checked where they are built), a ox 1
+    and 1 ox c are commuting representations on M ox_k N that keep the
+    relations, so proj (a ox 1) sect and proj (1 ox c) sect are the induced
+    ones on the quotient.  Results are cached by the content of M and of N;
+    their arrays are read-only."""
+    cache, key = _shared(m), ("tensor_over", content(n))
+    if key in cache:
+        return cache[key]
+    relations = balancing_relations(m, n)
+    f = m.field
+    dm, dn = m.dim, n.dim
+    pres = f.quotient(relations)
+    q = pres.quotient_dim
+    proj = pres.projection.reshape(q, dm, dn)
+    sect = pres.section.reshape(dm, dn, q)
     left_action = f.contract("qij,aijr->aqr", proj,
                              f.contract("aik,kjr->aijr", m.left_action, sect))
     right_action = f.contract("qij,cijr->cqr", proj,
@@ -318,8 +313,7 @@ def tensor_over(m: Bimodule, n: Bimodule) -> tuple[Bimodule, QuotientPresentatio
         left_action=left_action, right_action=right_action,
         label=f"({m.label})ox({n.label})",
     )
-    read_only(left_action, right_action, pres.projection, pres.section,
-              relations.basis)
+    read_only(left_action, right_action, pres.projection, pres.section)
     cache[key] = (module, pres)
     return module, pres
 

@@ -583,6 +583,3 @@ class QuotientPresentation:
     @property
     def quotient_dim(self) -> int:
         return self.ambient_dim - self.sub.dim
-
-    def to_quotient(self, vec: np.ndarray) -> np.ndarray:
-        return self.field.matmul(self.projection, self.field.arr(vec))

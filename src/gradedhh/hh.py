@@ -11,6 +11,10 @@ symmetrizing forms s_A, s_B) is realized by
   between left-module maps M -> A and the linear dual,
 * a chain lift of eta through Bar(A) and X_n = M ox B^(ox n) ox M*.
 
+eta(1) and eps are held on M ox_k M*, beside the balancing relations of
+M ox_B M* (``bimod.balancing_relations``): the quotient module is never
+built, and every check on them reduces modulo the relations.
+
 The lift is produced degree by degree by the explicit contracting homotopy
 s(m ox w) = sum_j m_j ox phi_j(m) ox w that the dual basis provides, so no
 linear system is solved on the relative complexes.  The lift at degree n
@@ -62,8 +66,8 @@ import numpy as np
 
 from . import bimod, galg
 from .errors import BudgetError, ValidationError
-from .exactfield import (_SLICE, PrimeField, QuotientPresentation,
-                         Subspace, packed_rref, read_only, subspace_from_rows)
+from .exactfield import (_SLICE, PrimeField, Subspace, packed_rref, read_only,
+                         subspace_from_rows)
 
 DEFAULT_MEMORY_MB = 1024
 # arrays of its input's size that ``PrimeField.rref`` holds at once, at most
@@ -514,12 +518,13 @@ def cohomology(a: galg.Algebra, n: int,
     cc = a._cache.setdefault("cochain", CochainComplex(a))
     b = cc.delta(n - 1, memory_mb).image(memory_mb) if n else []
     delta = cc.delta(n, memory_mb)
+    free = f._free_columns(cc.dim(n), [index[q] for index, sub in b for q in sub.pivots])
+    # the kernel first: a run its budget check refuses pays for no image pass
+    w = delta.kernel(free, memory_mb)
     for out in delta.images((index, sub.basis) for index, sub in b):
         if out.any():
             raise ValidationError("coboundaries are not cocycles (bug)")
         del out         # before the next chunk is built
-    free = f._free_columns(cc.dim(n), [index[q] for index, sub in b for q in sub.pivots])
-    w = delta.kernel(free, memory_mb)
     for out in delta.images([(free, w.basis)]):
         if out.any():
             raise ValidationError("representative is not a cocycle (bug)")
@@ -534,16 +539,6 @@ def cohomology(a: galg.Algebra, n: int,
 # -- transfer maps -----------------------------------------------------------
 
 
-def _row_sums(p: int, rows: np.ndarray, terms: np.ndarray, nrows: int) -> np.ndarray:
-    """The (nrows, ...) array whose row g is the sum mod p of the ``terms``
-    at the entries of the ascending ``rows`` equal to g: the scatter-add of a
-    product of entries with dense slices."""
-    out = np.zeros((nrows,) + terms.shape[1:], dtype=np.int64)
-    start = np.flatnonzero(np.diff(rows, prepend=-1))
-    out[rows[start]] = np.add.reduceat(terms, start) % p
-    return out
-
-
 @dataclass(eq=False)
 class TransferData:
     """Everything needed to push cocycles along an A-B bimodule, and the
@@ -553,8 +548,7 @@ class TransferData:
     phi: np.ndarray              # (r, dimB, r): phi[k, :, i] = phi_k(e_i)
     eps_amb: np.ndarray          # (dimA, r*r)
     eta_raw: np.ndarray          # (r*r,) representative of eta(1) in M ox M*
-    dualpres: QuotientPresentation     # M ox_B M* as a quotient of M ox_k M*
-    dual_quotient: bimod.Bimodule
+    relations: Subspace          # the balancing relations of M ox_B M* in M ox_k M*
     memory_mb: int = DEFAULT_MEMORY_MB
     _lifts: list = field(default_factory=list, repr=False)
     _matrices: dict = field(default_factory=dict, repr=False)
@@ -635,10 +629,16 @@ class TransferData:
         held += rhs.nbytes
         # solvability: rhs must die one step further down
         if n == 1:
-            proj = self.dualpres.projection
-            _check_budget(held + 8 * (2 * len(rhs.vals) + da) * len(proj), self.memory_mb, what)
-            if _row_sums(p, rhs.rows, rhs.vals[:, None] * proj.T[rhs.cols] % p, da).any():
+            # the dense rows, and those ``reduce_rows`` holds: their copy, the
+            # product and the difference with float64 copies of both factors
+            rel = self.relations
+            _check_budget(held + 8 * (6 * da * width + 2 * da * rel.dim + rel.basis.size),
+                          self.memory_mb, what)
+            dense = self.field.zeros((da, width))
+            dense[rhs.rows, rhs.cols] = rhs.vals
+            if rel.reduce_rows(dense).any():
                 raise ValidationError("Casimir unit is not central (bug)")
+            del dense
         elif len(self._dx(n - 1, rhs, held, what).vals):
             raise ValidationError("chain lift right-hand side is not a cycle (bug)")
         # the contracting homotopy s(m_i ox w) = sum_j m_j ox phi_j(m_i) ox w
@@ -659,25 +659,23 @@ def transfer_data(
     memory_mb: int = DEFAULT_MEMORY_MB,
 ) -> TransferData:
     """Assemble dual basis, Casimir unit, counit, and lift machinery for the
-    transfer along M.  Both-sided projectivity is checked up front."""
+    transfer along M.  Both-sided projectivity is checked up front, and the
+    counit and the Casimir unit by ``_validate_transfer_data``.  The
+    balancing relations of M ox_B M* are built uncached, so nothing of M*
+    outlives the call."""
     f = m.field
     r = m.dim
     a, b = m.left, m.right
-    left_split = bimod.is_projective(m, "left")
-    if not left_split.projective:
-        raise ValidationError("bimodule is not projective as a left module")
-    right_split = bimod.is_projective(m, "right", generator_order=generator_order)
-    if not right_split.projective:
-        raise ValidationError("bimodule is not projective as a right module")
-    sigma = right_split.splitting
-    gens = right_split.generated_by
+    for side, order in (("left", None), ("right", generator_order)):
+        split = bimod.is_projective(m, side, generator_order=order)
+        if not split.projective:
+            raise ValidationError(f"bimodule is not projective as a {side} module")
+    # the dual basis: phi of the j-th generator is the j-th block of the right splitting
     phi = f.zeros((r, b.dim, r))
-    for j, gen in enumerate(gens):
-        phi[int(gen)] = sigma[j * b.dim:(j + 1) * b.dim, :]
+    phi[split.generated_by] = split.splitting.reshape(r, b.dim, r)
     # Casimir representative in M ox M*
-    eta_mat = f.contract("x,kxl->kl", f.arr(s_b), phi)
-    eta_raw = eta_mat.reshape(-1)
-    dual_quotient, dualpres = bimod.tensor_over(m, bimod.dual(m))
+    eta_raw = f.contract("x,kxl->kl", f.arr(s_b), phi).reshape(-1)
+    relations = bimod.balancing_relations(m, bimod.dual(m))
     # counit: invert psi -> s_a . psi between Hom_A(M, A) and M*
     homs = bimod.module_hom_basis(m, "left")
     if homs.shape[0] != r:
@@ -691,31 +689,38 @@ def transfer_data(
         raise ValidationError("the symmetrizing pairing on Hom(M, A) is degenerate")
     psis = f.contract("tl,txk->lxk", c, homs)
     eps_amb = np.ascontiguousarray(psis.transpose(1, 2, 0)).reshape(a.dim, r * r)
-    if dualpres.sub.dim and f.matmul(eps_amb, dualpres.sub.basis.T).any():
-        raise ValidationError("counit does not factor through the tensor quotient")
-    data = TransferData(
-        m=m, phi=phi,
-        eps_amb=eps_amb, eta_raw=eta_raw,
-        dualpres=dualpres, dual_quotient=dual_quotient,
-        memory_mb=memory_mb,
-    )
+    data = TransferData(m=m, phi=phi, eps_amb=eps_amb, eta_raw=eta_raw,
+                        relations=relations, memory_mb=memory_mb)
     _validate_transfer_data(data)
     return data
 
 
 def _validate_transfer_data(data: TransferData) -> None:
-    """Counit and unit are bimodule maps; the Casimir class is central."""
-    f = data.field
-    a = data.m.left
-    reg = bimod.regular(a)
-    pres = data.dualpres
-    eps_q = f.matmul(data.eps_amb, pres.section)
-    bimod.BimoduleMap(data.dual_quotient, reg, eps_q).validate()
-    eta_q = pres.to_quotient(data.eta_raw)
-    cols = f.contract("aij,j->ai", data.dual_quotient.left_action, eta_q).T
-    bimod.BimoduleMap(reg, data.dual_quotient, cols).validate()
-    # eps(eta(1)) is the relative-trace image of the unit; both maps being
-    # bimodule maps is what the verification above pins down.
+    """Check on M ox_k M*, for the generators S of A (``galg.generators``),
+    that eps kills the balancing relations; that eps is an A-A bimodule map
+    there (each psi_l is left A-linear, and phi -> psi_phi is right A-linear
+    as s_A is symmetric), which with the first check makes it one on
+    M ox_B M*; and that s eta - eta s lies in the relations, so eta(1) is
+    central in M ox_B M*.  The a that pass either of the last two checks
+    form a subalgebra (the relations are stable under both actions), so S
+    suffices."""
+    f, m, rel = data.field, data.m, data.relations
+    a, r, gens = m.left, m.dim, galg.generators(m.left)
+    ls = m.left_action[gens]
+    if rel.dim and f.matmul(data.eps_amb, rel.basis.T).any():
+        raise ValidationError("counit does not factor through the tensor quotient")
+    eps = data.eps_amb.reshape(a.dim, r, r)
+    # the left action of s on M ox_k M* is L_s ox 1, the right one 1 ox L_s^T
+    for name, moved, mults in (
+        ("left", f.contract("ckl,ski->scil", eps, ls), a.basis_left_mults),
+        ("right", f.contract("cik,slk->scil", eps, ls), a.basis_right_mults),
+    ):
+        if not np.array_equal(moved, f.contract("scd,dil->scil", mults[gens], eps)):
+            raise ValidationError(f"counit does not commute with the {name} action")
+    eta = data.eta_raw.reshape(r, r)
+    commutators = (f.contract("sik,kl->sil", ls, eta) - f.contract("ik,skl->sil", eta, ls)) % f.p
+    if rel.reduce_rows(commutators.reshape(len(gens), r * r)).any():
+        raise ValidationError("Casimir unit is not central")
 
 
 def transfer_cochain(data: TransferData, zeta: np.ndarray, n: int) -> np.ndarray:
@@ -739,7 +744,10 @@ def transfer_cochain(data: TransferData, zeta: np.ndarray, n: int) -> np.ndarray
     u %= p
     w = f.contract("esk,cke->esc", u, data.eps_amb.reshape(da, r, r)[:, :, l])
     del u
-    out = _row_sums(p, lift.rows, w, lift.shape[0]).transpose(1, 2, 0).reshape(len(z), -1)
+    start = np.flatnonzero(np.diff(lift.rows, prepend=-1))
+    out = np.zeros((lift.shape[0],) + w.shape[1:], dtype=np.int64)
+    out[lift.rows[start]] = np.add.reduceat(w, start) % p
+    out = out.transpose(1, 2, 0).reshape(len(z), -1)
     return out[0] if np.ndim(zeta) == 1 else out
 
 

@@ -15,12 +15,12 @@ representative at a time through it.
 
 The module also holds what only the tests use: the multiplication matrix
 and the center of an algebra, the conjugacy classes of a group, a test that
-a bimodule map is invertible, the composition and direct-sum checks of
+a bimodule map is invertible, the regular bimodule, the composition and direct-sum checks of
 transfers, hom spaces and a three-valued isomorphism test for bimodules,
 the trivial grading, a chain lift by linear solve, the whole-basis forms
 of the bimodule identities that ``bimod`` checks and solves on generators
-(both ``validate`` methods, the balancing relations and the one-sided hom
-basis), the per-element Kronecker and per-vector constructions that the
+(both ``validate`` methods, the checks of a transfer's counit and Casimir
+unit, the balancing relations and the one-sided hom basis), the per-element Kronecker and per-vector constructions that the
 batched tensor product, multiplication map and unit-decomposition inverse
 of ``bimod`` replaced, and the per-decomposition loop that the inverse's
 one gather replaced.
@@ -175,7 +175,7 @@ class DenseClasses:
                      else f.zeros((0, a.dim ** (n + 1))))
 
     def coords(self, cochain_vec: np.ndarray) -> np.ndarray:
-        w = self._bq.to_quotient(cochain_vec)
+        w = self.field.matmul(self._bq.projection, self.field.arr(cochain_vec))
         assert not self._w.reduce_rows(w[None]).any(), "not a cocycle modulo coboundaries"
         return w[list(self._w.pivots)] if self.dim else self.field.zeros(0)
 
@@ -556,8 +556,7 @@ class DenseLift(hh.TransferData):
         del term
         # solvability: rhs must die one step further down
         if n == 1:
-            img = f.matmul(rhs, self.dualpres.projection.T)
-            if img.any():
+            if self.relations.reduce_rows(rhs).any():
                 raise ValidationError("Casimir unit is not central (bug)")
         else:
             if self._dx_apply(n - 1, rhs).any():
@@ -627,6 +626,39 @@ def validate_bimodule_map(fmap: bimod.BimoduleMap) -> None:
         rhs = f.contract("apq,qr->apr", tgt_act, m)
         if not np.array_equal(lhs, rhs):
             raise ValidationError(f"map does not commute with the {name} action")
+
+
+def regular(a: galg.Algebra) -> bimod.Bimodule:
+    """The algebra as a bimodule over itself by multiplication, validated;
+    its actions are the algebra's read-only multiplication tensors."""
+    m = bimod.Bimodule(left=a, right=a, dim=a.dim, left_action=a.basis_left_mults,
+                       right_action=a.basis_right_mults, label="regular")
+    m.validate()
+    return m
+
+
+def validate_transfer_data(data: hh.TransferData) -> None:
+    """``hh._validate_transfer_data`` for every basis element of A, one at a
+    time: eps kills the relations and commutes with a ox 1 and 1 ox a^T on
+    M ox_k M*, and a eta - eta a reduces to 0 modulo the relations."""
+    f, m = data.field, data.m
+    a, r = m.left, m.dim
+    rel = data.relations
+    eye = f.eye(r)
+    if rel.dim and f.matmul(data.eps_amb, rel.basis.T).any():
+        raise ValidationError("counit does not factor through the tensor quotient")
+    for x in range(a.dim):
+        lx = m.left_action[x]
+        left, right = f.kronecker(lx, eye), f.kronecker(eye, lx.T)
+        if not np.array_equal(f.matmul(data.eps_amb, left),
+                              f.matmul(a.basis_left_mults[x], data.eps_amb)):
+            raise ValidationError("counit does not commute with the left action")
+        if not np.array_equal(f.matmul(data.eps_amb, right),
+                              f.matmul(a.basis_right_mults[x], data.eps_amb)):
+            raise ValidationError("counit does not commute with the right action")
+        moved = (f.matmul(left, data.eta_raw) - f.matmul(right, data.eta_raw)) % f.p
+        if rel.reduce_rows(moved[None]).any():
+            raise ValidationError("Casimir unit is not central")
 
 
 def balancing_relations(m: bimod.Bimodule, n: bimod.Bimodule):

@@ -129,7 +129,7 @@ def test_criterion_4_identity_and_transitivity_anchors():
         for p in (2, 3):
             rg = galg.group_algebra(grp, p)
             s = galg.symmetrizing_form(rg)
-            data = hh.transfer_data(bimod.regular(rg.algebra), s.vector, s.vector)
+            data = hh.transfer_data(oracles.regular(rg.algebra), s.vector, s.vector)
             for n in range(4):
                 classes = hh.cohomology(rg.algebra, n)
                 mat = hh.transfer(data, n)
@@ -170,7 +170,7 @@ def test_criterion_5_transfer_functoriality():
     s_k = galg.symmetrizing_form(sub_k).vector
     x_mod = bimod.truncation(rg, k, 0, h)
     m_mod = bimod.side_restricted(rg, h, full)
-    reg = bimod.regular(rg.algebra)
+    reg = oracles.regular(rg.algebra)
     for n in (0, 1, 2):
         if not oracles.compose_check(x_mod, m_mod, n, s_k, s_h, s_g).ok:
             problems.append(("compose chain", n))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from gradedhh import bimod, cli, galg, groups
+from gradedhh import bimod, cli, galg, groups, hh
 from gradedhh.exactfield import PrimeField
 
 SPECS = pathlib.Path(__file__).resolve().parents[1] / "specs"
@@ -39,14 +39,14 @@ def ex11():
 def test_regular_bimodules_validate():
     f = PrimeField(3)
     one = oracles.trivially_graded(galg.matrix_algebra(f, 1))
-    assert bimod.regular(one.algebra).dim == 1
+    assert oracles.regular(one.algebra).dim == 1
     c2 = galg.group_algebra(groups.cyclic(2), 2)
-    assert bimod.regular(c2.algebra).dim == 2
+    assert oracles.regular(c2.algebra).dim == 2
     ks3 = galg.group_algebra(s3(), 7)
-    bimod.regular(ks3.algebra).validate()
-    # built and validated once per algebra, with read-only actions
-    reg = bimod.regular(ks3.algebra)
-    assert bimod.regular(ks3.algebra) is reg
+    reg = oracles.regular(ks3.algebra)
+    reg.validate()
+    # the actions are the algebra's read-only multiplication tensors
+    assert reg.left_action is ks3.algebra.basis_left_mults
     for arr in (reg.left_action, reg.right_action):
         with pytest.raises(ValueError, match="read-only"):
             arr.flat[0] = 1
@@ -57,7 +57,7 @@ def test_side_restricted(ks3_p2):
     full = groups.full_subgroup(grp)
     whole = bimod.side_restricted(ks3_p2, full, full)
     assert whole.dim == 6
-    reg = bimod.regular(ks3_p2.algebra)
+    reg = oracles.regular(ks3_p2.algebra)
     assert np.array_equal(whole.left_action, reg.left_action)
     assert np.array_equal(whole.right_action, reg.right_action)
     h = groups.subgroup_generated(grp, [involution(grp)])
@@ -99,7 +99,7 @@ def test_tensor_inner_algebra_mismatch(ks3_p2):
 
     c2 = galg.group_algebra(groups.cyclic(2), 2)
     with pytest.raises(ValidationError, match="inner"):
-        bimod.tensor_over(bimod.regular(ks3_p2.algebra), bimod.regular(c2.algebra))
+        bimod.tensor_over(oracles.regular(ks3_p2.algebra), oracles.regular(c2.algebra))
 
 
 def test_tensor_unit_constraints(ks3_p2):
@@ -107,7 +107,7 @@ def test_tensor_unit_constraints(ks3_p2):
     full = groups.full_subgroup(grp)
     h = groups.subgroup_generated(grp, [involution(grp)])
     m = bimod.side_restricted(ks3_p2, h, full)
-    a_reg = bimod.regular(m.left)
+    a_reg = oracles.regular(m.left)
     prod, pres = bimod.tensor_over(a_reg, m)
     assert prod.dim == m.dim
     # multiplication map is an isomorphism
@@ -121,7 +121,7 @@ def test_tensor_unit_constraints(ks3_p2):
     fwd.validate()
     assert oracles.is_isomorphism(fwd)
 
-    b_reg = bimod.regular(m.right)
+    b_reg = oracles.regular(m.right)
     prod2, pres2 = bimod.tensor_over(m, b_reg)
     assert prod2.dim == m.dim
     amb2 = f.zeros((m.dim, pres2.ambient_dim))
@@ -178,9 +178,9 @@ def test_tensor_associativity(ks3_p2):
                     # wait: (m_i ox n_j): index i*dn + j
                     acc[a * mn.dim:(a + 1) * mn.dim] = (
                         acc[a * mn.dim:(a + 1) * mn.dim]
-                        + mn_pres.to_quotient(mnvec)
+                        + f.matmul(mn_pres.projection, mnvec)
                     ) % f.p
-        cols[:, q] = lmn2_pres.to_quotient(acc)
+        cols[:, q] = f.matmul(lmn2_pres.projection, acc)
     fwd = bimod.BimoduleMap(lm_n, l_mn, cols)
     fwd.validate()
     assert oracles.is_isomorphism(fwd)
@@ -188,7 +188,7 @@ def test_tensor_associativity(ks3_p2):
 
 def test_dual(ks3_p2):
     c2 = galg.group_algebra(groups.cyclic(2), 2)
-    m = bimod.regular(c2.algebra)
+    m = oracles.regular(c2.algebra)
     dm = bimod.dual(m)
     assert dm.dim == m.dim
     verdict = oracles.iso_check(dm, m)
@@ -227,7 +227,7 @@ def test_is_projective(ks3_p2):
     grp = ks3_p2.group
     full = groups.full_subgroup(grp)
     h = groups.subgroup_generated(grp, [involution(grp)])
-    reg = bimod.regular(ks3_p2.algebra)
+    reg = oracles.regular(ks3_p2.algebra)
     res = bimod.is_projective(reg, "left")
     assert res.projective
     m = bimod.side_restricted(ks3_p2, h, full)
@@ -385,7 +385,7 @@ def test_direct_sum(ks3_p2):
 
 def test_iso_check_negative():
     c2 = galg.group_algebra(groups.cyclic(2), 2)
-    reg = bimod.regular(c2.algebra)
+    reg = oracles.regular(c2.algebra)
     f = c2.field
     triv = bimod.Bimodule(
         left=c2.algebra, right=c2.algebra, dim=2,
@@ -416,7 +416,7 @@ def test_tensor_over_rejects_relations_unstable_under_outer_action():
     m = bimod.Bimodule(left=c2, right=c2, dim=2,
                        left_action=np.stack([f.eye(2), swap]),
                        right_action=np.stack([f.eye(2), shear]))
-    n = bimod.regular(c2)
+    n = oracles.regular(c2)
     for _ in range(2):
         with pytest.raises(ValidationError, match="relations not stable under outer action"):
             bimod.tensor_over(m, n)
@@ -839,14 +839,18 @@ def _d4_spec(tmp_path):
     for spec in [*sorted(p.stem for p in SPECS.glob("*.json")), "d4_p2"]
 ], ids="-".join)
 def test_generator_checks_agree_with_whole_basis_oracles(run, monkeypatch, capsys, tmp_path):
-    # every module and map validated, every tensor product and every hom
-    # basis built by the run passes the whole-basis check or equals the
-    # whole-basis construction; so does every tensor module, which
-    # tensor_over does not validate
+    # every module and map validated, and every relation space, tensor
+    # product and hom basis built by the run, passes the whole-basis check or
+    # equals the whole-basis construction; so does every tensor module, which
+    # tensor_over does not validate.  verify builds no tensor product, and the
+    # counit and Casimir unit of every transfer it builds pass the
+    # whole-basis checks
     command, spec = run
-    modules, maps, tensors, homs = {}, {}, {}, {}
+    modules, maps, tensors, relations, homs, transfers = {}, {}, {}, {}, {}, {}
+    calls = collections.Counter()
     validate_module, validate_map = bimod.Bimodule.validate, bimod.BimoduleMap.validate
     tensor_over, module_hom_basis = bimod.tensor_over, bimod.module_hom_basis
+    balancing_relations, transfer_data = bimod.balancing_relations, hh.transfer_data
 
     def recording_module(self):
         validate_module(self)
@@ -857,8 +861,14 @@ def test_generator_checks_agree_with_whole_basis_oracles(run, monkeypatch, capsy
         maps[id(self)] = self
 
     def recording_tensor(m, n):
+        calls["tensor_over"] += 1
         out = tensor_over(m, n)
         tensors[id(m), id(n)] = (m, n, out)
+        return out
+
+    def recording_relations(m, n):
+        out = balancing_relations(m, n)
+        relations[id(out)] = (m, n, out)
         return out
 
     def recording_homs(m, side):
@@ -866,24 +876,39 @@ def test_generator_checks_agree_with_whole_basis_oracles(run, monkeypatch, capsy
         homs[id(m), side] = (m, side, out)
         return out
 
+    def recording_transfer(*args, **kwargs):
+        out = transfer_data(*args, **kwargs)
+        transfers[id(out)] = out
+        return out
+
     monkeypatch.setattr(bimod.Bimodule, "validate", recording_module)
     monkeypatch.setattr(bimod.BimoduleMap, "validate", recording_map)
     monkeypatch.setattr(bimod, "tensor_over", recording_tensor)
+    monkeypatch.setattr(bimod, "balancing_relations", recording_relations)
     monkeypatch.setattr(bimod, "module_hom_basis", recording_homs)
+    monkeypatch.setattr(hh, "transfer_data", recording_transfer)
     path = _d4_spec(tmp_path) if spec == "d4_p2" else SPECS / f"{spec}.json"
     args = ["--degree", "2"] if command == "verify" else []
     assert cli.main([command, "--spec", str(path), *args]) == 0
     capsys.readouterr()
-    assert modules and maps and tensors and homs
+    assert modules and relations and homs
+    if command == "verify":
+        assert calls["tensor_over"] == 0 and not maps and transfers
+    else:
+        assert calls["tensor_over"] and maps and not transfers
     for m in modules.values():
         oracles.validate_bimodule(m)
     for fmap in maps.values():
         oracles.validate_bimodule_map(fmap)
+    for m, n, sub in relations.values():
+        assert sub == oracles.balancing_relations(m, n)
     for m, n, (module, pres) in tensors.values():
         assert pres.sub == oracles.balancing_relations(m, n)
         oracles.validate_bimodule(module)
     for m, side, basis in homs.values():
         assert _same_bytes(basis, oracles.module_hom_basis(m, side))
+    for data in transfers.values():
+        oracles.validate_transfer_data(data)
 
 
 def _algebra(spec):

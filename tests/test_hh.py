@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from gradedhh import bimod, galg, groups, hh
 from gradedhh.errors import BudgetError, ValidationError
-from gradedhh.exactfield import PrimeField, subspace_from_rows
+from gradedhh.exactfield import PrimeField, Subspace, subspace_from_rows
 
 
 def group_algebra(kind, p):
@@ -28,7 +28,7 @@ def group_algebra(kind, p):
 
 def regular_data(rg):
     s = galg.symmetrizing_form(rg)
-    return hh.transfer_data(bimod.regular(rg.algebra), s.vector, s.vector)
+    return hh.transfer_data(oracles.regular(rg.algebra), s.vector, s.vector)
 
 
 # -- bar resolution (test oracle) ------------------------------------------
@@ -476,13 +476,36 @@ def test_cohomology_rejects_representatives_that_are_not_cocycles(monkeypatch):
         hh.cohomology(a, 2)
 
 
+def test_cohomology_eliminates_the_kernel_before_any_image_pass(monkeypatch):
+    # a run the kernel's up-front budget check refuses pays for no image pass
+    a = group_algebra("s3", 2).algebra
+    order = []
+    kernel, images = hh.Differential.kernel, hh.Differential.images
+    monkeypatch.setattr(hh.Differential, "kernel", lambda self, *args: (
+        order.append("kernel"), kernel(self, *args))[1])
+    monkeypatch.setattr(hh.Differential, "images", lambda self, parts: (
+        order.append("images"), images(self, parts))[1])
+    hh.cohomology(a, 2)
+    assert order == ["kernel", "images", "images"]
+
+    def refused(self, *args):
+        order.append("kernel")
+        raise BudgetError("kernel refused")
+
+    monkeypatch.setattr(hh.Differential, "kernel", refused)
+    order.clear()
+    with pytest.raises(BudgetError, match="kernel refused"):
+        hh.cohomology(a, 3)
+    assert order == ["kernel"]
+
+
 # -- transfer: identity anchors ----------------------------------------------
 
 
 def test_transfer_trivial_algebra():
     one = oracles.trivially_graded(galg.matrix_algebra(PrimeField(3), 1))
     s = galg.symmetrizing_form(one)
-    data = hh.transfer_data(bimod.regular(one.algebra), s.vector, s.vector)
+    data = hh.transfer_data(oracles.regular(one.algebra), s.vector, s.vector)
     for n in range(4):
         mat = hh.transfer(data, n)
         classes = hh.cohomology(one.algebra, n)
@@ -549,7 +572,7 @@ def test_transfer_up_c2_trivial_p2_is_zero():
 def test_compose_check_with_regular_is_trivial():
     rg = group_algebra("c2", 2)
     s = galg.symmetrizing_form(rg).vector
-    reg = bimod.regular(rg.algebra)
+    reg = oracles.regular(rg.algebra)
     for n in (0, 1, 2):
         rep = oracles.compose_check(reg, reg, n, s, s, s)
         assert rep.ok
@@ -784,12 +807,65 @@ def test_dual_basis_choice_independence():
 
 def test_casimir_class_independent_of_dual_basis():
     rg = group_algebra("c2", 2)
-    reg = bimod.regular(rg.algebra)
+    reg = oracles.regular(rg.algebra)
     s = galg.symmetrizing_form(rg).vector
     d1 = hh.transfer_data(reg, s, s)
     d2 = hh.transfer_data(reg, s, s, generator_order=[1, 0])
-    q = d1.dualpres
-    assert np.array_equal(q.to_quotient(d1.eta_raw), q.to_quotient(d2.eta_raw))
+    rel = d1.relations
+    assert rel == d2.relations
+    assert np.array_equal(rel.reduce_rows(d1.eta_raw[None]), rel.reduce_rows(d2.eta_raw[None]))
+
+
+def _verdict(check, obj):
+    """The message ``check(obj)`` rejects with, or None if it accepts."""
+    try:
+        check(obj)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("kind,p", [("s3", 2), ("s3", 3), ("v4", 2)])
+def test_perturbed_counit_and_casimir_unit_fail_both_checks_alike(kind, p):
+    # transfer data with a perturbed counit or Casimir unit, over the
+    # carriers R_G as R_G - R_H bimodules: the generator checks reject each
+    # with the message of the whole-basis oracle, and lift(1) rejects a
+    # Casimir unit that is not central
+    rg = group_algebra(kind, p)
+    f, grp = rg.field, rg.group
+    full = groups.full_subgroup(grp)
+    s_g = galg.symmetrizing_form(rg).vector
+    rng = np.random.default_rng(0)
+    seen = set()
+    for h in (groups.subgroup_generated(grp, [1]), groups.trivial_subgroup(grp)):
+        s_h = galg.symmetrizing_form(galg.component_subalgebra(rg, h)).vector
+        data = hh.transfer_data(bimod.side_restricted(rg, full, h), s_g, s_h)
+        assert _verdict(oracles.validate_transfer_data, data) is None
+        da, r = data.m.left.dim, data.m.dim
+        proj = f.quotient(data.relations).projection
+        eta = data.eta_raw.copy()
+        eta[rng.integers(r * r)] += 1
+        for change in (
+            {"eps_amb": (data.eps_amb + rng.integers(0, p, data.eps_amb.shape)) % p},
+            # kills the relations but is not left A-linear
+            {"eps_amb": (data.eps_amb + f.matmul(rng.integers(0, p, (da, len(proj))), proj)) % p},
+            # psi_l of the reversed dual basis: left A-linear, not right A-linear
+            {"eps_amb": data.eps_amb.reshape(da, r, r)[:, :, ::-1].reshape(da, r * r)},
+            {"eta_raw": eta % p},
+        ):
+            bad = dataclasses.replace(data, **change, _lifts=[], _matrices={})
+            want = _verdict(oracles.validate_transfer_data, bad)
+            assert _verdict(hh._validate_transfer_data, bad) == want
+            seen.add(want)
+            if want == "Casimir unit is not central":
+                # so is the right-hand side of the degree-1 lift
+                with pytest.raises(ValidationError, match=r"not central \(bug\)"):
+                    bad.lift(1)
+    # over the commutative kV4 the reversed dual basis still gives a bimodule map
+    assert seen - {None} == {"counit does not factor through the tensor quotient",
+                             "counit does not commute with the left action",
+                             "Casimir unit is not central",
+                             *["counit does not commute with the right action"] * (kind == "s3")}
 
 
 def test_transfer_nonprojective_rejected():
@@ -803,15 +879,20 @@ def test_transfer_nonprojective_rejected():
         hh.transfer_data(triv, galg.symmetrizing_form(c2).vector, f.arr([1]))
 
 
-def test_s4_transfer_data_of_the_largest_carrier_fits_in_512_mib():
-    # S4 over F_2: the (G, 1, trivial) carrier's transfer data validates the
-    # 576-dimensional M ox_k M* and solves its hom spaces on the generators of
-    # kS4; on the whole basis the module check alone formed 24^2 * 576^2
-    # int64 entries per side (about 4.6 GB of peak)
+def test_s4_transfer_data_of_the_largest_carrier_fits_in_64_mib():
+    # S4 over F_2: the (G, 1, trivial) carrier's transfer data solves its hom
+    # spaces on the generators of kS4 and checks its counit and Casimir unit
+    # on the 576-dimensional M ox_k M* against the balancing relations, and
+    # keeps no quotient module: beside M it holds under 1 MiB of arrays
     rg = galg.group_algebra(groups.symmetric(4), 2)
     full, triv = groups.full_subgroup(rg.group), groups.trivial_subgroup(rg.group)
     m = bimod.truncation(rg, full, 0, triv)
     s_a, s_b = (galg.symmetrizing_form(galg.component_subalgebra(rg, h)).vector
                 for h in (full, triv))
-    peak = _added_peak(lambda: hh.transfer_data(m, s_a, s_b))
-    assert peak <= 512 * 2**20, peak / 2**20
+    built = []
+    peak = _added_peak(lambda: built.append(hh.transfer_data(m, s_a, s_b)))
+    assert peak <= 64 * 2**20, peak / 2**20
+    data, = built
+    held = [getattr(data, fld.name) for fld in dataclasses.fields(data) if fld.name != "m"]
+    arrays = [x.basis if isinstance(x, Subspace) else x for x in held]
+    assert sum(x.nbytes for x in arrays if isinstance(x, np.ndarray)) < 2**20

@@ -39,7 +39,7 @@ def test_every_function_under_src_is_referenced_under_src():
 # the module that owns each key of the ``_cache`` mappings on algebras,
 # graded algebras and bimodules
 CACHE_OWNERS = {
-    "bimod": {"regular", "content", "shared", "contents", "carriers", "mult_isos"},
+    "bimod": {"content", "shared", "contents", "carriers", "mult_isos"},
     "galg": {"lmul", "rmul", "subalgebras", "algebras", "unit_decompositions", "generators"},
     "hh": {"hh", "cochain"},
 }
