@@ -9,7 +9,7 @@ before sharing.
 """
 
 from .errors import BudgetError, SpecError, ValidationError
-from .exactfield import PrimeField, QuotientPresentation, Subspace, subspace_from_rows
+from .exactfield import PrimeField, Subspace, subspace_from_rows
 from .galg import (
     Algebra,
     GradedAlgebra,
@@ -33,7 +33,6 @@ __all__ = [
     "ValidationError",
     "PrimeField",
     "Subspace",
-    "QuotientPresentation",
     "subspace_from_rows",
     "Algebra",
     "GradedAlgebra",

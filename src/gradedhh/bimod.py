@@ -1,11 +1,17 @@
 """Bimodules over pairs of structure-constant algebras.
 
 Covers everything the verification pipeline needs: carriers cut out of a
-graded algebra by cosets and double cosets, tensor products over the middle
-algebra materialized as quotient presentations, linear duals, one-sided
-module maps, projectivity via explicit splittings of free covers, and the
-explicit mutually inverse multiplication/unit-decomposition isomorphisms
-between a double-coset carrier and the corresponding tensor product.
+graded algebra by cosets and double cosets, the balancing relations of a
+tensor product over the middle algebra, linear duals, one-sided module
+maps, projectivity via explicit splittings of free covers, and the explicit
+mutually inverse multiplication/unit-decomposition isomorphisms between a
+double-coset carrier and the corresponding tensor product.
+
+A tensor product M (x)_B N is held as M (x)_k N together with its balancing
+relations, an RREF subspace; no quotient module is built.  A map out of
+M (x)_B N is a map out of M (x)_k N that kills the relations
+(``check_tensor_map`` checks that it commutes with both outer actions), and
+a map into it, or an identity in it, is read modulo the relations.
 
 Carriers are cached on the graded algebra, keyed by the carrier and the
 two subgroups.  Everything built from a module alone is cached by the
@@ -13,17 +19,17 @@ module's content: its two algebras (interned on the graded algebra by
 ``galg.component_subalgebra``, so subgroups with equal structure constants
 share one) and its two actions, interned as one token per distinct content
 (``content``).  Modules of equal content share one cache (``_shared``), so
-a carrier's validation, a tensor product, a splitting or a one-sided hom
-basis is made once per distinct content, not once per carrier.  A shared
-entry keeps the label of the first module it was built for.  A
-multiplication isomorphism also reads the graded algebra at its modules'
-indices, so it is cached on its left module, by the other two modules, and
-verified once per distinct contents and matrices.  Each cache is keyed by
-exactly what its entry is built from, hands out read-only arrays and never
-keeps a failure.
+a carrier's validation, the relations of a tensor product, a splitting or a
+one-sided hom basis is made once per distinct content, not once per
+carrier.  A shared entry keeps the label of the first module it was built
+for.  A multiplication isomorphism also reads the graded algebra at its
+modules' indices, so it is cached on its left module, by the other two
+modules, and verified once per distinct contents and matrices.  Each cache
+is keyed by exactly what its entry is built from, hands out read-only
+arrays and never keeps a failure.
 
 Every construction works on whole tensors: actions are (dim algebra, dim,
-dim) arrays, and a tensor product's actions, an intertwiner system, the
+dim) arrays, and the balancing relations, an intertwiner system, the
 multiplication map and its inverse are slices of the structure constants
 and ``PrimeField.contract`` calls on those arrays, never one basis element
 or one basis vector at a time.
@@ -31,7 +37,7 @@ or one basis vector at a time.
 Every identity that quantifies over an acting algebra is checked or solved
 on its generators (``galg.generators``: 2 of kD4's 8 basis elements, 3 of
 kS4's 24), with the same outcome as on the whole basis, for the reason each
-site's docstring gives; so every basis, presentation and splitting is
+site's docstring gives; so every basis, relation space and splitting is
 unchanged.
 """
 
@@ -44,8 +50,7 @@ import numpy as np
 
 from . import galg, groups as _groups
 from .errors import ValidationError
-from .exactfield import (PrimeField, QuotientPresentation, Subspace, read_only,
-                         subspace_from_rows)
+from .exactfield import PrimeField, Subspace, read_only, subspace_from_rows
 
 
 @dataclass(eq=False)
@@ -104,38 +109,6 @@ class Bimodule:
 
     def __repr__(self) -> str:
         return f"Bimodule({self.label or 'dim %d' % self.dim})"
-
-
-@dataclass(eq=False)
-class BimoduleMap:
-    """A linear map commuting with both actions."""
-
-    source: Bimodule
-    target: Bimodule
-    matrix: np.ndarray
-
-    def validate(self) -> None:
-        """Check the shape, that source and target are over the same two
-        algebras, and that the map commutes with the action of each
-        algebra's generators (``galg.generators`` of the source's algebras):
-        the a with m L_src(a) = L_tgt(a) m form a subalgebra, so commuting
-        with S is commuting with every basis element."""
-        f = self.source.field
-        m = self.matrix
-        src, tgt = self.source, self.target
-        if m.shape != (tgt.dim, src.dim):
-            raise ValidationError("bimodule map has the wrong shape")
-        if not all(x is y or x.structurally_equal(y)
-                   for x, y in ((src.left, tgt.left), (src.right, tgt.right))):
-            raise ValidationError("source and target are over different algebras")
-        for name, gens, src_act, tgt_act in (
-            ("left", galg.generators(src.left), src.left_action, tgt.left_action),
-            ("right", galg.generators(src.right), src.right_action, tgt.right_action),
-        ):
-            lhs = f.contract("pq,aqr->apr", m, src_act[gens])
-            rhs = f.contract("apq,qr->apr", tgt_act[gens], m)
-            if not np.array_equal(lhs, rhs):
-                raise ValidationError(f"map does not commute with the {name} action")
 
 
 def _crc(a: np.ndarray) -> int:
@@ -286,36 +259,29 @@ def balancing_relations(m: Bimodule, n: Bimodule) -> Subspace:
     return relations
 
 
-def tensor_over(m: Bimodule, n: Bimodule) -> tuple[Bimodule, QuotientPresentation]:
-    """Tensor product over the middle algebra B, with its presentation as the
-    quotient of M (x)_k N by ``balancing_relations``.  The quotient is not
-    validated: for bimodules M and N (checked where they are built), a ox 1
-    and 1 ox c are commuting representations on M ox_k N that keep the
-    relations, so proj (a ox 1) sect and proj (1 ox c) sect are the induced
-    ones on the quotient.  Results are cached by the content of M and of N;
-    their arrays are read-only."""
+def tensor_over(m: Bimodule, n: Bimodule) -> Subspace:
+    """M (x)_B N as M (x)_k N modulo its balancing relations: the relations
+    (``balancing_relations``), cached by the content of M and of N."""
     cache, key = _shared(m), ("tensor_over", content(n))
-    if key in cache:
-        return cache[key]
-    relations = balancing_relations(m, n)
-    f = m.field
-    dm, dn = m.dim, n.dim
-    pres = f.quotient(relations)
-    q = pres.quotient_dim
-    proj = pres.projection.reshape(q, dm, dn)
-    sect = pres.section.reshape(dm, dn, q)
-    left_action = f.contract("qij,aijr->aqr", proj,
-                             f.contract("aik,kjr->aijr", m.left_action, sect))
-    right_action = f.contract("qij,cijr->cqr", proj,
-                              f.contract("cjl,ilr->cijr", n.right_action, sect))
-    module = Bimodule(
-        left=m.left, right=n.right, dim=q,
-        left_action=left_action, right_action=right_action,
-        label=f"({m.label})ox({n.label})",
-    )
-    read_only(left_action, right_action, pres.projection, pres.section)
-    cache[key] = (module, pres)
-    return module, pres
+    if key not in cache:
+        cache[key] = balancing_relations(m, n)
+    return cache[key]
+
+
+def check_tensor_map(f: PrimeField, x: np.ndarray, left, right, what: str) -> None:
+    """Check that x, a linear map M (x)_k N -> T held as a (dim T, dim M,
+    dim N) array, commutes with both outer actions: x (L_s (x) 1) = L^T_s x
+    for the pair of stacked arrays ``left`` = (L_s, L^T_s), and
+    x (1 (x) R_t) = R^T_t x for ``right`` = (R_t, R^T_t), each stacked over
+    a generating set (``galg.generators``): the elements x commutes with
+    form a subalgebra.  A map that also kills the balancing relations is
+    then a bimodule map out of M (x)_B N."""
+    for name, moved, act in (
+        ("left", f.contract("ckl,ski->scil", x, left[0]), left[1]),
+        ("right", f.contract("cik,skl->scil", x, right[0]), right[1]),
+    ):
+        if not np.array_equal(moved, f.contract("scd,dil->scil", act, x)):
+            raise ValidationError(f"{what} does not commute with the {name} action")
 
 
 def _intertwiners(f: PrimeField, pairs, dm: int, dn: int) -> np.ndarray:
@@ -408,24 +374,19 @@ def _outside(rg, indices: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _mult_forward(rg, tensor_module: Bimodule, pres: QuotientPresentation,
-                  m: Bimodule, n: Bimodule, target: Bimodule) -> BimoduleMap:
-    """Multiplication map (M ox N presented by pres) -> target carrier, unvalidated."""
-    f = rg.field
+def _mult_forward(rg, m: Bimodule, n: Bimodule, target: Bimodule) -> np.ndarray:
+    """Matrix of the multiplication M (x)_k N -> target carrier, unverified."""
     prods = rg.algebra.sc[np.ix_(m.parent_indices, n.parent_indices)]
     if prods[:, :, _outside(rg, target.parent_indices)].any():
         raise ValidationError("product leaves the target carrier")
-    amb = prods[:, :, target.parent_indices].reshape(pres.ambient_dim, target.dim).T
-    if pres.sub.dim and f.matmul(amb, pres.sub.basis.T).any():
-        raise ValidationError("multiplication does not kill the balancing relations")
-    return BimoduleMap(source=tensor_module, target=target, matrix=f.matmul(amb, pres.section))
+    return np.ascontiguousarray(
+        prods[:, :, target.parent_indices].reshape(m.dim * n.dim, target.dim).T)
 
 
-def _psi_matrix(rg, pres: QuotientPresentation, m: Bimodule, n: Bimodule,
-                source: Bimodule, decs) -> np.ndarray:
-    """Matrix of r -> sum_i a_i ox (b_i r) into M ox N presented by pres,
-    with decs[y] the unit decomposition for the y-th source basis vector:
-    one gather over every (source basis vector, decomposition pair)."""
+def _psi_matrix(rg, m: Bimodule, n: Bimodule, source: Bimodule, decs) -> np.ndarray:
+    """Matrix of r -> sum_i a_i ox (b_i r) into M ox_k N, with decs[y] the
+    unit decomposition for the y-th source basis vector: one gather over
+    every (source basis vector, decomposition pair)."""
     f = rg.field
     ys = [y for y, dec in enumerate(decs) for _ in dec.pairs]
     a = np.stack([av for dec in decs for av, _ in dec.pairs])
@@ -438,19 +399,65 @@ def _psi_matrix(rg, pres: QuotientPresentation, m: Bimodule, n: Bimodule,
         raise ValidationError("unit decomposition leaves the right carrier")
     cols = f.contract("ki,kj,ky->ijy", a[:, m.parent_indices], br[:, n.parent_indices],
                       f.eye(source.dim)[ys])
-    return f.matmul(pres.projection, cols.reshape(pres.ambient_dim, source.dim))
+    return cols.reshape(m.dim * n.dim, source.dim)
 
 
 @dataclass(eq=False)
 class MultIso:
-    """A mutually inverse pair: multiplication map and its unit-decomposition
-    inverse, between a tensor product and a double-coset carrier."""
+    """A mutually inverse pair between M ox_B N, held as M ox_k N modulo
+    ``relations``, and a double-coset carrier: the multiplication map and its
+    unit-decomposition inverse, both on M ox_k N."""
 
-    tensor_module: Bimodule
-    tensor: QuotientPresentation  # tensor_module as a quotient of M ox_k N
+    relations: Subspace           # balancing relations of M ox_B N in M ox_k N
     carrier: Bimodule
-    forward: BimoduleMap          # tensor -> carrier, r1 ox r2 -> r1 r2
-    inverse: BimoduleMap          # carrier -> tensor
+    forward: np.ndarray           # (dim carrier, dim M * dim N): r1 ox r2 -> r1 r2
+    inverse: np.ndarray           # (dim M * dim N, dim carrier)
+
+
+def _verify_mult_iso(m: Bimodule, n: Bimodule, iso: MultIso) -> None:
+    """Check that iso's two matrices are mutually inverse bimodule maps
+    between M ox_B N and the carrier C, on M ox_k N and modulo the relations
+    W, for the generators S_A, S_C of the outer algebras: M ox_B N and C are
+    over the same two algebras; forward F kills W; F (L_s ox 1) = L^C_s F
+    and F (1 ox R_t) = R^C_t F (``check_tensor_map``); the columns of
+    (L_s ox 1) G - G L^C_s and (1 ox R_t) G - G R^C_t lie in W for the
+    inverse G; F G = I; and the columns of G F - I lie in W, which after
+    the checks before it holds iff dim W + dim C = dim M ox_k N.
+
+    Each is the check on the quotient Q = (M ox_k N) / W with projection P
+    and section S (P S = I, P kills W, the columns of S P - I lie in W):
+    since W is stable under both outer actions, the induced action on Q is
+    L^Q = P (L ox 1) S with P (L ox 1) = L^Q P, and F = F S P as F kills W.
+    So F S L^Q = L^C F S iff F (L ox 1) = L^C F, P G L^C = L^Q P G iff
+    P ((L ox 1) G - G L^C) = 0, F S P G = F G, and P G F S = I iff
+    P (G F - I) = 0; and ker P = W.  The elements passing a commutation
+    check form a subalgebra, so S_A and S_C suffice."""
+    f, carrier, rel = m.field, iso.carrier, iso.relations
+    if not all(x is y or x.structurally_equal(y)
+               for x, y in ((m.left, carrier.left), (n.right, carrier.right))):
+        raise ValidationError("source and target are over different algebras")
+    dm, dn, dc = m.dim, n.dim, carrier.dim
+    if rel.dim and f.matmul(iso.forward, rel.basis.T).any():
+        raise ValidationError("multiplication does not kill the balancing relations")
+    sa, sc = galg.generators(m.left), galg.generators(n.right)
+    left = (m.left_action[sa], carrier.left_action[sa])
+    right = (n.right_action[sc], carrier.right_action[sc])
+    check_tensor_map(f, iso.forward.reshape(dc, dm, dn), left, right, "map")
+    inv = iso.inverse.reshape(dm, dn, dc)
+    for name, moved, act in (
+        ("left", f.contract("sik,kjy->syij", left[0], inv), left[1]),
+        ("right", f.contract("sjl,ily->syij", right[0], inv), right[1]),
+    ):
+        # column y of (L_s ox 1) G - G L^C_s is row (s, y)
+        diff = (moved - f.contract("ijz,szy->syij", inv, act)) % f.p
+        if rel.reduce_rows(diff.reshape(-1, dm * dn)).any():
+            raise ValidationError(f"map does not commute with the {name} action")
+    if not np.array_equal(f.matmul(iso.forward, iso.inverse), f.eye(dc)):
+        raise ValidationError("multiplication map and its inverse do not compose to id")
+    # F G = I and F W = 0, so ker F = W, which holds all columns of G F - I
+    # as F (G F - I) = 0, exactly when dim W = dim M ox_k N - dim C
+    if rel.dim + dc != dm * dn:
+        raise ValidationError("inverse and multiplication map do not compose to id")
 
 
 def _build_mult_iso(rg, left_mod, right_mod, carrier, degree_for) -> MultIso:
@@ -464,10 +471,10 @@ def _build_mult_iso(rg, left_mod, right_mod, carrier, degree_for) -> MultIso:
     decompositions are fetched through the module attribute first, so a
     replaced ``galg.unit_decomposition`` gives a new key.  That both
     matrices are mutually inverse bimodule maps depends only on the three
-    contents and the matrices, so it is verified once per distinct such
-    tuple, found on ``_shared(left_mod)`` by crc32 and confirmed by
-    ``np.array_equal``; a hit reuses the verified read-only matrices."""
-    f = rg.field
+    contents and the matrices, so it is verified (``_verify_mult_iso``) once
+    per distinct such tuple, found on ``_shared(left_mod)`` by crc32 and
+    confirmed by ``np.array_equal``; a hit reuses the verified read-only
+    matrices."""
     degrees = [int(degree_for(int(x))) for x in rg.grading[carrier.parent_indices]]
     by_degree = {t: galg.unit_decomposition(rg, t) for t in dict.fromkeys(degrees)}
     decs = tuple(by_degree[t] for t in degrees)
@@ -475,28 +482,19 @@ def _build_mult_iso(rg, left_mod, right_mod, carrier, degree_for) -> MultIso:
     key = (right_mod, carrier, decs)
     if key in cache:
         return cache[key]
-    tensor_module, tensor = tensor_over(left_mod, right_mod)
-    forward = _mult_forward(rg, tensor_module, tensor, left_mod, right_mod, carrier)
-    inverse = BimoduleMap(source=carrier, target=tensor_module,
-                          matrix=_psi_matrix(rg, tensor, left_mod, right_mod, carrier, decs))
+    iso = MultIso(relations=tensor_over(left_mod, right_mod), carrier=carrier,
+                  forward=_mult_forward(rg, left_mod, right_mod, carrier),
+                  inverse=_psi_matrix(rg, left_mod, right_mod, carrier, decs))
     verified, vkey = _shared(left_mod), ("mult_iso", content(right_mod), content(carrier),
-                                         _crc(forward.matrix), _crc(inverse.matrix))
+                                         _crc(iso.forward), _crc(iso.inverse))
     for fwd, inv in verified.get(vkey, ()):
-        if np.array_equal(fwd, forward.matrix) and np.array_equal(inv, inverse.matrix):
-            forward.matrix, inverse.matrix = fwd, inv
+        if np.array_equal(fwd, iso.forward) and np.array_equal(inv, iso.inverse):
+            iso.forward, iso.inverse = fwd, inv
             break
     else:
-        forward.validate()
-        inverse.validate()
-        if not np.array_equal(f.matmul(forward.matrix, inverse.matrix), f.eye(carrier.dim)):
-            raise ValidationError("multiplication map and its inverse do not compose to id")
-        if not np.array_equal(f.matmul(inverse.matrix, forward.matrix),
-                              f.eye(tensor_module.dim)):
-            raise ValidationError("inverse and multiplication map do not compose to id")
-        read_only(forward.matrix, inverse.matrix)
-        verified.setdefault(vkey, []).append((forward.matrix, inverse.matrix))
-    iso = MultIso(tensor_module=tensor_module, tensor=tensor, carrier=carrier,
-                  forward=forward, inverse=inverse)
+        _verify_mult_iso(left_mod, right_mod, iso)
+        read_only(iso.forward, iso.inverse)
+        verified.setdefault(vkey, []).append((iso.forward, iso.inverse))
     cache[key] = iso
     return iso
 

@@ -421,21 +421,6 @@ class PrimeField:
         basis[:, list(pivots)] = (-rest).T % self.p
         return subspace_from_rows(self, basis, cols)
 
-    def quotient(self, sub: "Subspace") -> "QuotientPresentation":
-        """Quotient of the ambient space by ``sub``, with the complement given
-        by the non-pivot standard coordinates (deterministic)."""
-        n = sub.ambient_dim
-        piv = list(sub.pivots)
-        free = self._free_columns(n, piv)
-        section = self.zeros((n, len(free)))
-        section[free, np.arange(len(free))] = 1
-        projection = section.T.copy()
-        projection[:, piv] = (-sub.basis[:, free]).T % self.p
-        return QuotientPresentation(
-            field=self, ambient_dim=n, sub=sub,
-            projection=projection, section=section,
-        )
-
     @staticmethod
     def _free_columns(cols: int, pivots) -> np.ndarray:
         free = np.ones(cols, dtype=bool)
@@ -555,31 +540,3 @@ def read_only(*arrays: np.ndarray) -> None:
     write by one caller raises instead of changing what later callers get."""
     for arr in arrays:
         arr.setflags(write=False)
-
-
-@dataclass(frozen=True, eq=False)
-class QuotientPresentation:
-    """Presentation of ambient/sub with a chosen complement.
-
-    projection @ section = identity on the quotient and projection
-    annihilates sub; section lifts quotient coordinates into the ambient
-    space along the non-pivot standard coordinates.
-    """
-
-    field: PrimeField
-    ambient_dim: int
-    sub: Subspace
-    projection: np.ndarray
-    section: np.ndarray
-
-    def __post_init__(self):
-        f = self.field
-        q = self.quotient_dim
-        if not np.array_equal(f.matmul(self.projection, self.section), f.eye(q)):
-            raise ValidationError("projection @ section is not the identity")
-        if self.sub.dim and f.matmul(self.projection, self.sub.basis.T).any():
-            raise ValidationError("projection does not annihilate the subspace")
-
-    @property
-    def quotient_dim(self) -> int:
-        return self.ambient_dim - self.sub.dim

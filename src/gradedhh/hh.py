@@ -429,6 +429,8 @@ class CochainComplex:
         call that builds it."""
         if n in self._deltas:
             return self._deltas[n]
+        if n < 0:
+            raise ValidationError(f"no cochain differential at negative degree {n}")
         a = self.algebra
         f, p, d = a.field, a.field.p, a.dim
         dn = d ** n
@@ -698,25 +700,21 @@ def transfer_data(
 def _validate_transfer_data(data: TransferData) -> None:
     """Check on M ox_k M*, for the generators S of A (``galg.generators``),
     that eps kills the balancing relations; that eps is an A-A bimodule map
-    there (each psi_l is left A-linear, and phi -> psi_phi is right A-linear
-    as s_A is symmetric), which with the first check makes it one on
-    M ox_B M*; and that s eta - eta s lies in the relations, so eta(1) is
-    central in M ox_B M*.  The a that pass either of the last two checks
-    form a subalgebra (the relations are stable under both actions), so S
-    suffices."""
+    there (``bimod.check_tensor_map``: each psi_l is left A-linear, and
+    phi -> psi_phi is right A-linear as s_A is symmetric), which with the
+    first check makes it one on M ox_B M*; and that s eta - eta s lies in
+    the relations, so eta(1) is central in M ox_B M*.  The a that pass
+    either of the last two checks form a subalgebra (the relations are
+    stable under both actions), so S suffices."""
     f, m, rel = data.field, data.m, data.relations
     a, r, gens = m.left, m.dim, galg.generators(m.left)
     ls = m.left_action[gens]
     if rel.dim and f.matmul(data.eps_amb, rel.basis.T).any():
         raise ValidationError("counit does not factor through the tensor quotient")
-    eps = data.eps_amb.reshape(a.dim, r, r)
     # the left action of s on M ox_k M* is L_s ox 1, the right one 1 ox L_s^T
-    for name, moved, mults in (
-        ("left", f.contract("ckl,ski->scil", eps, ls), a.basis_left_mults),
-        ("right", f.contract("cik,slk->scil", eps, ls), a.basis_right_mults),
-    ):
-        if not np.array_equal(moved, f.contract("scd,dil->scil", mults[gens], eps)):
-            raise ValidationError(f"counit does not commute with the {name} action")
+    bimod.check_tensor_map(f, data.eps_amb.reshape(a.dim, r, r),
+                           (ls, a.basis_left_mults[gens]),
+                           (ls.transpose(0, 2, 1), a.basis_right_mults[gens]), "counit")
     eta = data.eta_raw.reshape(r, r)
     commutators = (f.contract("sik,kl->sil", ls, eta) - f.contract("ik,skl->sil", eta, ls)) % f.p
     if rel.reduce_rows(commutators.reshape(len(gens), r * r)).any():

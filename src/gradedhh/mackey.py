@@ -143,8 +143,8 @@ class MackeySystem:
         """Matrix HH^n(R_H) -> HH^n(R_K) of the transfer along the KgH carrier."""
         key = (k.key, g, h.key, n)
         if key not in self._maps:
-            if n > self.degree_bound:
-                raise ValidationError(f"degree {n} exceeds the bound {self.degree_bound}")
+            if not 0 <= n <= self.degree_bound:
+                raise ValidationError(f"degree {n} is outside 0..{self.degree_bound}")
             self._maps[key] = hh.transfer(self.transfer_for(k, g, h), n)
         return self._maps[key]
 

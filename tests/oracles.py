@@ -14,16 +14,19 @@ array, and the transfer matrix is the loop that pushed one class
 representative at a time through it.
 
 The module also holds what only the tests use: the multiplication matrix
-and the center of an algebra, the conjugacy classes of a group, a test that
-a bimodule map is invertible, the regular bimodule, the composition and direct-sum checks of
-transfers, hom spaces and a three-valued isomorphism test for bimodules,
-the trivial grading, a chain lift by linear solve, the whole-basis forms
-of the bimodule identities that ``bimod`` checks and solves on generators
-(both ``validate`` methods, the checks of a transfer's counit and Casimir
-unit, the balancing relations and the one-sided hom basis), the per-element Kronecker and per-vector constructions that the
-batched tensor product, multiplication map and unit-decomposition inverse
-of ``bimod`` replaced, and the per-decomposition loop that the inverse's
-one gather replaced.
+and the center of an algebra, the conjugacy classes of a group, quotient
+presentations of a subspace, bimodule maps checked on every basis element
+and a test that one is invertible, the regular bimodule, the composition
+and direct-sum checks of transfers, hom spaces and a three-valued
+isomorphism test for bimodules, the trivial grading, a chain lift by linear
+solve, the whole-basis forms of the bimodule identities that ``bimod``
+checks and solves on generators (``Bimodule.validate``, the checks of a
+transfer's counit and Casimir unit and of a multiplication isomorphism, the
+balancing relations and the one-sided hom basis), the tensor product as a
+quotient bimodule with actions induced from Kronecker matrices, the
+per-element and per-vector constructions that the batched multiplication
+map and unit-decomposition inverse of ``bimod`` replaced, and the
+per-decomposition loop that the inverse's one gather replaced.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numpy as np
 
 from gradedhh import bimod, galg, groups, hh
 from gradedhh.errors import ValidationError
-from gradedhh.exactfield import PrimeField, subspace_from_rows
+from gradedhh.exactfield import PrimeField, Subspace, subspace_from_rows
 
 
 def truncated_poly_hh_dims(p: int, m: int, max_degree: int) -> list[int]:
@@ -151,6 +154,46 @@ def dense_delta(a: galg.Algebra, n: int) -> np.ndarray:
     return (mat + (-1) ** (n + 1) * last) % f.p
 
 
+@dataclass(frozen=True, eq=False)
+class Quotient:
+    """The quotient of the ambient space of ``sub`` by it (``quotient``):
+    projection @ section is the identity on the quotient and projection
+    annihilates sub; section lifts quotient coordinates along the non-pivot
+    standard coordinates."""
+
+    sub: Subspace
+    projection: np.ndarray
+    section: np.ndarray
+
+    def __post_init__(self):
+        f = self.sub.field
+        if not np.array_equal(f.matmul(self.projection, self.section), f.eye(self.quotient_dim)):
+            raise ValidationError("projection @ section is not the identity")
+        if self.sub.dim and f.matmul(self.projection, self.sub.basis.T).any():
+            raise ValidationError("projection does not annihilate the subspace")
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.sub.ambient_dim
+
+    @property
+    def quotient_dim(self) -> int:
+        return self.ambient_dim - self.sub.dim
+
+
+def quotient(sub: Subspace) -> Quotient:
+    """Quotient of the ambient space by ``sub``, with the complement given by
+    the non-pivot standard coordinates (deterministic)."""
+    f, n = sub.field, sub.ambient_dim
+    piv = list(sub.pivots)
+    free = f._free_columns(n, piv)
+    section = f.zeros((n, len(free)))
+    section[free, np.arange(len(free))] = 1
+    projection = section.T.copy()
+    projection[:, piv] = (-sub.basis[:, free]).T % f.p
+    return Quotient(sub=sub, projection=projection, section=section)
+
+
 class DenseClasses:
     """HH^n from the dense differentials: cocycles are the kernel of
     delta(n), and cochains are taken modulo the coboundaries through the
@@ -166,7 +209,7 @@ class DenseClasses:
         else:
             b = subspace_from_rows(f, dense_delta(a, n - 1).T, ambient_dim=a.dim ** (n + 1))
         assert not z.reduce_rows(b.basis).any()
-        self._bq = f.quotient(b)
+        self._bq = quotient(b)
         images = (f.matmul(z.basis, self._bq.projection.T) if z.dim
                   else f.zeros((0, self._bq.quotient_dim)))
         self._w = subspace_from_rows(f, images, ambient_dim=self._bq.quotient_dim)
@@ -316,9 +359,47 @@ def conjugacy_classes(grp: groups.FiniteGroup) -> list[tuple[int, ...]]:
     return classes
 
 
-def is_isomorphism(fmap: bimod.BimoduleMap) -> bool:
+@dataclass(eq=False)
+class BimoduleMap:
+    """A linear map commuting with both actions."""
+
+    source: bimod.Bimodule
+    target: bimod.Bimodule
+    matrix: np.ndarray
+
+    def validate(self) -> None:
+        """Check the shape, that source and target are over the same two
+        algebras, and that the map commutes with the action of every basis
+        element of both."""
+        f = self.source.field
+        m = self.matrix
+        src, tgt = self.source, self.target
+        if m.shape != (tgt.dim, src.dim):
+            raise ValidationError("bimodule map has the wrong shape")
+        if not all(x is y or x.structurally_equal(y)
+                   for x, y in ((src.left, tgt.left), (src.right, tgt.right))):
+            raise ValidationError("source and target are over different algebras")
+        for name, src_act, tgt_act in (("left", src.left_action, tgt.left_action),
+                                       ("right", src.right_action, tgt.right_action)):
+            lhs = f.contract("pq,aqr->apr", m, src_act)
+            rhs = f.contract("apq,qr->apr", tgt_act, m)
+            if not np.array_equal(lhs, rhs):
+                raise ValidationError(f"map does not commute with the {name} action")
+
+
+def is_isomorphism(fmap: BimoduleMap) -> bool:
     return (fmap.source.dim == fmap.target.dim
             and fmap.source.field.inverse(fmap.matrix) is not None)
+
+
+def induces_isomorphism(iso: bimod.MultIso) -> bool:
+    """Whether the multiplication map of ``iso`` kills the relations and
+    induces an invertible map on the quotient of M ox_k N by them."""
+    f, rel = iso.carrier.field, iso.relations
+    if rel.dim and f.matmul(iso.forward, rel.basis.T).any():
+        return False
+    on_quotient = f.matmul(iso.forward, quotient(rel).section)
+    return on_quotient.shape[0] == on_quotient.shape[1] and f.inverse(on_quotient) is not None
 
 
 # -- test-only constructions: composition, direct sums, hom spaces, isomorphism
@@ -342,7 +423,7 @@ def compose_check(
     memory_mb: int = hh.DEFAULT_MEMORY_MB,
 ) -> ComposeReport:
     """Check matrix(t_M) @ matrix(t_N) = matrix(t_{M ox_B N}) at one degree."""
-    tensor_module, _ = bimod.tensor_over(m, n_mod)
+    tensor_module, _ = kron_tensor_over(m, n_mod)
     data_m = hh.transfer_data(m, s_a, s_b, memory_mb=memory_mb)
     data_n = hh.transfer_data(n_mod, s_b, s_c, memory_mb=memory_mb)
     data_t = hh.transfer_data(tensor_module, s_a, s_c, memory_mb=memory_mb)
@@ -386,14 +467,14 @@ def direct_sum(*parts: bimod.Bimodule) -> bimod.Bimodule:
     return out
 
 
-def hom_space(m: bimod.Bimodule, n: bimod.Bimodule) -> list[bimod.BimoduleMap]:
+def hom_space(m: bimod.Bimodule, n: bimod.Bimodule) -> list[BimoduleMap]:
     """RREF-canonical basis of the space of bimodule maps M -> N."""
     if not (m.left.structurally_equal(n.left) and m.right.structurally_equal(n.right)):
         raise ValidationError("hom space needs the same algebra pair")
     pairs = ((m.left_action, n.left_action), (m.right_action, n.right_action))
     out = []
     for x in bimod._intertwiners(m.field, pairs, m.dim, n.dim):
-        bm = bimod.BimoduleMap(m, n, x)
+        bm = BimoduleMap(m, n, x)
         bm.validate()
         out.append(bm)
     return out
@@ -412,7 +493,7 @@ def decompose_by_double_cosets(rg: galg.GradedAlgebra, k: groups.Subgroup,
         incl = f.zeros((whole.dim, part.dim))
         for local, parent in enumerate(part.parent_indices):
             incl[parent, local] = 1
-        bm = bimod.BimoduleMap(part, whole, incl)
+        bm = BimoduleMap(part, whole, incl)
         bm.validate()
         out.append((rep, part, bm))
         total += part.dim
@@ -611,23 +692,6 @@ def validate_bimodule(m: bimod.Bimodule) -> None:
         raise ValidationError("left and right actions do not commute")
 
 
-def validate_bimodule_map(fmap: bimod.BimoduleMap) -> None:
-    """``BimoduleMap.validate`` with commutation checked against the action of
-    every basis element of both algebras."""
-    f = fmap.source.field
-    m = fmap.matrix
-    if m.shape != (fmap.target.dim, fmap.source.dim):
-        raise ValidationError("bimodule map has the wrong shape")
-    for name, src_act, tgt_act in (
-        ("left", fmap.source.left_action, fmap.target.left_action),
-        ("right", fmap.source.right_action, fmap.target.right_action),
-    ):
-        lhs = f.contract("pq,aqr->apr", m, src_act)
-        rhs = f.contract("apq,qr->apr", tgt_act, m)
-        if not np.array_equal(lhs, rhs):
-            raise ValidationError(f"map does not commute with the {name} action")
-
-
 def regular(a: galg.Algebra) -> bimod.Bimodule:
     """The algebra as a bimodule over itself by multiplication, validated;
     its actions are the algebra's read-only multiplication tensors."""
@@ -699,12 +763,14 @@ def kron_intertwiners(f: PrimeField, pairs, dm: int, dn: int) -> np.ndarray:
 
 
 def kron_tensor_over(m: bimod.Bimodule, n: bimod.Bimodule):
-    """``bimod.tensor_over`` with each outer action induced separately from
-    its Kronecker matrix on M ox_k N."""
+    """M ox_B N as the quotient bimodule of M ox_k N by the whole-basis
+    balancing relations, with its presentation (``quotient``): each outer
+    action is induced separately from its Kronecker matrix on M ox_k N, and
+    the module is validated on the whole basis."""
     f = m.field
     eye_m, eye_n = f.eye(m.dim), f.eye(n.dim)
     relations = balancing_relations(m, n)
-    pres = f.quotient(relations)
+    pres = quotient(relations)
     proj, sect = pres.projection, pres.section
 
     def induced(ambient_ops):
@@ -729,14 +795,14 @@ def kron_tensor_over(m: bimod.Bimodule, n: bimod.Bimodule):
     return module, pres
 
 
-def loop_mult_forward(rg, pres, m: bimod.Bimodule, n: bimod.Bimodule,
+def loop_mult_forward(rg, m: bimod.Bimodule, n: bimod.Bimodule,
                       target: bimod.Bimodule) -> np.ndarray:
     """Matrix of ``bimod._mult_forward``, filled one product of basis vectors
     at a time."""
     f = rg.field
     sc = rg.algebra.sc
     tgt_idx = {int(pidx): pos for pos, pidx in enumerate(target.parent_indices)}
-    amb = f.zeros((target.dim, pres.ambient_dim))
+    amb = f.zeros((target.dim, m.dim * n.dim))
     for i, pi in enumerate(m.parent_indices):
         for j, pj in enumerate(n.parent_indices):
             prod = sc[pi, pj]
@@ -744,25 +810,23 @@ def loop_mult_forward(rg, pres, m: bimod.Bimodule, n: bimod.Bimodule,
                 if int(kk) not in tgt_idx:
                     raise ValidationError("product leaves the target carrier")
                 amb[tgt_idx[int(kk)], i * n.dim + j] = prod[kk]
-    if pres.sub.dim and f.matmul(amb, pres.sub.basis.T).any():
-        raise ValidationError("multiplication does not kill the balancing relations")
-    return f.matmul(amb, pres.section)
+    return amb
 
 
-def per_vector_psi_matrix(rg, pres, m: bimod.Bimodule, n: bimod.Bimodule,
+def per_vector_psi_matrix(rg, m: bimod.Bimodule, n: bimod.Bimodule,
                           source: bimod.Bimodule, degree_for) -> np.ndarray:
     """``bimod._psi_matrix`` with a unit decomposition solved for each source
     basis vector and its column summed pair by pair."""
     f = rg.field
     mpos = {int(pi): i for i, pi in enumerate(m.parent_indices)}
     npos = {int(pj): j for j, pj in enumerate(n.parent_indices)}
-    amb_cols = f.zeros((pres.ambient_dim, source.dim))
+    amb_cols = f.zeros((m.dim * n.dim, source.dim))
     for y, py in enumerate(source.parent_indices):
         x = int(rg.grading[py])
         dec = galg.unit_decomposition(rg, degree_for(x))
         basis_vec = f.zeros(rg.dim)
         basis_vec[py] = 1
-        col = f.zeros(pres.ambient_dim)
+        col = f.zeros(m.dim * n.dim)
         for av, bv in dec.pairs:
             br = rg.algebra.multiply(bv, basis_vec)
             left = f.zeros(m.dim)
@@ -777,17 +841,17 @@ def per_vector_psi_matrix(rg, pres, m: bimod.Bimodule, n: bimod.Bimodule,
                 rightv[npos[int(pidx)]] = br[pidx]
             col = (col + np.outer(left, rightv).reshape(-1)) % f.p
         amb_cols[:, y] = col
-    return f.matmul(pres.projection, amb_cols)
+    return amb_cols
 
 
-def per_decomposition_psi_matrix(rg, pres, m: bimod.Bimodule, n: bimod.Bimodule,
+def per_decomposition_psi_matrix(rg, m: bimod.Bimodule, n: bimod.Bimodule,
                                  source: bimod.Bimodule, decs) -> np.ndarray:
     """``bimod._psi_matrix`` with the source basis vectors that share a
     decomposition pushed through together, one decomposition at a time."""
     f = rg.field
     first = {}
     owner = np.array([first.setdefault(id(dec), y) for y, dec in enumerate(decs)], dtype=np.int64)
-    amb_cols = f.zeros((pres.ambient_dim, source.dim))
+    amb_cols = f.zeros((m.dim * n.dim, source.dim))
     for y0 in first.values():
         ys = np.flatnonzero(owner == y0)
         a = np.stack([av for av, _ in decs[y0].pairs])
@@ -799,5 +863,35 @@ def per_decomposition_psi_matrix(rg, pres, m: bimod.Bimodule, n: bimod.Bimodule,
         if br[:, :, bimod._outside(rg, n.parent_indices)].any():
             raise ValidationError("unit decomposition leaves the right carrier")
         cols = f.contract("ki,kyj->ijy", a[:, m.parent_indices], br[:, :, n.parent_indices])
-        amb_cols[:, ys] = cols.reshape(pres.ambient_dim, len(ys))
-    return f.matmul(pres.projection, amb_cols)
+        amb_cols[:, ys] = cols.reshape(m.dim * n.dim, len(ys))
+    return amb_cols
+
+
+def validate_mult_iso(m: bimod.Bimodule, n: bimod.Bimodule, iso: bimod.MultIso) -> None:
+    """``bimod._verify_mult_iso`` with every basis element of both outer
+    algebras, one at a time, acting on M ox_k N through its Kronecker matrix
+    a ox 1 or 1 ox c; the checks run in ``_verify_mult_iso``'s order."""
+    f, carrier, rel = m.field, iso.carrier, iso.relations
+    if not (m.left.structurally_equal(carrier.left)
+            and n.right.structurally_equal(carrier.right)):
+        raise ValidationError("source and target are over different algebras")
+    fwd, inv = iso.forward, iso.inverse
+    if rel.dim and f.matmul(fwd, rel.basis.T).any():
+        raise ValidationError("multiplication does not kill the balancing relations")
+    eye_m, eye_n = f.eye(m.dim), f.eye(n.dim)
+    outer = (("left", [f.kronecker(x, eye_n) for x in m.left_action], carrier.left_action),
+             ("right", [f.kronecker(eye_m, x) for x in n.right_action], carrier.right_action))
+    for name, ops, acts in outer:
+        for op, act in zip(ops, acts):
+            if not np.array_equal(f.matmul(fwd, op), f.matmul(act, fwd)):
+                raise ValidationError(f"map does not commute with the {name} action")
+    for name, ops, acts in outer:
+        for op, act in zip(ops, acts):
+            moved = (f.matmul(op, inv) - f.matmul(inv, act)) % f.p
+            if rel.reduce_rows(moved.T).any():
+                raise ValidationError(f"map does not commute with the {name} action")
+    if not np.array_equal(f.matmul(fwd, inv), f.eye(carrier.dim)):
+        raise ValidationError("multiplication map and its inverse do not compose to id")
+    moved = (f.matmul(inv, fwd) - f.eye(m.dim * n.dim)) % f.p
+    if rel.reduce_rows(moved.T).any():
+        raise ValidationError("inverse and multiplication map do not compose to id")

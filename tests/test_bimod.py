@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import json
 import pathlib
 import zlib
@@ -108,7 +109,8 @@ def test_tensor_unit_constraints(ks3_p2):
     h = groups.subgroup_generated(grp, [involution(grp)])
     m = bimod.side_restricted(ks3_p2, h, full)
     a_reg = oracles.regular(m.left)
-    prod, pres = bimod.tensor_over(a_reg, m)
+    prod, pres = oracles.kron_tensor_over(a_reg, m)
+    assert pres.sub == bimod.tensor_over(a_reg, m)
     assert prod.dim == m.dim
     # multiplication map is an isomorphism
     f = ks3_p2.field
@@ -117,18 +119,19 @@ def test_tensor_unit_constraints(ks3_p2):
         for j in range(m.dim):
             amb[:, i * m.dim + j] = m.left_action[i][:, j]
     mat = f.matmul(amb, pres.section)
-    fwd = bimod.BimoduleMap(prod, m, mat)
+    fwd = oracles.BimoduleMap(prod, m, mat)
     fwd.validate()
     assert oracles.is_isomorphism(fwd)
 
     b_reg = oracles.regular(m.right)
-    prod2, pres2 = bimod.tensor_over(m, b_reg)
+    prod2, pres2 = oracles.kron_tensor_over(m, b_reg)
+    assert pres2.sub == bimod.tensor_over(m, b_reg)
     assert prod2.dim == m.dim
     amb2 = f.zeros((m.dim, pres2.ambient_dim))
     for i in range(m.dim):
         for j in range(b_reg.dim):
             amb2[:, i * b_reg.dim + j] = m.right_action[j][:, i]
-    fwd2 = bimod.BimoduleMap(prod2, m, f.matmul(amb2, pres2.section))
+    fwd2 = oracles.BimoduleMap(prod2, m, f.matmul(amb2, pres2.section))
     fwd2.validate()
     assert oracles.is_isomorphism(fwd2)
 
@@ -140,7 +143,7 @@ def test_tensor_dimension_count_double_coset(ks3_p2):
     meet = groups.intersect(h, groups.conjugate_subgroup(g, h))
     assert meet.order == 1
     iso = bimod.mult_iso_double_coset(ks3_p2, h, g, h)
-    assert iso.tensor_module.dim == 4
+    assert iso.relations.ambient_dim - iso.relations.dim == 4
     assert iso.carrier.dim == 4
 
 
@@ -152,10 +155,13 @@ def test_tensor_associativity(ks3_p2):
     l = bimod.side_restricted(ks3_p2, h, h)
     m = bimod.side_restricted(ks3_p2, h, full)
     n = bimod.side_restricted(ks3_p2, full, h)
-    lm, lm_pres = bimod.tensor_over(l, m)
-    lm_n, lmn_pres = bimod.tensor_over(lm, n)
-    mn, mn_pres = bimod.tensor_over(m, n)
-    l_mn, lmn2_pres = bimod.tensor_over(l, mn)
+    lm, lm_pres = oracles.kron_tensor_over(l, m)
+    lm_n, lmn_pres = oracles.kron_tensor_over(lm, n)
+    mn, mn_pres = oracles.kron_tensor_over(m, n)
+    l_mn, lmn2_pres = oracles.kron_tensor_over(l, mn)
+    for (a, b), pres in (((l, m), lm_pres), ((lm, n), lmn_pres), ((m, n), mn_pres),
+                         ((l, mn), lmn2_pres)):
+        assert pres.sub == bimod.tensor_over(a, b)
     assert lm_n.dim == l_mn.dim
     # canonical map (l ox m) ox n -> l ox (m ox n) through the presentations
     dl, dm, dn = l.dim, m.dim, n.dim
@@ -181,7 +187,7 @@ def test_tensor_associativity(ks3_p2):
                         + f.matmul(mn_pres.projection, mnvec)
                     ) % f.p
         cols[:, q] = f.matmul(lmn2_pres.projection, acc)
-    fwd = bimod.BimoduleMap(lm_n, l_mn, cols)
+    fwd = oracles.BimoduleMap(lm_n, l_mn, cols)
     fwd.validate()
     assert oracles.is_isomorphism(fwd)
 
@@ -279,12 +285,12 @@ def test_mult_iso_all_instances_s3(p):
         for h in subs:
             for g in groups.double_coset_reps(k, h):
                 iso = bimod.mult_iso_double_coset(rg, k, g, h)
-                assert oracles.is_isomorphism(iso.forward)
+                assert oracles.induces_isomorphism(iso)
     h = groups.subgroup_generated(grp, [involution(grp)])
     for g in range(6):
         for h_elt in range(6):
             iso = bimod.mult_iso_conjugate_chain(rg, g, h_elt, h)
-            assert oracles.is_isomorphism(iso.forward)
+            assert oracles.induces_isomorphism(iso)
 
 
 @pytest.mark.parametrize(
@@ -338,15 +344,16 @@ def test_mult_iso_example_instance(ex11):
     for k_sub in (h, triv):
         for g in groups.double_coset_reps(k_sub, h):
             iso = bimod.mult_iso_double_coset(ex11, k_sub, g, h)
-            assert oracles.is_isomorphism(iso.forward)
+            assert oracles.induces_isomorphism(iso)
     for g in range(2):
         for he in range(2):
             iso = bimod.mult_iso_conjugate_chain(ex11, g, he, h)
-            assert oracles.is_isomorphism(iso.forward)
+            assert oracles.induces_isomorphism(iso)
 
 
 def test_psi_independent_of_unit_decomposition(ex11, monkeypatch):
-    # two distinct unit decompositions induce the same map into the quotient
+    # two distinct unit decompositions give inverses on M ox_k N that differ
+    # by relations only, so they induce the same map into M ox_B N
     grp = ex11.group
     h = groups.full_subgroup(grp)
     base = bimod.mult_iso_conjugate_chain(ex11, 1, 0, h)
@@ -371,7 +378,9 @@ def test_psi_independent_of_unit_decomposition(ex11, monkeypatch):
     # new key and reach the build, not be answered by the cached entry
     assert alt is not base
     assert used and all(dec is variant for dec in used)
-    assert np.array_equal(base.inverse.matrix, alt.inverse.matrix)
+    assert alt.relations is base.relations
+    diff = (base.inverse - alt.inverse) % ex11.field.p
+    assert diff.any() and not base.relations.reduce_rows(diff.T).any()
 
 
 def test_direct_sum(ks3_p2):
@@ -439,15 +448,14 @@ def test_mult_forward_rejects_a_product_outside_the_target(ks3_p2):
     h = groups.subgroup_generated(grp, [involution(grp)])
     g = next(x for x in range(1, 6) if x not in h.elements)
     left_mod, right_mod = _double_coset_factors(ks3_p2, h, g, h)
-    module, pres = bimod.tensor_over(left_mod, right_mod)
     wrong = bimod.truncation(ks3_p2, h, 0, h)     # HH, disjoint from HgH
     with pytest.raises(ValidationError, match="product leaves the target carrier"):
-        bimod._mult_forward(ks3_p2, module, pres, left_mod, right_mod, wrong)
+        bimod._mult_forward(ks3_p2, left_mod, right_mod, wrong)
 
 
 def test_mult_forward_rejects_relations_it_does_not_kill(ks3_p2):
-    # a presentation whose relations contain e_0 ox e_0, which multiplies
-    # to a group element, not to zero
+    # relations that contain e_0 ox e_0, which multiplies to a group element,
+    # not to zero
     from gradedhh.errors import ValidationError
     from gradedhh.exactfield import subspace_from_rows
 
@@ -455,13 +463,13 @@ def test_mult_forward_rejects_relations_it_does_not_kill(ks3_p2):
     h = groups.subgroup_generated(grp, [involution(grp)])
     g = next(x for x in range(1, 6) if x not in h.elements)
     left_mod, right_mod = _double_coset_factors(ks3_p2, h, g, h)
-    module, _ = bimod.tensor_over(left_mod, right_mod)
+    iso = bimod.mult_iso_double_coset(ks3_p2, h, g, h)
     f = ks3_p2.field
     amb = left_mod.dim * right_mod.dim
-    bad = f.quotient(subspace_from_rows(f, f.eye(amb)[:1], ambient_dim=amb))
-    carrier = bimod.truncation(ks3_p2, h, g, h)
-    with pytest.raises(ValidationError, match="multiplication does not kill the balancing"):
-        bimod._mult_forward(ks3_p2, module, bad, left_mod, right_mod, carrier)
+    bad = dataclasses.replace(iso, relations=subspace_from_rows(f, f.eye(amb)[:1], ambient_dim=amb))
+    for check in (bimod._verify_mult_iso, oracles.validate_mult_iso):
+        with pytest.raises(ValidationError, match="multiplication does not kill the balancing"):
+            check(left_mod, right_mod, bad)
 
 
 @pytest.mark.parametrize("side,k_full,forced", [
@@ -499,9 +507,9 @@ def _same_bytes(x, y):
 
 @pytest.mark.parametrize("spec", ["s3_p2", "c2xc2_p2", "matrix_crossed_c2_p2"])
 def test_mult_iso_matches_per_element_oracle(spec, monkeypatch):
-    # every instance lemma2 checks: the tensor product's actions, the
-    # multiplication map and its inverse equal the Kronecker / loop /
-    # per-vector constructions array for array
+    # every instance lemma2 checks: the relations, the multiplication map and
+    # its inverse equal the whole-basis / loop / per-vector constructions
+    # array for array, and pass the whole-basis check
     rg = _load(spec)
     grp = rg.group
     seen = []
@@ -524,17 +532,17 @@ def test_mult_iso_matches_per_element_oracle(spec, monkeypatch):
                 bimod.mult_iso_conjugate_chain(rg, g, he, h)
     assert len(seen) == len(subs) ** 2 * grp.order + len(subs) * grp.order ** 2
     for (_, left_mod, right_mod, carrier, degree_for), iso in seen:
-        module, pres = oracles.kron_tensor_over(left_mod, right_mod)
-        assert _same_bytes(iso.tensor_module.left_action, module.left_action)
-        assert _same_bytes(iso.tensor_module.right_action, module.right_action)
-        assert _same_bytes(iso.forward.matrix,
-                           oracles.loop_mult_forward(rg, pres, left_mod, right_mod, carrier))
-        assert _same_bytes(iso.inverse.matrix, oracles.per_vector_psi_matrix(
-            rg, pres, left_mod, right_mod, carrier, degree_for))
+        want = oracles.balancing_relations(left_mod, right_mod)
+        assert iso.relations == want and _same_bytes(iso.relations.basis, want.basis)
+        assert _same_bytes(iso.forward,
+                           oracles.loop_mult_forward(rg, left_mod, right_mod, carrier))
+        assert _same_bytes(iso.inverse, oracles.per_vector_psi_matrix(
+            rg, left_mod, right_mod, carrier, degree_for))
         decs = [galg.unit_decomposition(rg, degree_for(int(x)))
                 for x in rg.grading[carrier.parent_indices]]
-        assert _same_bytes(iso.inverse.matrix, oracles.per_decomposition_psi_matrix(
-            rg, pres, left_mod, right_mod, carrier, decs))
+        assert _same_bytes(iso.inverse, oracles.per_decomposition_psi_matrix(
+            rg, left_mod, right_mod, carrier, decs))
+        oracles.validate_mult_iso(left_mod, right_mod, iso)
     if spec == "matrix_crossed_c2_p2":
         # components of dimension 4: one decomposition serves four vectors
         assert all(len(rg.component_indices(x)) == 4 for x in range(grp.order))
@@ -565,29 +573,26 @@ def test_intertwiners_and_tensor_match_kronecker_oracle_with_zero_modules(ks3_p2
                                left_action=f.zeros((m.left.dim, 0, 0)),
                                right_action=f.zeros((m.right.dim, 0, 0)))
     for a, b in ((m, m), (zero_left, m), (m, zero_left)):
-        module, pres = bimod.tensor_over(a, b)
-        want, want_pres = oracles.kron_tensor_over(a, b)
-        assert module.dim == want.dim == (0 if 0 in (a.dim, b.dim) else module.dim)
-        assert _same_bytes(module.left_action, want.left_action)
-        assert _same_bytes(module.right_action, want.right_action)
-        assert _same_bytes(pres.projection, want_pres.projection)
+        rel = bimod.tensor_over(a, b)
+        want = oracles.balancing_relations(a, b)
+        assert rel == want and _same_bytes(rel.basis, want.basis)
+        module, _ = oracles.kron_tensor_over(a, b)
+        assert module.dim == rel.ambient_dim - rel.dim == (0 if 0 in (a.dim, b.dim) else module.dim)
 
 
 # -- the carrier, tensor-product and unit-decomposition caches ----------------
 
 
 def _iso_arrays(iso):
-    return [iso.tensor_module.left_action, iso.tensor_module.right_action,
-            iso.tensor.projection, iso.tensor.section, iso.tensor.sub.basis,
-            iso.carrier.left_action, iso.carrier.right_action, iso.carrier.parent_indices,
-            iso.forward.matrix, iso.inverse.matrix]
+    return [iso.relations.basis, iso.carrier.left_action, iso.carrier.right_action,
+            iso.carrier.parent_indices, iso.forward, iso.inverse]
 
 
 @pytest.mark.parametrize("spec", ["s3_p2", "s3_p3", "c2xc2_p2", "matrix_crossed_c2_p2"])
 def test_lemma2_caches_equal_fresh_builds(spec, monkeypatch, capsys):
     # every carrier, tensor product, splitting and multiplication isomorphism
     # that lemma2 gets, from a cache or not, equals one built afresh on a newly
-    # loaded algebra, and the tensor product its Kronecker oracle, array for array
+    # loaded algebra, and the relations their whole-basis oracle, array for array
     built = {name: getattr(bimod, name) for name in (
         "graded_carrier", "tensor_over", "is_projective",
         "mult_iso_double_coset", "mult_iso_conjugate_chain")}
@@ -624,14 +629,10 @@ def test_lemma2_caches_equal_fresh_builds(spec, monkeypatch, capsys):
         new = fresh(rg, cached)
         for name in ("left_action", "right_action", "parent_indices"):
             assert _same_bytes(getattr(cached, name), getattr(new, name))
-    for m, n, (module, pres) in tensors.values():
+    for m, n, rel in tensors.values():
         fm, fn = fresh(rg, m), fresh(rg, n)
-        for new, new_pres in (built["tensor_over"](fm, fn), oracles.kron_tensor_over(fm, fn)):
-            assert _same_bytes(module.left_action, new.left_action)
-            assert _same_bytes(module.right_action, new.right_action)
-            for name in ("projection", "section"):
-                assert _same_bytes(getattr(pres, name), getattr(new_pres, name))
-            assert _same_bytes(pres.sub.basis, new_pres.sub.basis)
+        for new in (built["tensor_over"](fm, fn), oracles.balancing_relations(fm, fn)):
+            assert rel == new and _same_bytes(rel.basis, new.basis)
     # one newly loaded algebra per instance, so that no cache can answer
     for name, args, out in results:
         rg = _load(spec)
@@ -676,9 +677,8 @@ def test_cached_arrays_are_read_only(ks3_p2):
     dec = galg.unit_decomposition(ks3_p2, g)
     split = bimod.is_projective(iso.carrier, "right")
     arrays = [iso.carrier.left_action, iso.carrier.right_action, iso.carrier.parent_indices,
-              iso.tensor_module.left_action, iso.tensor_module.right_action,
-              iso.tensor.projection, iso.tensor.section, dec.pairs[0][0], dec.pairs[0][1],
-              iso.forward.matrix, iso.inverse.matrix, split.generated_by, split.splitting]
+              iso.relations.basis, dec.pairs[0][0], dec.pairs[0][1],
+              iso.forward, iso.inverse, split.generated_by, split.splitting]
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr.flat[0] = 1
@@ -711,8 +711,9 @@ def test_lemma2_builds_each_isomorphism_and_splitting_once_per_input(monkeypatch
                                                                       tmp_path):
     # D4 over F_2: the 1,440 isomorphism instances of parts b and c need 595
     # builds (one tensor_over call each), of 68 distinct tensor products (one
-    # relation space each), and 171 distinct pairs of matrices (two map
-    # validations each); the 195 carriers have 78 distinct contents (one
+    # relation space each), and 213 distinct pairs of matrices on M ox_k N
+    # (one verification each; 171 on the quotients, where inverses that
+    # differ by relations coincide); the 195 carriers have 78 distinct contents (one
     # module validation each); the 200 projectivity checks of part a need 52
     # splittings (one hom basis each), one per distinct module content
     counts = {}
@@ -726,10 +727,9 @@ def test_lemma2_builds_each_isomorphism_and_splitting_once_per_input(monkeypatch
         monkeypatch.setattr(owner, name, wrapper)
 
     for name in ("_build_mult_iso", "tensor_over", "is_projective", "module_hom_basis",
-                 "subspace_from_rows"):
+                 "subspace_from_rows", "_verify_mult_iso"):
         counting(bimod, name, name)
-    for cls in (bimod.Bimodule, bimod.BimoduleMap):
-        counting(cls, "validate", f"{cls.__name__}.validate")
+    counting(bimod.Bimodule, "validate", "Bimodule.validate")
     spec = tmp_path / "d4_p2.json"
     spec.write_text(json.dumps({"field": {"p": 2}, "group": {"kind": "dihedral", "n": 4},
                                 "algebra": {"kind": "group_algebra"}}))
@@ -737,7 +737,7 @@ def test_lemma2_builds_each_isomorphism_and_splitting_once_per_input(monkeypatch
     capsys.readouterr()
     assert counts == {"_build_mult_iso": 1440, "tensor_over": 595, "subspace_from_rows": 68,
                       "is_projective": 200, "module_hom_basis": 52,
-                      "Bimodule.validate": 78, "BimoduleMap.validate": 342}
+                      "Bimodule.validate": 78, "_verify_mult_iso": 213}
 
 
 def test_mult_isos_of_equal_content_at_other_indices_are_built_apart(monkeypatch):
@@ -755,13 +755,13 @@ def test_mult_isos_of_equal_content_at_other_indices_are_built_apart(monkeypatch
                         lambda *args: builds.append(args) or forward(*args))
     isos = {(g, h): bimod.mult_iso_conjugate_chain(tw, g, h, triv)
             for g in range(2) for h in range(2)}
-    mods = [m for iso in isos.values() for m in (iso.carrier, iso.tensor_module)]
+    mods = [m for args in builds for m in args[1:]]
     assert len({bimod.content(m) for m in mods}) == 1
     assert len(builds) == 4 and len({id(iso) for iso in isos.values()}) == 4
     for (g, h), iso in isos.items():
         assert iso.carrier.parent_indices.tolist() == [tw.group.mul(g, h)]
-        assert iso.forward.matrix.tolist() == [[2 if g == h == 1 else 1]]
-        assert iso.inverse.matrix.tolist() == [[2 if g == h == 1 else 1]]
+        assert iso.forward.tolist() == [[2 if g == h == 1 else 1]]
+        assert iso.inverse.tolist() == [[2 if g == h == 1 else 1]]
     # a second round is answered from the cache
     for (g, h), iso in isos.items():
         assert bimod.mult_iso_conjugate_chain(tw, g, h, triv) is iso
@@ -782,11 +782,15 @@ def test_crc_collisions_keep_contents_and_isomorphisms_apart(spec, capsys):
                 mp.setattr(zlib, "crc32", lambda *args: 0)
             content = bimod.content
             mp.setattr(bimod, "content", lambda m: taken.append(m) or content(m))
-            for cls in (bimod.Bimodule, bimod.BimoduleMap):
-                def counted(self, validate=cls.validate, name=cls.__name__):
-                    counts[name] += 1
-                    validate(self)
-                mp.setattr(cls, "validate", counted)
+            validate, verify = bimod.Bimodule.validate, bimod._verify_mult_iso
+
+            def counted(self):
+                counts["Bimodule.validate"] += 1
+                validate(self)
+
+            mp.setattr(bimod.Bimodule, "validate", counted)
+            mp.setattr(bimod, "_verify_mult_iso",
+                       lambda *args: counts.update(["_verify_mult_iso"]) or verify(*args))
             assert cli.main(["lemma2", "--spec", str(SPECS / f"{spec}.json"),
                              "--format", "json"]) == 0
         runs.append((capsys.readouterr().out, counts, taken))
@@ -813,15 +817,15 @@ def test_one_content_with_other_matrices_is_verified_apart_under_crc_collision(m
     tw = galg.crossed_product(groups.cyclic(2), galg.matrix_algebra(f3, 1), cocycle=coc)
     triv = groups.trivial_subgroup(tw.group)
     checked = []
-    validate = bimod.BimoduleMap.validate
-    monkeypatch.setattr(bimod.BimoduleMap, "validate",
-                        lambda self: checked.append(self.matrix.tolist()) or validate(self))
+    verify = bimod._verify_mult_iso
+    monkeypatch.setattr(bimod, "_verify_mult_iso", lambda m, n, iso: checked.append(
+        (iso.forward.tolist(), iso.inverse.tolist())) or verify(m, n, iso))
     for g in range(2):
         for h in range(2):
             iso = bimod.mult_iso_conjugate_chain(tw, g, h, triv)
-            assert iso.forward.matrix.tolist() == [[2 if g == h == 1 else 1]]
-            assert iso.inverse.matrix.tolist() == [[2 if g == h == 1 else 1]]
-    assert sorted(checked) == [[[1]], [[1]], [[2]], [[2]]]
+            assert iso.forward.tolist() == [[2 if g == h == 1 else 1]]
+            assert iso.inverse.tolist() == [[2 if g == h == 1 else 1]]
+    assert sorted(checked) == [([[1]], [[1]]), ([[2]], [[2]])]
 
 
 # -- the generator checks against the whole-basis oracles ---------------------
@@ -839,16 +843,15 @@ def _d4_spec(tmp_path):
     for spec in [*sorted(p.stem for p in SPECS.glob("*.json")), "d4_p2"]
 ], ids="-".join)
 def test_generator_checks_agree_with_whole_basis_oracles(run, monkeypatch, capsys, tmp_path):
-    # every module and map validated, and every relation space, tensor
-    # product and hom basis built by the run, passes the whole-basis check or
-    # equals the whole-basis construction; so does every tensor module, which
-    # tensor_over does not validate.  verify builds no tensor product, and the
-    # counit and Casimir unit of every transfer it builds pass the
-    # whole-basis checks
+    # every module validated, and every relation space, tensor product and
+    # hom basis built by the run, passes the whole-basis check or equals the
+    # whole-basis construction; so does every multiplication isomorphism
+    # lemma2 builds.  verify builds no tensor product, and the counit and
+    # Casimir unit of every transfer it builds pass the whole-basis checks
     command, spec = run
-    modules, maps, tensors, relations, homs, transfers = {}, {}, {}, {}, {}, {}
+    modules, isos, tensors, relations, homs, transfers = {}, {}, {}, {}, {}, {}
     calls = collections.Counter()
-    validate_module, validate_map = bimod.Bimodule.validate, bimod.BimoduleMap.validate
+    validate_module, build_mult_iso = bimod.Bimodule.validate, bimod._build_mult_iso
     tensor_over, module_hom_basis = bimod.tensor_over, bimod.module_hom_basis
     balancing_relations, transfer_data = bimod.balancing_relations, hh.transfer_data
 
@@ -856,9 +859,10 @@ def test_generator_checks_agree_with_whole_basis_oracles(run, monkeypatch, capsy
         validate_module(self)
         modules[id(self)] = self
 
-    def recording_map(self):
-        validate_map(self)
-        maps[id(self)] = self
+    def recording_iso(rg, m, n, *args):
+        out = build_mult_iso(rg, m, n, *args)
+        isos[id(out)] = (m, n, out)
+        return out
 
     def recording_tensor(m, n):
         calls["tensor_over"] += 1
@@ -882,7 +886,7 @@ def test_generator_checks_agree_with_whole_basis_oracles(run, monkeypatch, capsy
         return out
 
     monkeypatch.setattr(bimod.Bimodule, "validate", recording_module)
-    monkeypatch.setattr(bimod.BimoduleMap, "validate", recording_map)
+    monkeypatch.setattr(bimod, "_build_mult_iso", recording_iso)
     monkeypatch.setattr(bimod, "tensor_over", recording_tensor)
     monkeypatch.setattr(bimod, "balancing_relations", recording_relations)
     monkeypatch.setattr(bimod, "module_hom_basis", recording_homs)
@@ -893,18 +897,17 @@ def test_generator_checks_agree_with_whole_basis_oracles(run, monkeypatch, capsy
     capsys.readouterr()
     assert modules and relations and homs
     if command == "verify":
-        assert calls["tensor_over"] == 0 and not maps and transfers
+        assert calls["tensor_over"] == 0 and not isos and transfers
     else:
-        assert calls["tensor_over"] and maps and not transfers
+        assert calls["tensor_over"] and isos and not transfers
     for m in modules.values():
         oracles.validate_bimodule(m)
-    for fmap in maps.values():
-        oracles.validate_bimodule_map(fmap)
     for m, n, sub in relations.values():
         assert sub == oracles.balancing_relations(m, n)
-    for m, n, (module, pres) in tensors.values():
-        assert pres.sub == oracles.balancing_relations(m, n)
-        oracles.validate_bimodule(module)
+    for m, n, sub in tensors.values():
+        assert sub == oracles.balancing_relations(m, n)
+    for m, n, iso in isos.values():
+        oracles.validate_mult_iso(m, n, iso)
     for m, side, basis in homs.values():
         assert _same_bytes(basis, oracles.module_hom_basis(m, side))
     for data in transfers.values():
@@ -915,12 +918,12 @@ def _algebra(spec):
     return galg.group_algebra(groups.dihedral(4), 2) if spec == "d4_p2" else _load(spec)
 
 
-def _verdict(check, obj):
-    """The message ``check(obj)`` rejects with, or None if it accepts."""
+def _verdict(check, *args):
+    """The message ``check(*args)`` rejects with, or None if it accepts."""
     from gradedhh.errors import ValidationError
 
     try:
-        check(obj)
+        check(*args)
     except ValidationError as exc:
         return str(exc)
     return None
@@ -951,32 +954,68 @@ def test_perturbing_a_non_generator_fails_both_checks_alike(spec):
 
 @pytest.mark.parametrize("spec", ["d4_p2", "s3_p3", "matrix_crossed_c2_p2"])
 def test_perturbing_one_map_entry_fails_both_checks_alike(spec):
+    # one entry of the multiplication map or of its inverse moved: the check
+    # on generators and the whole-basis check reject it with the same message
     rg = _algebra(spec)
     subs = groups.all_subgroups(rg.group)
     f = rg.field
-    rejected = []
+    verdicts = []
     for k in subs:
         for h in subs:
             iso = bimod.mult_iso_double_coset(rg, k, 0, h)
-            for fmap in (iso.forward, iso.inverse):
-                for r, c in ((0, 0), (fmap.matrix.shape[0] - 1, fmap.matrix.shape[1] - 1)):
-                    matrix = fmap.matrix.copy()
-                    matrix[r, c] = (matrix[r, c] + 1) % f.p
-                    bad = bimod.BimoduleMap(fmap.source, fmap.target, matrix)
-                    verdict = _verdict(bimod.BimoduleMap.validate, bad)
-                    assert verdict == _verdict(oracles.validate_bimodule_map, bad)
-                    rejected.append(verdict is not None)
-    # a perturbed map between one-dimensional modules can still be a map
-    assert len(rejected) == 4 * len(subs) ** 2 and sum(rejected) > len(rejected) // 2
+            left_mod, right_mod = _double_coset_factors(rg, k, 0, h)
+            for name in ("forward", "inverse"):
+                matrix = getattr(iso, name)
+                for r, c in ((0, 0), (matrix.shape[0] - 1, matrix.shape[1] - 1)):
+                    moved = matrix.copy()
+                    moved[r, c] = (moved[r, c] + 1) % f.p
+                    bad = dataclasses.replace(iso, **{name: moved})
+                    verdict = _verdict(bimod._verify_mult_iso, left_mod, right_mod, bad)
+                    assert verdict == _verdict(oracles.validate_mult_iso, left_mod, right_mod, bad)
+                    verdicts.append(verdict)
+    # moved off the relations or off a bimodule map, no entry passes, and
+    # the checks before the compositions reject most
+    assert len(verdicts) == 4 * len(subs) ** 2 and None not in verdicts
+    assert {"multiplication does not kill the balancing relations",
+            "map does not commute with the left action"} <= set(verdicts)
+
+
+def test_inverse_is_checked_modulo_the_relations(ks3_p2):
+    # the inverse is a map into M ox_B N: moving one of its columns by a
+    # nonzero relation changes nothing, moving it off the relations fails
+    f = ks3_p2.field
+    full = groups.full_subgroup(ks3_p2.group)
+    h = groups.subgroup_generated(ks3_p2.group, [involution(ks3_p2.group)])
+    left_mod, right_mod = _double_coset_factors(ks3_p2, full, 0, h)
+    iso = bimod.mult_iso_double_coset(ks3_p2, full, 0, h)
+    rel = iso.relations
+    assert rel.dim
+    # a standard basis vector off the pivots has no component in the span
+    off = np.flatnonzero(~np.isin(np.arange(rel.ambient_dim), rel.pivots))[0]
+    verdicts = []
+    for shift in (rel.basis[-1], f.eye(rel.ambient_dim)[off]):
+        inverse = iso.inverse.copy()
+        inverse[:, 0] = (inverse[:, 0] + shift) % f.p
+        bad = dataclasses.replace(iso, inverse=inverse)
+        verdicts.append(_verdict(bimod._verify_mult_iso, left_mod, right_mod, bad))
+        assert verdicts[-1] == _verdict(oracles.validate_mult_iso, left_mod, right_mod, bad)
+    assert verdicts == [None, "map does not commute with the left action"]
 
 
 def test_bimodule_map_needs_the_same_two_algebras(ks3_p2):
+    # the multiplication isomorphism of R_G ox_{R_G} R_G ~ R_G as R_G - R_G
+    # bimodules, checked against the carrier over R_G - R_1 instead
     from gradedhh.errors import ValidationError
 
     grp = ks3_p2.group
     full, triv = groups.full_subgroup(grp), groups.trivial_subgroup(grp)
-    m = bimod.side_restricted(ks3_p2, full, full)
-    n = bimod.side_restricted(ks3_p2, full, triv)
+    left_mod, right_mod = _double_coset_factors(ks3_p2, full, 0, full)
+    iso = bimod.mult_iso_double_coset(ks3_p2, full, 0, full)
+    other = dataclasses.replace(iso, carrier=bimod.side_restricted(ks3_p2, full, triv))
+    for check in (bimod._verify_mult_iso, oracles.validate_mult_iso):
+        with pytest.raises(ValidationError, match="over different algebras"):
+            check(left_mod, right_mod, other)
+        check(left_mod, right_mod, iso)
+    m, n = bimod.side_restricted(ks3_p2, full, full), bimod.side_restricted(ks3_p2, full, triv)
     with pytest.raises(ValidationError, match="over different algebras"):
-        bimod.BimoduleMap(m, n, ks3_p2.field.eye(m.dim)).validate()
-    bimod.BimoduleMap(m, m, ks3_p2.field.eye(m.dim)).validate()
+        oracles.BimoduleMap(m, n, ks3_p2.field.eye(m.dim)).validate()

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import pathlib
@@ -423,6 +424,18 @@ def test_benchmark_tracer_targets_resolve(tmp_path):
         assert counters.get(name, 0) > 0, name
     spans = [trace["names"][span[0]] for span in trace["spans"]]
     assert 0 < spans.count("hh.transfer_data") <= counters["mackey.transfer_for.miss"]
+    # lemma2 reaches the tensor products (their balancing relations) and the
+    # multiplication isomorphisms
+    proc = subprocess.run(
+        [sys.executable, str(root / "bench" / "child.py"), str(sidecar), "1", "--",
+         "lemma2", "--spec", str(SPECS / "c2xc2_p2.json"), "--format", "json"],
+        capture_output=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert json.loads(proc.stdout)["summary"]["failed"] == 0
+    trace = json.loads(sidecar.read_text())
+    assert trace["exit"] == 0
+    spans = collections.Counter(trace["names"][span[0]] for span in trace["spans"])
+    assert 0 < spans["bimod.tensor_over"] <= spans["bimod.mult_iso"], spans
 
 
 def test_verify_and_hh_leave_numpy_ma_unimported():

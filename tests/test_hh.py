@@ -52,7 +52,7 @@ def test_bar_differentials_are_bimodule_maps():
     for n in (1, 2):
         src = oracles.bar_bimodule(c2.algebra, n)
         tgt = oracles.bar_bimodule(c2.algebra, n - 1)
-        bimod.BimoduleMap(src, tgt, oracles.bar_differential(c2.algebra, n)).validate()
+        oracles.BimoduleMap(src, tgt, oracles.bar_differential(c2.algebra, n)).validate()
 
 
 def test_delta_matches_bar_derived_differential():
@@ -243,6 +243,15 @@ def test_maschke_vanishing(kind, p):
     rg = group_algebra(kind, p)
     for n in (1, 2):
         assert hh.cohomology(rg.algebra, n).dim == 0
+
+
+def test_negative_degrees_raise_validation_error():
+    # d ** n with n < 0 is a float, which numpy refused as an array shape
+    a = group_algebra("c2", 2).algebra
+    for build in (lambda: hh.CochainComplex(a).delta(-1), lambda: hh.cohomology(a, -1)):
+        with pytest.raises(ValidationError, match="negative degree"):
+            build()
+    assert hh.cohomology(a, 0).dim == 2
 
 
 def test_cohomology_budget_error():
@@ -842,7 +851,7 @@ def test_perturbed_counit_and_casimir_unit_fail_both_checks_alike(kind, p):
         data = hh.transfer_data(bimod.side_restricted(rg, full, h), s_g, s_h)
         assert _verdict(oracles.validate_transfer_data, data) is None
         da, r = data.m.left.dim, data.m.dim
-        proj = f.quotient(data.relations).projection
+        proj = oracles.quotient(data.relations).projection
         eta = data.eta_raw.copy()
         eta[rng.integers(r * r)] += 1
         for change in (

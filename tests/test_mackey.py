@@ -54,6 +54,18 @@ def test_conjugation_identity_cases(s3_p2):
         assert np.array_equal(mat, np.eye(mat.shape[0], dtype=np.int64))
 
 
+def test_degrees_outside_the_bound_raise_validation_error(s3_p2):
+    from gradedhh.errors import ValidationError
+
+    full = s3_p2.full()
+    for n in (-1, 3):
+        with pytest.raises(ValidationError, match=f"degree {n} is outside 0..2"):
+            s3_p2.map_along(full, 0, full, n)
+        with pytest.raises(ValidationError, match="outside|negative"):
+            s3_p2.verify_axiom("ii", {"H": full.elements}, n)
+    assert s3_p2.verify_axiom("ii", {"H": full.elements}, 2).ok
+
+
 def test_transitivity_chain_s3(s3_p2):
     grp = s3_p2.group
     invol = next(x for x in range(1, 6) if grp.mul(x, x) == 0)
