@@ -15,21 +15,15 @@ eta(1) and eps are held on M ox_k M*, beside the balancing relations of
 M ox_B M* (``bimod.balancing_relations``): the quotient module is never
 built, and every check on them reduces modulo the relations.
 
-The lift is produced degree by degree by the explicit contracting homotopy
-s(m ox w) = sum_j m_j ox phi_j(m) ox w that the dual basis provides, so no
-linear system is solved on the relative complexes.  The lift at degree n
-has dim(A)^n generator images in X_n, of dimension r^2 dim(B)^n, but almost
-all of its coordinates are zero (over every carrier of S3/F_2 at degrees up
-to 3, 5,556 of 2,686,560), so each lift is held as its nonzero entries and
-no dense X_n array is made.  lift(n) is built from the entries of
-lift(n-1): each entry is paired with the nonzeros of the small tensor it
-contracts with (the left action of A, A's structure constants or the dual
-basis; the right action of B or B's structure constants for the
-differential of X), and equal positions are summed mod p after one sort.
-Every step is checked: the Casimir unit is central, each right-hand side is
-a cycle, and the differential of the solution equals the right-hand side
-entry for entry.  A transfer gathers the representatives, the right action
-and the counit at the lift's entries.
+The lift is built degree by degree by the contracting homotopy
+s(m ox w) = sum_j m_j ox phi_j(m) ox w of the dual basis, so no linear
+system is solved on the relative complexes.  Almost every coordinate of a
+lift is zero (over every carrier of S3/F_2 at degrees up to 3, 5,556 of
+2,686,560), so lift(n) is held as its nonzero entries, built from those of
+lift(n-1) by ``_contract``.  Every step is checked: the Casimir unit is
+central, each right-hand side is a cycle, and the differential of the
+solution equals it entry for entry.  A transfer gathers the
+representatives, the right action and the counit at the lift's entries.
 
 A cochain f: A^(ox n) -> A is stored as a (d, d^n) matrix and vectorized
 row-major.  The differential is
@@ -37,24 +31,18 @@ row-major.  The differential is
 + (-1)^{n+1} f(...,a_n) a_{n+1}.
 
 The matrix of delta(n) is d^(n+2) x d^(n+1) but has at most n+2 nonzeros
-per row, so it is never built dense: a ``Differential`` holds its nonzero
-entries, split into the connected components of its nonzero pattern.  They
-are built like the lift, by ``_contract``: the identity entries of C^n meet
-the structure constants once per term of the differential.  On a
-homogeneous basis of a graded algebra every component lies inside one twist
-class, the conjugacy class of deg(out) (deg a_1...a_n)^-1.  The coboundaries
-B = im delta(n-1) are eliminated first; F is the set of non-pivot
-coordinates of their RREF basis.  B lies in the cocycles Z = ker delta(n),
-and a cocycle reduced modulo B is a cocycle supported on F, so Z is the
-direct sum of B and the cocycles supported on F, and HH^n is represented by
-the kernel of delta(n) on the columns F: Z is never eliminated whole.
-Blocks are eliminated one by one, c rows at a time for c kept columns.
-Over F_2 a block's row space is held as packed RREF rows, and each batch is
-packed straight from delta's entries and reduced by XORs of held rows, so
-no int64 batch is made; for p > 2 batches are int64, reduced by products.
-B is kept as one RREF basis per block of delta(n-1), on the block's rows;
-these are disjoint, so reducing by each on its own rows is the reduction
-modulo B's RREF basis, and representatives and class coordinates are those
+per row, so a ``Differential`` holds its nonzero entries, built like the
+lift by ``_contract``, split into the connected components of their
+pattern.  On a homogeneous basis of a graded algebra each component lies
+inside one twist class, the conjugacy class of deg(out) (deg a_1...a_n)^-1.
+The coboundaries B = im delta(n-1) are held as one RREF basis per block of
+delta(n-1), on its rows; F is the set of coordinates that none has as a
+pivot.  B lies in Z = ker delta(n) and Z = B + (cocycles on F), a direct
+sum, so HH^n is represented by the kernel of delta(n) on the columns F.
+Both are row spaces of blocks, the image's of transposed blocks, and one
+loop per field eliminates them all: over F_2 on RREF rows packed 64 entries
+to a word, reduced by XORs, for p > 2 on int64 batches reduced by products.
+The blocks are disjoint, so representatives and class coordinates are those
 of the dense elimination.
 """
 
@@ -66,20 +54,21 @@ import numpy as np
 
 from . import bimod, galg
 from .errors import BudgetError, ValidationError
-from .exactfield import (_SLICE, PrimeField, Subspace, packed_rref, read_only,
-                         subspace_from_rows)
+from .exactfield import PrimeField, Subspace, packed_rref, read_only
 
 DEFAULT_MEMORY_MB = 1024
 # arrays of its input's size that ``PrimeField.rref`` holds at once, at most
 # (the int64 loop for p > 2; the packed F_2 loop holds under three)
 RREF_COPIES = 5
-# packed c-row batches of a block that the F_2 kernel holds at once, at most:
-# the held row space, a batch, its nonzero rows and one temporary of an XOR
+# packed batches of a block that the F_2 row-space loop holds at once, at
+# most: the held row space, a batch, its nonzero rows and one temporary of an XOR
 PACKED_COPIES = 4
-# bytes per entry of a block that the kernel holds while it eliminates the
-# block, at most: the entries' block-local rows, columns and values, over
-# F_2 their bits, and six temporaries of their lookup or of a batch's entries
+# bytes per entry that the row-space loop holds on a block, at most: the
+# entries' positions in delta, block-local rows, columns and values, over
+# F_2 their bits, and five temporaries of their lookup or of a batch's entries
 ENTRY_BYTES = 10 * 8
+# products and outputs that a chunk of ``Differential.images`` forms, at most
+_CHUNK = 2**15
 
 
 def _check_budget(byte_count: int, memory_mb: int, what: str) -> None:
@@ -207,29 +196,18 @@ class Differential:
                   *self.block_rows, *self.block_cols)
         return sum(x.nbytes for x in arrays)
 
-    def _block(self, k: int, kept=None):
-        """Entries of block k on the columns that the mask ``kept`` marks
-        (all by default): block-local row and column indices, values, columns."""
-        part = np.arange(self.offsets[k], self.offsets[k + 1])
-        cols = self.block_cols[k]
-        if kept is not None:
-            part, cols = part[kept[self.cols[part]]], cols[kept[cols]]
-        return (np.searchsorted(self.block_rows[k], self.rows[part]),
-                np.searchsorted(cols, self.cols[part]), self.vals[part], cols)
-
     def images(self, parts):
         """delta of the cochains in ``parts``, pairs (index, rows) whose rows
         are cochains on the ascending columns ``index``, from the nonzero
         entries of both: yields the images of consecutive chunks of each
-        part's rows, in order.  A chunk forms at most ``_SLICE`` products and
-        outputs, or one row, and is dropped with its index arrays before the
-        next is built, so a caller that drops each chunk holds one at a time.
-        delta's columns are sorted once per call, so pass every part to one
-        call."""
+        part's rows, in order.  A chunk forms at most ``_CHUNK`` products and
+        outputs, or one row; a caller that drops each chunk holds one at a
+        time.  delta's columns are sorted once per call, so pass every part
+        to one call."""
         p, height = self.field.p, self.shape[0]
         by_col = np.argsort(self.cols, kind="stable")
         ptr = np.concatenate([[0], np.cumsum(np.bincount(self.cols, minlength=self.shape[1]))])
-        step = max(1, _SLICE // max(height, len(self.rows)))
+        step = max(1, _CHUNK // max(height, len(self.rows)))
         for index, cochains in parts:
             for lo in range(0, len(cochains), step):
                 which, j = np.nonzero(cochains[lo:lo + step])
@@ -246,50 +224,70 @@ class Differential:
                 yield out
                 del out
 
+    def _row_spaces(self, kept, finish, memory_mb: int, what: str) -> list:
+        """One part per block with columns, ``finish(lead, rows, c, cols,
+        check)`` of the row space of the block on the columns the mask
+        ``kept`` marks, or of the transposed block if ``kept`` is None, as
+        ``_rows_packed`` (F_2) or ``_rows_batches`` gives it; ``check``
+        charges bytes beside those held.  Up front and before each block,
+        ``memory_mb`` is charged the differential, the parts so far and the
+        loop: entries at ``ENTRY_BYTES``, ``PACKED_COPIES`` packed or
+        ``RREF_COPIES`` int64 batches of min(c, nr) rows (the rank bound);
+        up front a p > 2 kernel also charges each block's basis, c x c."""
+        p = self.field.p
+        shapes = [(len(r), len(c)) if kept is None else (np.count_nonzero(kept[c]), len(r))
+                  for r, c in zip(self.block_rows, self.block_cols)]
+        loop = [ENTRY_BYTES * e + 8 * min(c, nr) * (
+            PACKED_COPIES * -(-c // 64) if p == 2 else RREF_COPIES * c)
+            for e, (c, nr) in zip(np.diff(self.offsets).tolist(), shapes)]
+        held = self.nbytes + (0 if kept is None else kept.nbytes)
+        bases = sum(8 * c * c for c, _ in shapes) if p > 2 and kept is not None else 0
+        _check_budget(held + max(loop, default=0) + bases, memory_mb, what)
+        parts = []
+        for k, (c, nr) in enumerate(shapes):
+            if not c:
+                continue
+            _check_budget(held + loop[k], memory_mb, what)
+            # the entries part, at rows r and columns q of the matrix eliminated
+            part = np.arange(self.offsets[k], self.offsets[k + 1])
+            r, q, rows, cols = self.rows, self.cols, self.block_rows[k], self.block_cols[k]
+            if kept is None:        # the transpose, its entries by row, then column
+                part = part[np.lexsort((r[part], q[part]))]
+                r, q, rows, cols = q, r, cols, rows
+            else:
+                part, cols = part[kept[q[part]]], cols[kept[cols]]
+            lr, lc = np.searchsorted(rows, r[part]), np.searchsorted(cols, q[part])
+            lead, out = (self._rows_packed if p == 2 else self._rows_batches)(
+                lr, lc, self.vals[part], c, nr)
+            parts.append(finish(lead, out, c, cols, lambda count: _check_budget(
+                held + ENTRY_BYTES * len(lr) + count, memory_mb, what)))
+            held += parts[-1][0].nbytes + parts[-1][1].basis.nbytes
+        return parts
+
     def kernel(self, keep: np.ndarray, memory_mb: int = DEFAULT_MEMORY_MB) -> Subspace:
         """RREF basis of the kernel of delta on the ascending columns
-        ``keep``, in F_p^len(keep).  A block with c kept columns is reduced
-        c rows at a time to the pivot columns ``lead`` of its row space and
-        the row space's entries ``rest`` on the others: over F_2 on packed
-        rows (``_kernel_packed``), for p > 2 on int64 batches
-        (``_kernel_batches``).  Block kernels have disjoint supports, so their
-        rows written in pivot order are the RREF basis of the kernel.
-        ``memory_mb`` bounds the call from real sizes: up front, the
-        differential and the largest block's batches (over F_2 its entries
-        and ``PACKED_COPIES`` packed batches; for p > 2 ``RREF_COPIES`` c x c
-        int64 batches and every block's basis, at most c x c); over F_2 again
-        before each block and before it unpacks; before each block kernel is
-        written; and before the kernel's basis is written."""
-        f, p = self.field, self.field.p
+        ``keep``, in F_p^len(keep): each block's row space on its kept
+        columns (``_row_spaces``), pivots ``lead`` and ``rest`` on the
+        others, gives its kernel; the disjoint block kernels in pivot order
+        are the RREF basis.  Each unpacking and basis is charged first."""
+        f = self.field
         what = f"kernel of the {self.shape[0]} x {self.shape[1]} cochain differential"
         kept = np.zeros(self.shape[1], dtype=bool)
         kept[keep] = True
-        widths = [np.count_nonzero(kept[c]) for c in self.block_cols]
-        packed = [ENTRY_BYTES * (hi - lo) + PACKED_COPIES * 8 * c * -(-c // 64)
-                  for lo, hi, c in zip(self.offsets.tolist(), self.offsets[1:].tolist(), widths)]
-        sizes = [8 * c ** 2 for c in widths]
-        most = max(packed, default=0) if p == 2 else RREF_COPIES * max(sizes, default=0) + sum(sizes)
-        _check_budget(self.nbytes + kept.nbytes + most, memory_mb, what)
-        parts = []
-        for k, nr in enumerate(map(len, self.block_rows)):
-            c = widths[k]
-            if not c:
-                continue
-            held = self.nbytes + kept.nbytes + sum(i.nbytes + sub.basis.nbytes for i, sub in parts)
-            if p == 2:
-                _check_budget(held + packed[k], memory_mb, what)
-            lr, lc, v, cols = self._block(k, kept)
-            held += ENTRY_BYTES * len(lr)
-            if p == 2:
-                lead, rest = self._kernel_packed(lr, lc, v, c, nr, lambda count: _check_budget(
-                    held + count, memory_mb, what))
-            else:
-                lead, rest = self._kernel_batches(lr, lc, v, c, nr)
+
+        def finish(lead, rest, c, cols, check):
+            if f.p == 2:
+                loose = f._free_columns(c, lead)
+                # the packed rows, their unpacked bits, those bits on loose and as int64
+                check(rest.nbytes + len(lead) * (c + 9 * len(loose)))
+                rest = np.unpackbits(rest[:len(lead)].view(np.uint8), axis=1, count=c,
+                                     bitorder="little")[:, loose].astype(np.int64)
             # ``kernel_from_rref``: rest and two temporaries of it, and its
             # basis, which ``subspace_from_rows`` copies, eliminates and copies
-            _check_budget(held + 3 * rest.nbytes + (3 + RREF_COPIES) * 8 * (c - len(lead)) * c,
-                          memory_mb, what)
-            parts.append((np.searchsorted(keep, cols), f.kernel_from_rref(rest, lead, c)))
+            check(3 * rest.nbytes + (3 + RREF_COPIES) * 8 * (c - len(lead)) * c)
+            return np.searchsorted(keep, cols), f.kernel_from_rref(rest, lead, c)
+
+        parts = self._row_spaces(kept, finish, memory_mb, what)
         pivots = np.array([index[q] for index, sub in parts for q in sub.pivots], dtype=np.int64)
         sizes = [sub.basis.nbytes for _, sub in parts]
         _check_budget(self.nbytes + sum(sizes) + 2 * max(sizes, default=0)
@@ -301,20 +299,20 @@ class Differential:
         return Subspace(field=f, ambient_dim=len(keep), basis=basis,
                         pivots=tuple(sorted(pivots.tolist())))
 
-    def _kernel_batches(self, lr, lc, v, c: int, nr: int):
-        """(lead, rest) of a block for ``kernel``, from its entries
-        (block-local rows ``lr`` of ``nr``, columns ``lc`` of ``c``, values
-        ``v``) on int64 batches: a batch is reduced on ``lead`` with one
-        product, ``rref`` runs on that residual alone, and its pivot rows
-        fold back into ``rest`` with one product.  It runs for p > 2, and
-        over F_2 it is the packed loop's oracle in the tests."""
+    def _rows_batches(self, lr, lc, v, c: int, nr: int):
+        """(lead, rest) of a block's row space from its entries (rows ``lr``
+        of ``nr``, ascending, columns ``lc`` of ``c``, values ``v``): pivot
+        columns, and RREF rows on the others, row i with pivot lead[i].  An
+        int64 batch of c rows is reduced on ``lead`` with one product,
+        ``rref`` runs on that residual, and its pivot rows fold back into
+        ``rest`` with one product.  Over F_2 it is the packed loop's oracle."""
         f, p = self.field, self.field.p
         lead, loose, rest = [], np.arange(c), f.zeros((0, c))
         for lo in range(0, nr, c):
             a, b = np.searchsorted(lr, (lo, lo + c))
             batch = f.zeros((min(c, nr - lo), c))
             batch[lr[a:b] - lo, lc[a:b]] = v[a:b]
-            residual = batch[:, loose]
+            residual = batch[:, loose] if lead else batch
             if lead:
                 residual -= f.matmul(batch[:, lead], rest)
                 residual %= p
@@ -331,17 +329,15 @@ class Differential:
                     break
         return lead, rest
 
-    def _kernel_packed(self, lr, lc, v, c: int, nr: int, check):
-        """``_kernel_batches`` over F_2 on rows packed 64 entries to a
-        ``uint64`` word.  The row space is held as RREF rows over all c
-        columns, row i with pivot lead[i].  A batch is packed from the
-        entries of odd value, each entry on a lead column XORs in that
-        column's held row, ``packed_rref`` reduces the residual in place, and
-        each new pivot row is XORed into the held rows that have its bit.
-        ``check`` is given what unpacking the held rows on the other columns
-        holds, before they are unpacked."""
+    def _rows_packed(self, lr, lc, v, c: int, nr: int):
+        """``_rows_batches`` over F_2 on rows packed 64 entries to a
+        ``uint64`` word, as (lead, held): RREF rows over all c columns, row i
+        with pivot lead[i], in min(c, nr) rows (the rank bound).  A batch is
+        packed from the entries of odd value, each entry on a lead column
+        XORs in that column's held row, ``packed_rref`` reduces the residual
+        in place, and each new pivot row is XORed into the held rows."""
         words = -(-c // 64)
-        held = np.zeros((c, words), dtype="<u8")
+        held = np.zeros((min(c, nr), words), dtype="<u8")
         at = np.full(c, -1)                 # held row of each lead column
         lead: list[int] = []
         bit = (v % 2).astype(np.uint64) << (lc & 63).astype(np.uint64)     # 0 if even
@@ -370,29 +366,33 @@ class Differential:
             del batch
             if len(lead) == c:
                 break
-        loose = np.flatnonzero(at < 0)
-        # the packed rows, their unpacked bits, those bits on loose and as int64
-        check(held.nbytes + len(lead) * (c + 9 * len(loose)))
-        bits = np.unpackbits(held[:len(lead)].view(np.uint8), axis=1, count=c, bitorder="little")
-        return lead, bits[:, loose].astype(np.int64)
+        return lead, held
 
     def image(self, memory_mb: int = DEFAULT_MEMORY_MB) -> list[tuple[np.ndarray, Subspace]]:
-        """The column space as one part per block with rows, on disjoint rows:
-        (block rows, RREF basis of the transposed block's row space).
-        ``memory_mb`` bounds the call as for ``kernel``, a block's c x r
-        transpose standing for the batch."""
+        """The column space as one part per block with rows: (block rows,
+        RREF basis of the transposed block's row space, ``_row_spaces``),
+        over F_2 the packed rows unpacked in pivot order, for p > 2 the
+        identity on ``lead`` and ``rest`` on the others.  ``memory_mb`` is
+        also checked before each basis is written, from its rank."""
         f = self.field
         what = f"image of the {self.shape[0]} x {self.shape[1]} cochain differential"
-        sizes = [8 * len(r) * len(c) for r, c in zip(self.block_rows, self.block_cols)]
-        _check_budget(self.nbytes + RREF_COPIES * max(sizes, default=0) + sum(sizes), memory_mb, what)
-        parts = []
-        for k, rows in enumerate(self.block_rows):
-            if len(rows):
-                lr, lc, v, cols = self._block(k)
-                t = f.zeros((len(cols), len(rows)))
-                t[lc, lr] = v
-                parts.append((rows, subspace_from_rows(f, t)))
-        return parts
+
+        def finish(lead, rows, c, block_rows, check):
+            if f.p == 2:
+                # the packed rows in pivot order, their unpacked bits, the basis
+                check(2 * rows.nbytes + 9 * len(lead) * c)
+                basis = np.unpackbits(rows[np.argsort(lead)].view(np.uint8), axis=1, count=c,
+                                      bitorder="little").astype(np.int64)
+            else:
+                check(rows.nbytes + 8 * len(lead) * c)
+                at = np.argsort(np.argsort(lead))       # each row's place in pivot order
+                basis = f.zeros((len(lead), c))
+                basis[at, lead] = 1
+                basis[np.ix_(at, f._free_columns(c, lead))] = rows
+            return block_rows, Subspace(field=f, ambient_dim=c, basis=basis,
+                                        pivots=tuple(sorted(lead)))
+
+        return self._row_spaces(None, finish, memory_mb, what)
 
 
 def _components(rows: np.ndarray, cols: np.ndarray, nrows: int, ncols: int) -> np.ndarray:

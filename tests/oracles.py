@@ -3,15 +3,16 @@
 These deliberately avoid the cochain/transfer pipeline: the truncated
 polynomial algebra dimensions come from its 2-periodic bimodule resolution,
 the degree-0 transfer on group algebras comes from direct summation of
-conjugates over coset representatives, the bar resolution, from which
-the cochain differential is derived, is built from its face maps, the dense
+conjugates over coset representatives, the bar resolution, from which the
+cochain differential is derived, is built from its face maps, the dense
 cochain differential and cohomology are the Kronecker-product construction
-that the sparse complex replaced, the split of HH^n(kG) over conjugacy
-classes is a table of centralizer cohomology, the chain lift is the dense
-array of generator images that the lift held as nonzero entries replaced,
-the image cochains of a transfer are whole-array contractions with that
-array, and the transfer matrix is the loop that pushed one class
-representative at a time through it.
+that the sparse complex replaced, the image of a differential is the dense
+elimination of each transposed block that the row-space loop replaced, the
+split of HH^n(kG) over conjugacy classes is a table of centralizer
+cohomology, the chain lift is the dense array of generator images that the
+lift held as nonzero entries replaced, the image cochains of a transfer are
+whole-array contractions with that array, and the transfer matrix is the
+loop that pushed one class representative at a time through it.
 
 The module also holds what only the tests use: the multiplication matrix
 and the center of an algebra, the conjugacy classes of a group, quotient
@@ -131,6 +132,21 @@ def as_dense(delta, lo: int = 0, hi: int | None = None) -> np.ndarray:
     mine = (delta.rows >= lo) & (delta.rows < hi)
     out[delta.rows[mine] - lo, delta.cols[mine]] = delta.vals[mine]
     return out
+
+
+def dense_image(delta) -> list[tuple[np.ndarray, Subspace]]:
+    """``Differential.image`` by the route it replaced: each block with rows
+    written as its dense int64 transpose and eliminated by
+    ``subspace_from_rows``, one part (block rows, basis) per block."""
+    f, parts = delta.field, []
+    for k, (rows, cols) in enumerate(zip(delta.block_rows, delta.block_cols)):
+        if len(rows):
+            part = slice(delta.offsets[k], delta.offsets[k + 1])
+            t = f.zeros((len(cols), len(rows)))
+            t[np.searchsorted(cols, delta.cols[part]),
+              np.searchsorted(rows, delta.rows[part])] = delta.vals[part]
+            parts.append((rows, subspace_from_rows(f, t)))
+    return parts
 
 
 def dense_delta(a: galg.Algebra, n: int) -> np.ndarray:
@@ -277,11 +293,10 @@ def centralizer(grp: groups.FiniteGroup, g: int) -> groups.FiniteGroup:
     return groups.Subgroup(grp, tuple(elems)).as_group()[0]
 
 
-def twist_class_counts(rg: galg.GradedAlgebra, reps: np.ndarray, n: int) -> dict[int, int]:
-    """Number of HH^n representatives (rows of ``reps``) supported in each
-    twist class of the homogeneous basis of ``rg``, keyed by the class's
-    smallest element; a representative whose support meets two classes fails
-    an assertion."""
+def twist_classes(rg: galg.GradedAlgebra, reps: np.ndarray, n: int) -> list[int]:
+    """The twist class of each HH^n representative (row of ``reps``) of the
+    homogeneous basis of ``rg``, by the class's smallest element; a
+    representative whose support meets two classes fails an assertion."""
     grp, deg = rg.group, rg.grading
     word = np.zeros(1, dtype=np.int64)          # deg(a_1...a_k), C-order
     for _ in range(n):
@@ -290,11 +305,20 @@ def twist_class_counts(rg: galg.GradedAlgebra, reps: np.ndarray, n: int) -> dict
     label = np.zeros(grp.order, dtype=np.int64)
     for cls in conjugacy_classes(grp):
         label[list(cls)] = cls[0]
-    counts = dict.fromkeys(sorted(set(label.tolist())), 0)
+    out = []
     for row in reps:
         hit = sorted(set(label[twist[np.flatnonzero(row)]].tolist()))
         assert len(hit) == 1, f"an HH^{n} representative meets the classes of g = {hit}"
-        counts[hit[0]] += 1
+        out.append(hit[0])
+    return out
+
+
+def twist_class_counts(rg: galg.GradedAlgebra, reps: np.ndarray, n: int) -> dict[int, int]:
+    """Number of HH^n representatives in each twist class (``twist_classes``),
+    keyed by the class's smallest element."""
+    counts = dict.fromkeys(sorted(cls[0] for cls in conjugacy_classes(rg.group)), 0)
+    for g in twist_classes(rg, reps, n):
+        counts[g] += 1
     return counts
 
 

@@ -370,11 +370,11 @@ def test_failed_axiom_text_names_its_maps(monkeypatch, capsys):
 
 
 def test_no_f2_command_reaches_the_int64_elimination_loop(monkeypatch, capsys):
-    # over F_2 every rref and every block kernel runs packed; the int64 panel
-    # and batch loops are only their oracles
+    # over F_2 every rref and every row space of a block (kernel or image)
+    # runs packed; the int64 panel and batch loops are only their oracles
     reached = []
     panels = PrimeField._rref_panels
-    batches = hh.Differential._kernel_batches
+    batches = hh.Differential._rows_batches
 
     def guarded(field, mat, block_size=256):
         if field.p == 2:
@@ -382,14 +382,14 @@ def test_no_f2_command_reaches_the_int64_elimination_loop(monkeypatch, capsys):
             raise AssertionError("F_2 rref reached the int64 loop")
         return panels(field, mat, block_size)
 
-    def guarded_kernel(self, *args):
+    def guarded_rows(self, *args):
         if self.field.p == 2:
-            reached.append(("kernel", args[3]))
-            raise AssertionError("F_2 kernel reached the int64 batch loop")
+            reached.append(("rows", args[3]))
+            raise AssertionError("F_2 row space reached the int64 batch loop")
         return batches(self, *args)
 
     monkeypatch.setattr(PrimeField, "_rref_panels", guarded)
-    monkeypatch.setattr(hh.Differential, "_kernel_batches", guarded_kernel)
+    monkeypatch.setattr(hh.Differential, "_rows_batches", guarded_rows)
     for argv in (["verify", "--spec", str(SPECS / "c2xc2_p2.json"), "--degree", "2"],
                  ["verify", "--spec", str(SPECS / "s3_p2.json"), "--degree", "3"],
                  ["lemma2", "--spec", str(SPECS / "s3_p2.json")]):

@@ -291,7 +291,8 @@ def test_kernel_and_image_peaks_stay_within_their_budget_checks(spec, monkeypatc
         checked.clear()
         added = _added_peak(lambda: hh.CochainComplex(a).delta(n))
         assert added <= max(checked) + OBJECT_SLACK, (n, "delta")
-    for n, method in [(n, "kernel") for n in range(4)] + [(n, "image") for n in range(3)]:
+    images = range(4 if a.field.p == 2 else 3)
+    for n, method in [(n, "kernel") for n in range(4)] + [(n, "image") for n in images]:
         # a kernel keeps the columns that cohomology keeps: those the
         # coboundaries leave free
         args = (hh.cohomology(a, n)._free,) if method == "kernel" else ()
@@ -308,6 +309,42 @@ def test_kernel_and_image_peaks_stay_within_their_budget_checks(spec, monkeypatc
             tracemalloc.stop()
         # what the call added, plus the differential it holds throughout
         assert peak - before + d.nbytes <= max(checked) + OBJECT_SLACK, (n, method)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("shape", [(6, 45), (45, 6), (30, 30)])
+def test_one_block_of_several_batches_matches_the_dense_oracles(p, shape):
+    # a block with more columns than rows is transposed into several batches
+    # for the image (and a tall one into several for the kernel), which no
+    # block of a shipped differential is
+    f = PrimeField(p)
+    rng = np.random.default_rng(sum(shape) + p)
+    dense = rng.integers(0, p, size=shape) * (rng.random(shape) < 0.3)
+    dense[:, 0] = 0                      # a column without entries
+    rows, cols = np.nonzero(dense)
+    d = hh.Differential(field=f, shape=shape, rows=rows, cols=cols, vals=dense[rows, cols],
+                        offsets=np.array([0, len(rows)]), block_rows=(np.unique(rows),),
+                        block_cols=(np.arange(shape[1]),))
+    _assert_same_parts(d.image(), oracles.dense_image(d))
+    assert d.kernel(np.arange(shape[1])) == f.kernel(dense)
+
+
+def test_d4_image_peaks_near_the_bases_it_returns():
+    # the image of D4/F_2 delta(3) holds little beside its result: the packed
+    # loop's rows and the unpacked bits of one block (the dense transposed
+    # route peaked at 1.97 times the bases)
+    d = _d4_delta(3)
+    d.image()                                                   # first-call allocations
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        parts = d.image()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    bases = sum(sub.basis.nbytes for _, sub in parts)
+    assert peak <= 1.25 * bases, (peak, bases)
 
 
 @pytest.mark.parametrize("spec", sorted(p.stem for p in SPECS.glob("*.json")) + ["d4_p2"])
@@ -342,6 +379,20 @@ def _spec_delta(spec, n):
     return hh.CochainComplex(_spec_algebra(spec)).delta(n)
 
 
+@functools.lru_cache(maxsize=None)
+def _d4_delta(n):
+    return hh.CochainComplex(group_algebra("d4", 2).algebra).delta(n)
+
+
+def _assert_same_parts(got, want):
+    """Image parts equal byte for byte: block rows, pivots, basis dtype and bytes."""
+    assert len(got) == len(want)
+    for (rows, sub), (rows_want, sub_want) in zip(got, want):
+        assert np.array_equal(rows, rows_want) and sub == sub_want
+        assert sub.basis.dtype == sub_want.basis.dtype
+        assert sub.basis.tobytes() == sub_want.basis.tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=st.sampled_from([(spec, n) for spec in SPEC_NAMES for n in range(3)] + [("s3_p2", 3)]),
        seed=st.integers(0, 2**32 - 1), share=st.sampled_from([0.0, 0.3, 0.8, 0.95, 1.0]))
@@ -356,19 +407,22 @@ def test_restricted_kernel_matches_dense_oracle(case, seed, share):
 @pytest.mark.parametrize("spec", [spec for spec in SPEC_NAMES if spec.endswith("_p2")] + ["d4"])
 def test_every_f2_elimination_of_cohomology_matches_the_int64_loop(spec, monkeypatch):
     # every elimination that HH^n needs at n <= 3 gives the packed loops'
-    # result under the int64 loops: each block kernel's packed row space
-    # (lead, rest) against the int64 batch loop, and each rref (the image
-    # blocks and the block kernels' bases) against the int64 panel loop
-    kernels, rrefs = [], []
-    packed_kernel, packed_rref = hh.Differential._kernel_packed, PrimeField.rref
+    # result under the int64 loops: each packed row space of a block kernel
+    # or of a transposed image block (lead, and the held rows on the other
+    # columns) against the int64 batch loop, and each rref (the block
+    # kernels' bases) against the int64 panel loop
+    spaces, rrefs = [], []
+    packed_rows, packed_rref = hh.Differential._rows_packed, PrimeField.rref
 
-    def both_kernels(self, lr, lc, v, c, nr, check):
-        lead, rest = packed_kernel(self, lr, lc, v, c, nr, check)
-        lead_int, rest_int = self._kernel_batches(lr, lc, v, c, nr)
-        assert lead == lead_int and rest.dtype == rest_int.dtype
+    def both_loops(self, lr, lc, v, c, nr):
+        lead, held = packed_rows(self, lr, lc, v, c, nr)
+        lead_int, rest_int = self._rows_batches(lr, lc, v, c, nr)
+        bits = np.unpackbits(held[:len(lead)].view(np.uint8), axis=1, count=c, bitorder="little")
+        rest = bits[:, self.field._free_columns(c, lead)].astype(np.int64)
+        assert lead == lead_int and not held[len(lead):].any()
         assert rest.shape == rest_int.shape and rest.tobytes() == rest_int.tobytes()
-        kernels.append((c, nr))
-        return lead, rest
+        spaces.append((c, nr))
+        return lead, held
 
     def both_rrefs(field, mat, block_size=256):
         R, piv = packed_rref(field, mat, block_size)
@@ -377,7 +431,7 @@ def test_every_f2_elimination_of_cohomology_matches_the_int64_loop(spec, monkeyp
         rrefs.append(R.shape)
         return R, piv
 
-    monkeypatch.setattr(hh.Differential, "_kernel_packed", both_kernels)
+    monkeypatch.setattr(hh.Differential, "_rows_packed", both_loops)
     monkeypatch.setattr(PrimeField, "rref", both_rrefs)
     if spec == "d4":
         a = group_algebra("d4", 2).algebra
@@ -385,7 +439,16 @@ def test_every_f2_elimination_of_cohomology_matches_the_int64_loop(spec, monkeyp
         a = galg.algebra_from_spec(json.loads((SPECS / f"{spec}.json").read_text())).algebra
     for n in range(4):
         hh.cohomology(a, n)
-    assert kernels and rrefs
+    assert spaces and rrefs
+
+
+@pytest.mark.parametrize("spec,n", [(spec, n) for spec in SPEC_NAMES for n in range(3)]
+                         + [("s3_p2", 3), ("s3_p3", 3), ("d4", 3)])
+def test_image_matches_the_dense_transposed_oracle(spec, n):
+    # the row-space loop on each transposed block gives the parts of the
+    # dense route byte for byte
+    d = _d4_delta(n) if spec == "d4" else _spec_delta(spec, n)
+    _assert_same_parts(d.image(), oracles.dense_image(d))
 
 
 @pytest.mark.parametrize("spec,n", [(spec, n) for spec in SPEC_NAMES for n in (1, 2)] + [("s3_p2", 3)])
@@ -445,8 +508,8 @@ def test_delta_images_match_dense_product(build, monkeypatch):
             cochains = np.concatenate([cochains, embedded])
         want = _dense_images(d, cochains)
         # at a small slice, one row per chunk and a few products per pass
-        for width in (hh._SLICE, 64) if n < 3 else (hh._SLICE,):
-            monkeypatch.setattr(hh, "_SLICE", width)
+        for width in (hh._CHUNK, 64) if n < 3 else (hh._CHUNK,):
+            monkeypatch.setattr(hh, "_CHUNK", width)
             got = np.concatenate(list(d.images(parts)))
             assert np.array_equal(got, want), (n, width)
         monkeypatch.undo()

@@ -315,6 +315,50 @@ def test_carrier_transfers_match_fresh_per_representative_oracle_s3_degree_3():
     _check_carriers(galg.group_algebra(groups.symmetric(3), 2), (3,))
 
 
+@pytest.mark.parametrize("spec", GROUP_ALGEBRA_SPECS + ["d4_p2"])
+def test_transfer_after_restriction_is_the_sector_scalar(spec):
+    """tr^G_H o res^G_H is not [G:H] id, but one scalar per twist class.
+
+    By the centralizer decomposition HH^n(kG) = sum over the classes h^G of
+    H^n(C_G(h), k), a representative in the twist class of h is a class of
+    C_G(h).  Restriction to H should send it to the H-classes h' inside
+    h^G cap H, each as the restriction from C_G(h') to C_H(h'); the
+    corestriction back multiplies each by [C_G(h'):C_H(h')], and the
+    results add up in the class of h.  So tr o res is diagonal, with entry
+    sum over those h' of [C_G(h'):C_H(h')] mod p on the class of h.  As
+    |C_G(h')| = |G| / |h^G| and |C_H(h')| = |H| / |h'^H|, that sum is
+    [G:H] |h^G cap H| / |h^G|, which is 0 on a class that misses H."""
+    if spec == "d4_p2":
+        rg = galg.group_algebra(groups.dihedral(4), 2)
+    else:
+        rg = galg.algebra_from_spec(json.loads((SPECS / f"{spec}.json").read_text()))
+    grp, p = rg.group, rg.field.p
+    sys = system(rg)
+    whole = sys.full()
+    classes = {cls[0]: set(cls) for cls in oracles.conjugacy_classes(grp)}
+
+    def centralizer_order(y, over):
+        return sum(grp.mul(x, y) == grp.mul(y, x) for x in over)
+
+    for h in groups.all_subgroups(grp):
+        if len(h.elements) == grp.order:
+            continue
+        inside, index = set(h.elements), grp.order // len(h.elements)
+        scalar = {}
+        for g, cls in classes.items():
+            # the H-classes h' inside h^G cap H, and the sum of their indices
+            sub_classes = {min(grp.conj(x, y) for x in h.elements) for y in cls & inside}
+            total = sum(centralizer_order(y, range(grp.order)) // centralizer_order(y, inside)
+                        for y in sub_classes)
+            assert total * len(cls) == index * len(cls & inside), (g, h.elements)
+            scalar[g] = total % p
+        for n in range(3):
+            labels = oracles.twist_classes(rg, hh.cohomology(rg.algebra, n).reps, n)
+            got = rg.field.matmul(sys.map_along(whole, 0, h, n), sys.map_along(h, 0, whole, n))
+            want = np.diag([scalar[g] for g in labels]).astype(np.int64)
+            assert np.array_equal(got, want), (h.elements, n)
+
+
 def test_carriers_with_equal_actions_but_other_forms_get_their_own_transfer(monkeypatch):
     # C2 x C2 over F_3: the three order-2 subgroups share one algebra F_3C2,
     # so their carriers (H, 1, H) are regular modules of equal content.  With
