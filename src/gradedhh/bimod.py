@@ -14,19 +14,19 @@ M (x)_B N is a map out of M (x)_k N that kills the relations
 a map into it, or an identity in it, is read modulo the relations.
 
 Carriers are cached on the graded algebra, keyed by the carrier and the
-two subgroups.  Everything built from a module alone is cached by the
-module's content: its two algebras (interned on the graded algebra by
-``galg.component_subalgebra``, so subgroups with equal structure constants
-share one) and its two actions, interned as one token per distinct content
-(``content``).  Modules of equal content share one cache (``_shared``), so
-a carrier's validation, the relations of a tensor product, a splitting or a
-one-sided hom basis is made once per distinct content, not once per
-carrier.  A shared entry keeps the label of the first module it was built
-for.  A multiplication isomorphism also reads the graded algebra at its
-modules' indices, so it is cached on its left module, by the other two
-modules, and verified once per distinct contents and matrices.  Each cache
-is keyed by exactly what its entry is built from, hands out read-only
-arrays and never keeps a failure.
+two subgroups.  Each side of a module, its acting algebra (interned by
+``galg.component_subalgebra``) with its action, is interned as one token
+(``side_token``), and a module's content is the interned pair of its two
+side tokens (``content``).  What reads one side is built once per side
+token (in its ``cache``): the side's unit and algebra-map checks, hom basis
+and splittings, the relations of M (x)_B N (on R_M, by L_N) and the
+transfer's counit (``hh.transfer_data``).  What reads both sides is built
+once per content (``_shared``): a carrier's commutation check, a tensor
+product's stable relations and each verified multiplication isomorphism,
+which also reads the graded algebra at its modules' indices, so it is
+cached on its left module, by the other two modules.  Each cache is keyed
+by exactly what its entry is built from, hands out read-only arrays and
+never keeps a failure; a shared entry keeps the first module's label.
 
 Every construction works on whole tensors: actions are (dim algebra, dim,
 dim) arrays, and the balancing relations, an intertwiner system, the
@@ -82,26 +82,35 @@ class Bimodule:
         to its whole-basis form, and they run in its order: with L(1) = I,
         L(s x) = L_s L(x) gives L(w x) = L(w) L(x) for every word w in S, and
         words span A (likewise for R); then L(A) and R(B) are spanned by
-        products of the L_s and of the R_t, which commute."""
+        products of the L_s and of the R_t, which commute.  A side's unit
+        and algebra-map checks read it alone, so they are skipped once they
+        have passed on its side token, which keeps the first failing check."""
         f = self.field
         d = self.dim
         L, R = self.left_action, self.right_action
         if L.shape != (self.left.dim, d, d) or R.shape != (self.right.dim, d, d):
             raise ValidationError("action tensor shapes inconsistent")
-        if not np.array_equal(f.contract("i,ipq->pq", self.left.unit, L), f.eye(d)):
-            raise ValidationError("left unit does not act as the identity")
-        if not np.array_equal(f.contract("j,jpq->pq", self.right.unit, R), f.eye(d)):
-            raise ValidationError("right unit does not act as the identity")
+        unchecked = {}
+        for side in ("left", "right"):
+            cache, key = side_token(self, side).cache, ("validate",)
+            if key not in cache:
+                unchecked[side] = cache
+        for side, alg, act in (("left", self.left, L), ("right", self.right, R)):
+            if side in unchecked and not np.array_equal(
+                    f.contract("i,ipq->pq", alg.unit, act), f.eye(d)):
+                raise ValidationError(f"{side} unit does not act as the identity")
         sa, sb = galg.generators(self.left), galg.generators(self.right)
         # one generator at a time: d_A * dim^2 entries per side
-        for s in sa:
+        for s in sa if "left" in unchecked else ():
             if not np.array_equal(f.contract("pq,jqr->jpr", L[s], L),
                                   f.contract("jk,kpr->jpr", self.left.sc[s], L)):
                 raise ValidationError("left action is not an algebra map")
-        for s in sb:
+        for s in sb if "right" in unchecked else ():
             if not np.array_equal(f.contract("jpq,qr->jpr", R, R[s]),
                                   f.contract("jk,kpr->jpr", self.right.sc[s], R)):
                 raise ValidationError("right action is not a right representation")
+        for cache in unchecked.values():
+            cache[key] = True
         lhs = f.contract("spq,tqr->stpr", L[sa], R[sb])
         rhs = f.contract("tpq,sqr->stpr", R[sb], L[sa])
         if not np.array_equal(lhs, rhs):
@@ -115,24 +124,47 @@ def _crc(a: np.ndarray) -> int:
     return zlib.crc32(np.ascontiguousarray(a))
 
 
+@dataclass(eq=False)
+class Side:
+    """One side of a bimodule, interned by ``side_token``; ``cache`` holds
+    what is built from it alone, keyed as ``_shared`` is."""
+
+    action: np.ndarray = field(repr=False)
+    cache: dict = field(default_factory=dict, repr=False)
+
+
+def side_token(m: Bimodule, side: str) -> Side:
+    """The token of M's action on ``side`` with its algebra, the first such
+    seen: found in a bucket on the algebra by the side, the dtype and the
+    crc32 of the action, and confirmed by ``np.array_equal`` (so no action
+    is copied).  Over a commutative algebra, a right module is the left one
+    of the same matrices (R(e_s e_j) = R_j R_s = R(e_j e_s)) and both
+    regular actions are equal, so the two sides share buckets.  Marks the
+    action read-only; computed once per module and side."""
+    sides = m._cache.setdefault("sides", {})
+    if side not in sides:
+        if side not in ("left", "right"):
+            raise ValidationError("side must be 'left' or 'right'")
+        alg, act = (m.left, m.left_action) if side == "left" else (m.right, m.right_action)
+        read_only(act)
+        commutative = np.array_equal(alg.sc, alg.sc.transpose(1, 0, 2))
+        key = (None if commutative else side, act.dtype.str, _crc(act))
+        bucket = alg._cache.setdefault("sides", {}).setdefault(key, [])
+        token = next((t for t in bucket if np.array_equal(t.action, act)), None)
+        if token is None:
+            token = Side(act)
+            bucket.append(token)
+        sides[side] = token
+    return sides[side]
+
+
 def content(m: Bimodule) -> Bimodule:
     """The token of what every construction on M reads of it (its two
     algebras by identity, ``dim``, and its two actions): the first module
-    seen with that content, compared by identity.  It is found in a bucket
-    on M's left algebra keyed by the right algebra, ``dim``, both dtypes and
-    the crc32 of both actions, and confirmed with ``np.array_equal``, so no
-    action is copied and a crc collision only lengthens a bucket.  Marks M's
-    actions read-only; computed once per module."""
+    seen with M's two side tokens.  Computed once per module."""
     if "content" not in m._cache:
-        L, R = m.left_action, m.right_action
-        read_only(L, R)
-        key = (m.right, m.dim, L.dtype.str, R.dtype.str, _crc(L), _crc(R))
-        bucket = m.left._cache.setdefault("contents", {}).setdefault(key, [])
-        token = next((t for t in bucket if np.array_equal(t.left_action, L)
-                      and np.array_equal(t.right_action, R)), m)
-        if token is m:
-            bucket.append(m)
-        m._cache["content"] = token
+        cache, key = side_token(m, "left").cache, ("content", side_token(m, "right"))
+        m._cache["content"] = cache.setdefault(key, m)
     return m._cache["content"]
 
 
@@ -233,19 +265,25 @@ def balancing_relations(m: Bimodule, n: Bimodule) -> Subspace:
     (``galg.generators``) span them all, since r(b1 b2, x, y) =
     r(b2, x b1, y) + r(b1, x, b2 y); their stability is checked under the
     generators of the outer algebras, since the elements whose action keeps
-    a subspace form a subalgebra.  Not cached; the basis is read-only."""
+    a subspace form a subalgebra.  The relations read only R_M and L_N, so
+    they are cached by those side tokens, read-only; the stability check
+    runs on every call."""
     if not (m.right is n.left or m.right.structurally_equal(n.left)):
         raise ValidationError("inner algebras do not match")
     f = m.field
     dm, dn = m.dim, n.dim
-    sb = galg.generators(m.right)
-    # relation (s, i, j): (e_i . b_s) ox e_j - e_i ox (b_s . e_j)
-    rel = (
-        f.contract("bki,jl->bijkl", m.right_action[sb], f.eye(dn))
-        - f.contract("ik,blj->bijkl", f.eye(dm), n.left_action[sb])
-    ) % f.p
-    relations = subspace_from_rows(f, rel.reshape(len(sb) * dm * dn, dm * dn),
-                                   ambient_dim=dm * dn)
+    cache, key = side_token(m, "right").cache, ("relations", side_token(n, "left"))
+    if key not in cache:
+        sb = galg.generators(m.right)
+        # relation (s, i, j): (e_i . b_s) ox e_j - e_i ox (b_s . e_j)
+        rel = (
+            f.contract("bki,jl->bijkl", m.right_action[sb], f.eye(dn))
+            - f.contract("ik,blj->bijkl", f.eye(dm), n.left_action[sb])
+        ) % f.p
+        cache[key] = subspace_from_rows(f, rel.reshape(len(sb) * dm * dn, dm * dn),
+                                        ambient_dim=dm * dn)
+        read_only(cache[key].basis)
+    relations = cache[key]
     # the outer actions a ox 1 and 1 ox c of the generators on M ox_k N,
     # applied to the relations
     if relations.dim:
@@ -255,7 +293,6 @@ def balancing_relations(m: Bimodule, n: Bimodule) -> Subspace:
                       f.contract("cjl,sil->csij", n.right_action[gens_c], basis)):
             if relations.reduce_rows(moved.reshape(-1, dm * dn)).any():
                 raise ValidationError("relations not stable under outer action")
-    read_only(relations.basis)
     return relations
 
 
@@ -303,15 +340,13 @@ def module_hom_basis(m: Bimodule, side: str) -> np.ndarray:
     """RREF basis, stacked as (k, dim alg, dim M), of the one-sided module
     maps M -> alg into the regular module, where alg is the algebra acting on
     ``side``: the maps that intertwine the actions of ``galg.generators`` of
-    alg, which is the same space.  Cached by M's content, read-only."""
-    cache, key = _shared(m), ("module_homs", side)
+    alg, which is the same space.  Cached by M's side, read-only."""
+    cache, key = side_token(m, side).cache, ("module_homs",)
     if key not in cache:
         if side == "left":
             alg, act, reg = m.left, m.left_action, m.left.basis_left_mults
-        elif side == "right":
-            alg, act, reg = m.right, m.right_action, m.right.basis_right_mults
         else:
-            raise ValidationError("side must be 'left' or 'right'")
+            alg, act, reg = m.right, m.right_action, m.right.basis_right_mults
         gens = galg.generators(alg)
         cache[key] = _intertwiners(m.field, ((act[gens], reg[gens]),), m.dim, alg.dim)
         read_only(cache[key])
@@ -334,10 +369,10 @@ def is_projective(m: Bimodule, side: str, generator_order=None) -> SplittingResu
     The splitting is sought blockwise: each block of sigma is a one-sided
     module map M -> algebra, so sigma is a combination of the hom basis and
     pi sigma = id becomes a small inhomogeneous system with the canonical
-    (free variables 0) solution.  Results are cached by M's content, the
-    side and the generator order; their arrays are read-only."""
+    (free variables 0) solution.  Results are cached by M's side and the
+    generator order; their arrays are read-only."""
     gens = np.arange(m.dim) if generator_order is None else np.array(generator_order)
-    cache, key = _shared(m), ("is_projective", side, tuple(gens.tolist()))
+    cache, key = side_token(m, side).cache, ("is_projective", tuple(gens.tolist()))
     if key in cache:
         return cache[key]
     homs = module_hom_basis(m, side)

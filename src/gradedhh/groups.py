@@ -30,8 +30,10 @@ class FiniteGroup:
     name: str = "group"
 
     identity: int = 0
-    # the one Subgroup per element tuple (see ``subgroup``)
+    # the one Subgroup per element tuple (see ``subgroup``), and memos
     _subgroups: dict = field(default_factory=dict, repr=False)
+    _conjugates: dict = field(default_factory=dict, repr=False)
+    _double_cosets: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         # list copies of the read-only arrays, for mul and inv: ~10x faster
@@ -304,8 +306,11 @@ def subgroup_generated(g: FiniteGroup, gens) -> Subgroup:
 
 
 def conjugate_subgroup(g_elt: int, h: Subgroup) -> Subgroup:
-    g = h.group
-    return subgroup(g, (g.conj(g_elt, x) for x in h.elements))
+    """g H g^-1, kept on the group by (g, H)."""
+    g, key = h.group, (int(g_elt), h.elements)
+    if key not in g._conjugates:
+        g._conjugates[key] = subgroup(g, (g.conj(g_elt, x) for x in h.elements))
+    return g._conjugates[key]
 
 
 def intersect(k: Subgroup, h: Subgroup) -> Subgroup:
@@ -331,14 +336,12 @@ def cosets(h: Subgroup, side: str = "left") -> list[int]:
 
 
 def double_coset(k: Subgroup, g_elt: int, h: Subgroup) -> tuple[int, ...]:
-    """The set KgH as a sorted element tuple."""
-    g = k.group
-    out = set()
-    for a in k.elements:
-        ag = g.mul(a, g_elt)
-        for b in h.elements:
-            out.add(g.mul(ag, b))
-    return tuple(sorted(out))
+    """The set KgH as a sorted element tuple, kept on the group by (K, g, H)."""
+    g, key = k.group, (k.elements, int(g_elt), h.elements)
+    if key not in g._double_cosets:
+        g._double_cosets[key] = tuple(sorted({g.mul(g.mul(a, g_elt), b)
+                                              for a in k.elements for b in h.elements}))
+    return g._double_cosets[key]
 
 
 def double_coset_reps(k: Subgroup, h: Subgroup) -> list[int]:

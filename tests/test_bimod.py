@@ -711,11 +711,12 @@ def test_lemma2_builds_each_isomorphism_and_splitting_once_per_input(monkeypatch
                                                                       tmp_path):
     # D4 over F_2: the 1,440 isomorphism instances of parts b and c need 595
     # builds (one tensor_over call each), of 68 distinct tensor products (one
-    # relation space each), and 213 distinct pairs of matrices on M ox_k N
-    # (one verification each; 171 on the quotients, where inverses that
-    # differ by relations coincide); the 195 carriers have 78 distinct contents (one
-    # module validation each); the 200 projectivity checks of part a need 52
-    # splittings (one hom basis each), one per distinct module content
+    # stability check each) on 43 distinct pairs (R_M, L_N) (one relation
+    # space each), and 213 distinct pairs of matrices on M ox_k N (one
+    # verification each; 171 on the quotients, where inverses that differ
+    # by relations coincide); the 195 carriers have 78 distinct contents (one
+    # module validation each); the 200 projectivity checks of part a need 24
+    # splittings (one hom basis each), one per distinct one-sided module
     counts = {}
 
     def counting(owner, name, label):
@@ -726,8 +727,8 @@ def test_lemma2_builds_each_isomorphism_and_splitting_once_per_input(monkeypatch
             return fn(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapper)
 
-    for name in ("_build_mult_iso", "tensor_over", "is_projective", "module_hom_basis",
-                 "subspace_from_rows", "_verify_mult_iso"):
+    for name in ("_build_mult_iso", "tensor_over", "balancing_relations", "is_projective",
+                 "module_hom_basis", "subspace_from_rows", "_verify_mult_iso"):
         counting(bimod, name, name)
     counting(bimod.Bimodule, "validate", "Bimodule.validate")
     spec = tmp_path / "d4_p2.json"
@@ -735,9 +736,146 @@ def test_lemma2_builds_each_isomorphism_and_splitting_once_per_input(monkeypatch
                                 "algebra": {"kind": "group_algebra"}}))
     assert cli.main(["lemma2", "--spec", str(spec)]) == 0
     capsys.readouterr()
-    assert counts == {"_build_mult_iso": 1440, "tensor_over": 595, "subspace_from_rows": 68,
-                      "is_projective": 200, "module_hom_basis": 52,
+    assert counts == {"_build_mult_iso": 1440, "tensor_over": 595, "balancing_relations": 68,
+                      "subspace_from_rows": 43, "is_projective": 200, "module_hom_basis": 24,
                       "Bimodule.validate": 78, "_verify_mult_iso": 213}
+
+
+def test_verify_builds_each_one_sided_construction_once_per_side(monkeypatch, capsys,
+                                                                 tmp_path):
+    # D4 over F_2, verify --degree 2: the 40 transfer data need 29 hom
+    # bases (one intertwiner system each), one per distinct one-sided
+    # module; the relations of their 40 tensor products M ox_B M* are 21
+    # relation spaces, one per distinct R_M; and their 40 counits are 20,
+    # one per distinct left action and form, each checked once
+    counts = collections.Counter()
+
+    def counting(owner, name):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, **kwargs: (
+            counts.update([name]), fn(*args, **kwargs))[1])
+
+    for name in ("balancing_relations", "subspace_from_rows", "_intertwiners",
+                 "check_tensor_map"):
+        counting(bimod, name)
+    counting(hh, "transfer_data")
+    assert cli.main(["verify", "--spec", str(_d4_spec(tmp_path)), "--degree", "2"]) == 0
+    capsys.readouterr()
+    assert counts == {"transfer_data": 40, "balancing_relations": 40, "subspace_from_rows": 21,
+                      "_intertwiners": 29, "check_tensor_map": 20}
+
+
+def test_carriers_sharing_a_side_share_its_constructions():
+    # R_G over R_G - R_H for the D4 subgroups H = {1, s} of two reflections
+    # s: one interned algebra kC2 on the right, equal left actions and
+    # different right actions
+    rg = galg.group_algebra(groups.dihedral(4), 2)
+    full = groups.full_subgroup(rg.group)
+    m, n = (bimod.side_restricted(rg, full, groups.subgroup(rg.group, (0, s))) for s in (4, 5))
+    assert m.right is n.right and np.array_equal(m.left_action, n.left_action)
+    assert not np.array_equal(m.right_action, n.right_action)
+    assert bimod.side_token(m, "left") is bimod.side_token(n, "left")
+    assert bimod.side_token(m, "right") is not bimod.side_token(n, "right")
+    assert bimod.content(m) is not bimod.content(n)
+    assert bimod.module_hom_basis(n, "left") is bimod.module_hom_basis(m, "left")
+    assert bimod.is_projective(n, "left") is bimod.is_projective(m, "left")
+    assert bimod.module_hom_basis(n, "right") is not bimod.module_hom_basis(m, "right")
+    assert bimod.is_projective(n, "right") is not bimod.is_projective(m, "right")
+
+
+@pytest.mark.parametrize("collide", [False, True])
+def test_a_changed_right_action_gets_its_own_right_hom_basis(collide, monkeypatch):
+    # one right-action entry moved, with every crc32 equal or not: the left
+    # side is the same token, the right one is new, and its hom basis is
+    # built afresh (the whole-basis oracle's), not the stale one
+    if collide:
+        monkeypatch.setattr(zlib, "crc32", lambda *args: 0)
+    rg = _load("s3_p2")
+    full = groups.full_subgroup(rg.group)
+    m = bimod.side_restricted(rg, full, full)
+    old = bimod.module_hom_basis(m, "right")
+    right = m.right_action.copy()
+    right[1, 0, -1] ^= 1
+    moved = bimod.Bimodule(left=m.left, right=m.right, dim=m.dim,
+                           left_action=m.left_action, right_action=right)
+    assert bimod.module_hom_basis(moved, "left") is bimod.module_hom_basis(m, "left")
+    new = bimod.module_hom_basis(moved, "right")
+    assert _same_bytes(new, oracles.module_hom_basis(moved, "right"))
+    assert not _same_bytes(new, old)
+    assert bimod.module_hom_basis(m, "right") is old
+
+
+def test_content_is_shared_exactly_when_both_side_tokens_are():
+    rg = galg.group_algebra(groups.dihedral(4), 2)
+    subs = groups.all_subgroups(rg.group)
+    modules = [bimod.truncation(rg, k, g, h) for k in subs for h in subs
+               for g in range(rg.group.order)]
+    # copies, whose actions are equal to the originals' but not the same arrays
+    modules += [bimod.Bimodule(left=m.left, right=m.right, dim=m.dim,
+                               left_action=m.left_action.copy(),
+                               right_action=m.right_action.copy()) for m in modules[::7]]
+    pairs = {}
+    for m in modules:
+        pairs.setdefault((bimod.side_token(m, "left"), bimod.side_token(m, "right")),
+                         set()).add(bimod.content(m))
+    # each pair of side tokens has one content, and distinct pairs distinct ones
+    assert all(len(contents) == 1 for contents in pairs.values())
+    assert len(set().union(*pairs.values())) == len(pairs) < len(modules)
+    assert len({bimod.side_token(m, "left") for m in modules}) < len(pairs)
+
+
+def test_side_checks_are_skipped_once_passed_and_keep_their_order(ks3_p2, monkeypatch):
+    # sides of kS3 over F_2: the regular actions, and copies with the unit
+    # or a non-generator moved.  Every pairing is validated twice, the second
+    # time with the passed sides known, and rejects with the whole-basis
+    # oracle's message (units first, then the algebra maps, then the
+    # commutation); a pairing of two valid sides that do not commute, each
+    # from a valid bimodule, still fails the commutation check
+    a = ks3_p2.algebra
+    f = a.field
+    unit = int(np.flatnonzero(a.unit)[0])
+    other = int(np.setdiff1d(np.arange(a.dim), [*galg.generators(a), unit])[-1])
+
+    def variants(act):
+        out = [act]
+        for j in (unit, other):
+            moved = act.copy()
+            moved[j, 0, -1] = (moved[j, 0, -1] + 1) % f.p
+            out.append(moved)
+        return out
+
+    # a conjugate of the regular bimodule: its right action is a valid
+    # right module that does not commute with the regular left action
+    perm = f.eye(a.dim)[np.roll(np.arange(a.dim), 1)]
+    conj = lambda act: np.ascontiguousarray(f.contract("pq,jqr->jpr", perm, f.contract(
+        "jqr,sr->jqs", act, perm)))
+    lefts = variants(a.basis_left_mults)
+    rights = variants(a.basis_right_mults) + [conj(a.basis_right_mults)]
+    bimod.Bimodule(left=a, right=a, dim=a.dim, left_action=conj(a.basis_left_mults),
+                   right_action=rights[-1]).validate()
+    verdicts = []
+    for _ in range(2):
+        for left in lefts:
+            for right in rights:
+                m = bimod.Bimodule(left=a, right=a, dim=a.dim, left_action=left,
+                                   right_action=right)
+                verdicts.append(_verdict(bimod.Bimodule.validate, m))
+                assert verdicts[-1] == _verdict(oracles.validate_bimodule, m)
+    assert verdicts[:len(verdicts) // 2] == verdicts[len(verdicts) // 2:]
+    assert verdicts[3] == "left and right actions do not commute"
+    assert set(verdicts) == {None, "left and right actions do not commute",
+                             "left unit does not act as the identity",
+                             "right unit does not act as the identity",
+                             "left action is not an algebra map",
+                             "right action is not a right representation"}
+    # a new module of two passed sides runs only the commutation check
+    done = []
+    contract = PrimeField.contract
+    monkeypatch.setattr(PrimeField, "contract", lambda self, subscripts, *ops: (
+        done.append(subscripts), contract(self, subscripts, *ops))[1])
+    bimod.Bimodule(left=a, right=a, dim=a.dim, left_action=lefts[0].copy(),
+                   right_action=rights[0].copy()).validate()
+    assert done == ["spq,tqr->stpr", "tpq,sqr->stpr"]
 
 
 def test_mult_isos_of_equal_content_at_other_indices_are_built_apart(monkeypatch):
@@ -770,9 +908,9 @@ def test_mult_isos_of_equal_content_at_other_indices_are_built_apart(monkeypatch
 
 @pytest.mark.parametrize("spec", ["s3_p2", "s3_p3"])
 def test_crc_collisions_keep_contents_and_isomorphisms_apart(spec, capsys):
-    # with every crc32 equal, a content bucket holds every module over the
-    # same algebras and of the same dim, so only np.array_equal tells
-    # contents and verified matrices apart: the run must give the same
+    # with every crc32 equal, a side bucket holds every action on one side
+    # over the same algebra, so only np.array_equal tells sides, and with
+    # them contents, and verified matrices apart: the run must give the same
     # report after the same validations, and one token per exact content
     runs = []
     for collide in (False, True):
@@ -803,7 +941,7 @@ def test_crc_collisions_keep_contents_and_isomorphisms_apart(spec, capsys):
         tokens[exact].add(bimod.content(m))
     assert all(len(t) == 1 for t in tokens.values())
     assert len(set().union(*tokens.values())) == len(tokens) > 1
-    buckets = [b for m in taken for b in m.left._cache["contents"].values()]
+    buckets = [b for m in taken for b in m.left._cache["sides"].values()]
     assert max(map(len, buckets)) > 1
 
 

@@ -39,7 +39,7 @@ def test_every_function_under_src_is_referenced_under_src():
 # the module that owns each key of the ``_cache`` mappings on algebras,
 # graded algebras and bimodules
 CACHE_OWNERS = {
-    "bimod": {"content", "shared", "contents", "carriers", "mult_isos"},
+    "bimod": {"content", "shared", "sides", "carriers", "mult_isos"},
     "galg": {"lmul", "rmul", "subalgebras", "algebras", "unit_decompositions", "generators"},
     "hh": {"hh", "cochain"},
 }
@@ -83,39 +83,60 @@ def test_every_cache_key_has_one_owning_module():
     assert found == CACHE_OWNERS
 
 
-# the tag that leads every key of a ``bimod._shared`` cache, and the one
-# function that writes entries under it
-SHARED_TAGS = {"validate": "graded_carrier", "tensor_over": "tensor_over",
-               "module_homs": "module_hom_basis", "is_projective": "is_projective",
-               "mult_iso": "_build_mult_iso"}
+# the tag that leads every key of a ``bimod._shared`` cache (one per module
+# content) and of a ``bimod.side_token(...).cache`` (one per side token), and
+# the one function that writes entries under it
+CACHE_TAGS = {
+    "_shared": {"validate": "graded_carrier", "tensor_over": "tensor_over",
+                "mult_iso": "_build_mult_iso"},
+    "side_token": {"validate": "validate", "content": "content",
+                   "relations": "balancing_relations", "module_homs": "module_hom_basis",
+                   "is_projective": "is_projective", "counit": "transfer_data"},
+}
 
 
 def test_every_shared_cache_tag_has_one_owning_function():
-    # entries of different kinds share one dict per module content, so two
-    # functions using one tag would read each other's entries
-    tree = ast.parse((SRC / "gradedhh" / "bimod.py").read_text())
+    # entries of different kinds share one dict per module content or per
+    # side token, so two functions using one tag would read each other's
+    # entries
 
-    def is_shared_call(node):
-        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "_shared")
+    def called(node):
+        """The name of the function that ``node`` calls, or None."""
+        if isinstance(node, ast.Call):
+            return getattr(node.func, "id", getattr(node.func, "attr", None))
+        return None
 
-    owners, scanned, calls = collections.defaultdict(set), set(), set()
-    for fn in ast.walk(tree):
-        if not isinstance(fn, ast.FunctionDef) or fn.name == "_shared":
-            continue
-        for node in ast.walk(fn):
-            if is_shared_call(node):
-                calls.add(id(node))
-            # cache, key = _shared(m), ("tag", ...)
-            if (isinstance(node, ast.Tuple) and len(node.elts) == 2
-                    and is_shared_call(node.elts[0]) and isinstance(node.elts[1], ast.Tuple)):
-                tag = node.elts[1].elts[0]
-                assert isinstance(tag, ast.Constant) and isinstance(tag.value, str)
-                owners[tag.value].add(fn.name)
-                scanned.add(id(node.elts[0]))
+    def cache_of(node):
+        """Which kind of shared cache ``node`` reads: ``_shared(m)`` or
+        ``side_token(m, side).cache``; None for any other node."""
+        if called(node) == "_shared":
+            return "_shared"
+        if (isinstance(node, ast.Attribute) and node.attr == "cache"
+                and called(node.value) == "side_token"):
+            return "side_token"
+        return None
+
+    owners = {name: collections.defaultdict(set) for name in CACHE_TAGS}
+    scanned, lookups = set(), set()
+    for module in ("bimod", "hh"):
+        tree = ast.parse((SRC / "gradedhh" / f"{module}.py").read_text())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef) or fn.name in CACHE_TAGS:
+                continue
+            for node in ast.walk(fn):
+                if cache_of(node):
+                    lookups.add(id(node))
+                # cache, key = _shared(m), ("tag", ...)
+                if (isinstance(node, ast.Tuple) and len(node.elts) == 2
+                        and cache_of(node.elts[0]) and isinstance(node.elts[1], ast.Tuple)):
+                    tag = node.elts[1].elts[0]
+                    assert isinstance(tag, ast.Constant) and isinstance(tag.value, str)
+                    owners[cache_of(node.elts[0])][tag.value].add(fn.name)
+                    scanned.add(id(node.elts[0]))
     # every lookup is one the scan reads
-    assert calls == scanned
-    assert owners == {tag: {fn} for tag, fn in SHARED_TAGS.items()}
+    assert lookups == scanned
+    assert owners == {name: {tag: {fn} for tag, fn in tags.items()}
+                      for name, tags in CACHE_TAGS.items()}
 
 
 def test_no_option_less_unique_under_src():
